@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import math
@@ -63,7 +64,7 @@ SCHEMAS = {
         "scenario": str,  # reference | manufactured
         "a": float, "b": float, "eps0": float, "o_scale": float,
         "grid": {"nx": int, "ny": int, "grading": float},
-        "solver": {"damping": float, "max_iter": int, "tol": float},
+        "solver": {"max_iter": int, "tol": float},
         "scan": {"y_fractions": list},
         "corner": {"c": float},
     },
@@ -164,6 +165,13 @@ class ArtifactWriter:
     def write_json(self, name: str, obj) -> None:
         self.write_text(name, json.dumps(obj, indent=2, sort_keys=True,
                                          default=_json_default) + "\n")
+
+    def discard(self) -> None:
+        """Remove what this writer wrote and any manifest left by an earlier
+        run, so that a failed run leaves nothing that looks like a result."""
+        for name in self.files + ["manifest.json"]:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(self.outdir, name))
 
 
 def _json_default(obj):
@@ -297,13 +305,8 @@ def run_keldysh(cfg, aw: ArtifactWriter) -> None:
     a = float(cfg.get("a", 4.0))
     b = float(cfg.get("b", 1.0))
     eps0 = float(cfg.get("eps0", 0.5))
-    grid = cfg.get("grid", {})
-    solver = cfg.get("solver", {})
-    opts = KeldyshOptions(nx=int(grid.get("nx", 65)), ny=int(grid.get("ny", 65)),
-                          grading=float(grid.get("grading", 2.0)),
-                          damping=float(solver.get("damping", 0.5)),
-                          max_iter=int(solver.get("max_iter", 120)),
-                          tol=float(solver.get("tol", 1e-11)))
+    # grid and solver keys are KeldyshOptions fields; absent ones keep its defaults
+    opts = KeldyshOptions(**cfg.get("grid", {}), **cfg.get("solver", {}))
     if scenario == "reference":
         dom, coeffs, bc = reference_scenario(eps0=eps0, a=a, b=b,
                                            o_scale=float(cfg.get("o_scale", 0.05)))
@@ -515,17 +518,24 @@ def run_config(config_path: str) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config {config_path}: {exc}", file=sys.stderr)
         return 1
+    aw = None
     try:
         sub = validate_config(cfg)
         aw = ArtifactWriter(_resolve_outdir(cfg, config_path))
         HANDLERS[sub](cfg, aw)
     except (ConfigError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
     except (ProfileError, KeldyshDivergenceError, KeldyshConvergenceError,
             RuntimeError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    else:
+        code = 0
+    if code:
+        if aw is not None:
+            aw.discard()
+        return code
 
     outputs = []
     for name in aw.files:

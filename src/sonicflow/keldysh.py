@@ -11,8 +11,8 @@ degeneracy.  The domain {0 < x < eps0, 0 < y < f(x)} is mapped onto the unit
 square by x = eps0 * s**q (grading resolves the psi ~ x**2 behaviour) and
 y = eta * f(x); the transformed equation is discretized with centered
 differences except for the first-order x-derivative, which is differenced
-backward (information enters from the degenerate boundary), and the frozen
-principal coefficient is updated by damped Picard iteration.
+backward (information enters from the degenerate boundary), and the nonlinear
+discrete system is solved by semismooth Newton iteration with a damped step.
 
 Diagnostics probe the interior trace psi_xx(0+, y) -> 1/a, the two-path
 corner behaviour at (0, f(0)), and the quadratic growth/slope bounds.
@@ -24,14 +24,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .field2d import Field2D
 
 
 class KeldyshDivergenceError(RuntimeError):
-    """Picard update norms stopped decreasing over the patience window."""
+    """A Newton step failed the natural monotonicity test at every step factor."""
 
 
 class KeldyshConvergenceError(RuntimeError):
@@ -181,14 +181,23 @@ class KeldyshBC:
 
 @dataclass(frozen=True)
 class KeldyshOptions:
-    nx: int = 64
-    ny: int = 64
+    nx: int = 65
+    ny: int = 65
     grading: float = 2.0
-    damping: float = 0.5
-    max_iter: int = 80
+    max_iter: int = 120
     tol: float = 1e-11
     clamp: float = 1e-3
-    patience: int = 20
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+
+
+# smallest step factor t the natural monotonicity test tries before it gives
+# up; on the reference scenario at 97^2 near (a, o_scale, eps0) = (4.05, 0.055,
+# 0.495) one step passes the test only at t ~ 2e-6, after which full steps
+# converge
+_MIN_STEP = 1e-8
 
 
 class _Grid:
@@ -241,8 +250,74 @@ def _sample(fn, X, Y):
     return out
 
 
-def _assemble(grid: _Grid, coeffs: KeldyshCoefficients, bc: KeldyshBC,
-              psi_x_old: np.ndarray, clamp: float, O_fields: dict):
+def _nine_point(hs, he, Css, Cse, Cee, Cs_up, Cs_c, Ce):
+    """Weights by node offset (dj, di) of the difference operator
+
+        Css w_ss + Cse w_s_eta + Cee w_eta_eta + Cs_up w_s + Cs_c w_s + Ce w_eta
+
+    with every derivative centered except the Cs_up one, which is backward.
+    """
+    cross = Cse / (4 * hs * he)
+    return {(1, 0): Css / hs ** 2 + Cs_c / (2 * hs),
+            (-1, 0): Css / hs ** 2 - Cs_c / (2 * hs) - Cs_up / hs,
+            (0, 1): Cee / he ** 2 + Ce / (2 * he),
+            (0, -1): Cee / he ** 2 - Ce / (2 * he),
+            (0, 0): -2 * Css / hs ** 2 - 2 * Cee / he ** 2 + Cs_up / hs,
+            (1, 1): cross, (-1, -1): cross, (1, -1): -cross, (-1, 1): -cross}
+
+
+class _Stencil:
+    """The discrete equations F(w) = M(c1(w)) w - rhs on a fixed CSC pattern.
+
+    Interior and eta = 0 rows are affine in the principal coefficient c1 at
+    their own node, so M(c1) = M0 + diag(c1) P; on those rows psi_x = D w.
+    Entry k of the pattern (row rows[k], column given by indptr) holds
+    m0[k], p[k] and d[k], so any combination of the three is a refill of
+    values on the one pattern.
+    """
+
+    def __init__(self, grid, a, O1, clamp, rows, cols, m0, p, d, rhs):
+        self.grid, self.a, self.O1, self.clamp = grid, a, O1, clamp
+        n = rhs.size
+        order = np.lexsort((rows, cols))
+        self.rows = rows[order]
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+        self.m0, self.p, self.d = m0[order], p[order], d[order]
+        self.rhs = rhs
+        self.M0 = self._csc(self.m0)
+        self.P = self._csc(self.p)
+
+    def _csc(self, vals):
+        n = self.rhs.size
+        return csc_matrix((vals, self.rows, self.indptr), shape=(n, n))
+
+    def matrix(self, c1, g=None):
+        """M0 + diag(c1) P + diag(g) D, with c1 and g given per node."""
+        vals = self.m0 + c1.ravel()[self.rows] * self.p
+        if g is not None:
+            vals += g.ravel()[self.rows] * self.d
+        return self._csc(vals)
+
+    def evaluate(self, w):
+        """F(w), the clamped c1(w), the mask of unclamped nodes, and P w.
+
+        c1 = max(2x - a psi_x + O1, clamp 2x) keeps the frozen problem
+        elliptic for x > 0.
+        """
+        X = self.grid.X
+        c1_raw = 2.0 * X - self.a * _psi_x_nodes(self.grid, w) + self.O1
+        c1_floor = self.clamp * 2.0 * X
+        c1 = np.maximum(c1_raw, c1_floor)
+        pw = self.P @ w.ravel()
+        return self.M0 @ w.ravel() + c1.ravel() * pw - self.rhs, c1, c1_raw >= c1_floor, pw
+
+
+def _assemble(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
+              opts: KeldyshOptions, bc: KeldyshBC) -> _Stencil:
+    """Sample the coefficients once and build the operator's fixed pattern."""
+    grid = _Grid(domain, opts.nx, opts.ny, opts.grading)
+    O1, O2, O3, O4, O5 = (_sample(getattr(coeffs, name), grid.X, grid.Y)
+                          for name in ("O1", "O2", "O3", "O4", "O5"))
     nx, ny = grid.nx, grid.ny
     hs, he = grid.hs, grid.he
     n_eta = ny + 1
@@ -250,148 +325,134 @@ def _assemble(grid: _Grid, coeffs: KeldyshCoefficients, bc: KeldyshBC,
     def node(j, i):
         return j * n_eta + i
 
-    rows, cols, vals = [], [], []
-    rhs = np.zeros((nx + 1) * n_eta)
-
-    X, Y = grid.X, grid.Y
-    O1, O2, O3, O4, O5 = (O_fields[k] for k in ("O1", "O2", "O3", "O4", "O5"))
-
-    c1_raw = 2.0 * X - coeffs.a * psi_x_old + O1
-    c1_floor = clamp * 2.0 * X
-    clamped = c1_raw < c1_floor
-    c1 = np.maximum(c1_raw, c1_floor)
-
-    A = grid.A[:, None]
-    A_s = grid.A_s[:, None]
+    zero = np.zeros_like(grid.X)
+    A = grid.A[:, None] + zero
+    A_s = grid.A_s[:, None] + zero
     B = grid.B
     B_s = grid.B_s
     B_eta = grid.B_eta[:, None]
     f = grid.fx[:, None]
+    # weights of M0, P and D: c1 multiplies the P terms, psi_x = A w_s + B w_eta
+    parts = (
+        _nine_point(hs, he, zero, O2 * A / f, O2 * B / f + (coeffs.b + O3) / f ** 2,
+                    -(1.0 + O4) * A, zero, O2 * B_eta / f + O5 / f - (1.0 + O4) * B),
+        _nine_point(hs, he, A ** 2, 2.0 * A * B, B ** 2, zero, A * A_s,
+                    A * B_s + B * B_eta),
+        _nine_point(hs, he, zero, zero, zero, zero, A, B),
+    )
+    rows, cols = [], []
+    vals = ([], [], [])
 
-    Css = c1 * A ** 2
-    Cse = 2.0 * c1 * A * B + O2 * A / f
-    Cee = c1 * B ** 2 + O2 * B / f + (coeffs.b + O3) / f ** 2
-    Cs_up = -(1.0 + O4) * A
-    Cs_c = c1 * A * A_s
-    Ce = c1 * (A * B_s + B * B_eta) + O2 * B_eta / f + O5 / f - (1.0 + O4) * B
+    def put(r, c, *v):
+        """Entries (r, c) with values v = (m0, p, d); a missing part is zero."""
+        rows.append(np.atleast_1d(r))
+        cols.append(np.atleast_1d(c))
+        for out, value in zip(vals, v + (0.0,) * (3 - len(v))):
+            out.append(np.broadcast_to(value, rows[-1].shape))
 
-    # interior nodes (1..nx-1) x (1..ny-1), vectorized entry lists
+    # interior nodes (1..nx-1) x (1..ny-1)
     J, I = np.meshgrid(np.arange(1, nx), np.arange(1, ny), indexing="ij")
-    Jf, If = J.ravel(), I.ravel()
-    base = (node(Jf, If),)
+    J, I = J.ravel(), I.ravel()
+    for dj, di in parts[0]:
+        put(node(J, I), node(J + dj, I + di), *(part[dj, di][J, I] for part in parts))
 
-    def put(jj, ii, coef):
-        rows.append(node(Jf, If))
-        cols.append(node(jj, ii))
-        vals.append(coef.ravel())
+    # symmetry rows at eta = 0: the mirror ghost w[:, -1] = w[:, 1] folds the
+    # (0, -1) weight onto (0, 1) and cancels the cross terms
+    J = np.arange(1, nx)
+    I = np.zeros_like(J)
+    for dj, di in ((1, 0), (-1, 0), (0, 0)):
+        put(node(J, I), node(J + dj, I), *(part[dj, di][J, I] for part in parts))
+    put(node(J, I), node(J, I + 1), *(part[0, 1][J, I] + part[0, -1][J, I] for part in parts))
 
-    sl = (slice(1, nx), slice(1, ny))
-    put(Jf + 1, If, (Css[sl] / hs ** 2 + Cs_c[sl] / (2 * hs)))
-    put(Jf - 1, If, (Css[sl] / hs ** 2 - Cs_c[sl] / (2 * hs) - Cs_up[sl] / hs))
-    put(Jf, If + 1, (Cee[sl] / he ** 2 + Ce[sl] / (2 * he)))
-    put(Jf, If - 1, (Cee[sl] / he ** 2 - Ce[sl] / (2 * he)))
-    put(Jf, If, (-2 * Css[sl] / hs ** 2 - 2 * Cee[sl] / he ** 2 + Cs_up[sl] / hs))
-    cross = Cse[sl] / (4 * hs * he)
-    put(Jf + 1, If + 1, cross)
-    put(Jf - 1, If - 1, cross)
-    put(Jf + 1, If - 1, -cross)
-    put(Jf - 1, If + 1, -cross)
-
-    # symmetry row at eta = 0 (mirror ghost; B = 0 kills cross and w_eta terms)
-    j_ax = np.arange(1, nx)
-    i0 = np.zeros_like(j_ax)
-    ax = (j_ax, 0)
-    for jj, ii, coef in (
-            (j_ax + 1, i0, Css[ax] / hs ** 2 + Cs_c[ax] / (2 * hs)),
-            (j_ax - 1, i0, Css[ax] / hs ** 2 - Cs_c[ax] / (2 * hs) - Cs_up[ax] / hs),
-            (j_ax, i0 + 1, 2 * Cee[ax] / he ** 2),
-            (j_ax, i0, -2 * Css[ax] / hs ** 2 - 2 * Cee[ax] / he ** 2 + Cs_up[ax] / hs)):
-        rows.append(node(j_ax, i0))
-        cols.append(node(jj, ii))
-        vals.append(np.asarray(coef))
-
+    rhs = np.zeros((nx + 1) * n_eta)
     # top boundary rows
     for j in range(1, nx):
         r = node(j, ny)
         xj, yj = grid.x[j], grid.Y[j, ny]
+        rhs[r] = float(bc.top_data(xj))
         if bc.top_mode == "dirichlet":
-            rows.append([r]); cols.append([r]); vals.append([1.0])
-            rhs[r] = float(bc.top_data(xj))
+            put(r, r, 1.0)
             continue
         b1 = float(coeffs.beta1(xj, yj))
         b2 = float(coeffs.beta2(xj, yj))
         cs = b1 * grid.A[j] / hs
         ce = (b1 * grid.B[j, ny] + b2 / grid.fx[j]) / he
-        rows.append([r, r, r])
-        cols.append([r, node(j - 1, ny), node(j, ny - 1)])
-        vals.append([cs + ce + 1.0, -cs, -ce])
-        rhs[r] = float(bc.top_data(xj))
+        put([r, r, r], [r, node(j - 1, ny), node(j, ny - 1)],
+            np.array([cs + ce + 1.0, -cs, -ce]))
 
     # Dirichlet columns: x = 0 and x = eps0
-    for i in range(n_eta):
-        r0 = node(0, i)
-        rows.append([r0]); cols.append([r0]); vals.append([1.0])
-        rN = node(nx, i)
-        rows.append([rN]); cols.append([rN]); vals.append([1.0])
-        rhs[rN] = float(bc.right_data(grid.Y[nx, i]))
+    i = np.arange(n_eta)
+    put(node(0, i), node(0, i), 1.0)
+    put(node(nx, i), node(nx, i), 1.0)
+    rhs[node(nx, i)] = [float(bc.right_data(y)) for y in grid.Y[nx, :]]
 
-    rows = np.concatenate([np.atleast_1d(r) for r in rows])
-    cols = np.concatenate([np.atleast_1d(c) for c in cols])
-    vals = np.concatenate([np.atleast_1d(v) for v in vals])
-    mat = csr_matrix((vals, (rows, cols)), shape=(rhs.size, rhs.size))
-    # the first interior column routinely clamps (its discrete psi_x carries
-    # O(1) relative noise on the graded mesh); only deeper activations mark
-    # the iterate unreliable
-    return mat, rhs, bool(np.any(clamped[2:nx, :]))
+    return _Stencil(grid, coeffs.a, O1, opts.clamp, np.concatenate(rows),
+                    np.concatenate(cols), *(np.concatenate(v) for v in vals), rhs)
 
 
 def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
                 opts: KeldyshOptions | None = None,
                 bc: KeldyshBC | None = None) -> Field2D:
-    """Solve the model equation by damped Picard iteration on the frozen
-    principal coefficient.
+    """Solve the discrete model equation by semismooth Newton iteration.
 
-    Each pass freezes psi_x in (2x - a psi_x + O1), clamps the result below
-    by clamp*2x to keep the frozen problem elliptic for x > 0, solves the
-    linear system with a sparse direct factorization, and under-relaxes the
-    update.  Raises KeldyshDivergenceError when the update norms stop
-    decreasing over the patience window, KeldyshConvergenceError when the
-    iteration budget runs out.  The returned metadata records the update
-    history, final residual, and whether the clamp was active at the final
-    iterate (in which case the solution is flagged unreliable).
+    The unknowns solve F(w) = M(c1(w)) w - rhs = 0, where the principal
+    coefficient c1 = max(2x - a psi_x + O1, clamp*2x) is clamped below to
+    keep the problem elliptic for x > 0.  The Jacobian
+
+        J = M0 + diag(c1) P - a diag((P w) * unclamped) D
+
+    is exact off the clamp's switching set and shares the 9-point pattern of
+    M, so each step refills values and makes one sparse LU factorization.
+    Steps are damped by Deuflhard's natural monotonicity test: the first of
+    t = 1, 1/2, 1/4, ... (down to 1e-8) with |J^-1 F(w + t dw)| <= (1 - t/4) |dw|
+    (max norms, reusing the step's LU) is taken.  Iteration stops when the
+    relative step max|dw| / max(1, max|w|) is at most tol.
+
+    Raises KeldyshDivergenceError when the test fails at the smallest step
+    factor, KeldyshConvergenceError when the step budget runs out.  The
+    returned metadata records the relative step history (one entry per
+    factorization), the final residual, and whether the clamp is active at
+    the final iterate (in which case the solution is flagged unreliable).
     """
     opts = opts or KeldyshOptions()
     bc = bc or KeldyshBC()
-    grid = _Grid(domain, opts.nx, opts.ny, opts.grading)
-    O_fields = {name: _sample(getattr(coeffs, name), grid.X, grid.Y)
-                for name in ("O1", "O2", "O3", "O4", "O5")}
-
-    w = np.zeros((opts.nx + 1, opts.ny + 1))
+    st = _assemble(domain, coeffs, opts, bc)
+    grid = st.grid
+    w = np.zeros(grid.X.shape)
+    F, c1, free, pw = st.evaluate(w)
     history = []
-    converged = False
-    clamp_last = False
     for _ in range(opts.max_iter):
-        psx = _psi_x_nodes(grid, w)
-        mat, rhs, clamp_last = _assemble(grid, coeffs, bc, psx, opts.clamp, O_fields)
-        w_new = splu(mat.tocsc()).solve(rhs).reshape(w.shape)
-        delta = float(np.max(np.abs(w_new - w))) / max(1.0, float(np.max(np.abs(w_new))))
-        history.append(delta)
-        w = w + opts.damping * (w_new - w)
-        if delta <= opts.tol:
-            converged = True
+        lu = splu(st.matrix(c1, -coeffs.a * free.ravel() * pw))
+        dw = -lu.solve(F).reshape(w.shape)
+        norm = float(np.max(np.abs(dw)))
+        history.append(norm / max(1.0, float(np.max(np.abs(w)))))
+        if history[-1] <= opts.tol:
+            w = w + dw
+            F, c1, free, _ = st.evaluate(w)
             break
-        if len(history) > opts.patience and \
-                min(history[-opts.patience:]) >= history[-opts.patience - 1]:
-            raise KeldyshDivergenceError(
-                f"update norm not decreasing over {opts.patience} iterations "
-                f"(last {history[-1]:.3e})")
-    if not converged:
+        t = 1.0
+        while True:
+            trial = w + t * dw
+            state = st.evaluate(trial)
+            if float(np.max(np.abs(lu.solve(state[0])))) <= (1.0 - t / 4.0) * norm:
+                break
+            if t <= _MIN_STEP:
+                raise KeldyshDivergenceError(
+                    f"Newton step {len(history)} fails the monotonicity test down to "
+                    f"t = {t:.3g} (relative step {history[-1]:.3e})")
+            t *= 0.5
+        w = trial
+        F, c1, free, pw = state
+        del lu  # free this factorization before the next one is made
+    else:
         raise KeldyshConvergenceError(
-            f"no convergence in {opts.max_iter} iterations (last update {history[-1]:.3e})")
+            f"no convergence in {opts.max_iter} Newton steps (last step {history[-1]:.3e})")
 
-    psx = _psi_x_nodes(grid, w)
-    mat, rhs, clamp_final = _assemble(grid, coeffs, bc, psx, opts.clamp, O_fields)
-    resid = float(np.max(np.abs(mat @ w.ravel() - rhs))) / max(1.0, float(np.max(np.abs(rhs))))
+    resid = float(np.max(np.abs(F))) / max(1.0, float(np.max(np.abs(st.rhs))))
+    # the first interior column routinely clamps (its discrete psi_x carries
+    # O(1) relative noise on the graded mesh); only deeper activations mark
+    # the solution unreliable
+    clamp_final = bool(np.any(~free[2:grid.nx, :]))
     meta = {
         "iterations": len(history),
         "update_history": history,

@@ -94,6 +94,26 @@ def test_mixed_subcommand(tmp_path):
     assert rep["kz_holds"] is True
 
 
+def test_failed_run_leaves_no_artifacts(tmp_path, capsys):
+    # both fail after writing a CSV: the 3x3 scan has too few abscissas, the
+    # short accelerating channel has no sonic location
+    runs = {
+        "keldysh": base_cfg("keldysh-solve", tmp_path / "keldysh",
+                            grid={"nx": 3, "ny": 3}),
+        "mixed": base_cfg("mixed-solve", tmp_path / "mixed", gas=GAS,
+                          inlet={"u0": 0.7, "branch": "accelerating"},
+                          channel={"L": 0.8, "n1": 65, "n2": 33},
+                          bc={"kind": "cos", "amplitude": 0.01, "outlet_zero": True}),
+    }
+    for name, cfg in runs.items():
+        out = tmp_path / name
+        out.mkdir()
+        (out / "manifest.json").write_text("{}")  # left by an earlier run
+        assert main(["run", write_cfg(tmp_path, name + ".json", cfg)]) == 1
+        assert list(out.iterdir()) == []
+    assert capsys.readouterr().err.count("validation error") == 2
+
+
 def test_shock_polar_subcommand(tmp_path):
     out = tmp_path / "out"
     cfg = base_cfg("shock-polar", out,

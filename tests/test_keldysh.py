@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
+from sonicflow import keldysh
 from sonicflow.field2d import Field2D, field_csv_text
 from sonicflow.keldysh import (InsufficientGradingError, KeldyshBC,
                                KeldyshCoefficients, KeldyshConvergenceError,
@@ -105,6 +107,49 @@ def test_convergence_error(domain, plain_coeffs):
     with pytest.raises(KeldyshConvergenceError):
         solve_model(domain, plain_coeffs, KeldyshOptions(nx=17, ny=17, max_iter=2, tol=1e-14),
                     manufactured_bc())
+    with pytest.raises(ValueError, match="max_iter"):
+        KeldyshOptions(max_iter=0)
+
+
+def test_newton_matrix_is_the_jacobian():
+    """Off the clamp's switching set, M0 + diag(c1) P - a diag(P w) D is dF/dw."""
+    dom, coeffs, bc = reference_scenario()
+    st = keldysh._assemble(dom, coeffs, KeldyshOptions(nx=9, ny=9), bc)
+    w = st.grid.X ** 2 / (4 * A) * (1.0 + 0.3 * np.sin(np.pi * st.grid.eta))[None, :]
+    F, c1, free, pw = st.evaluate(w)
+    assert free.all()
+    jac = st.matrix(c1, -coeffs.a * free * pw.reshape(w.shape))
+    v = np.random.default_rng(0).standard_normal(w.shape)
+    h = 1e-6
+    fd = (st.evaluate(w + h * v)[0] - st.evaluate(w - h * v)[0]) / (2 * h)
+    assert np.max(np.abs(jac @ v.ravel() - fd)) <= 1e-8 * np.max(np.abs(fd))
+
+
+def test_one_factorization_per_step_and_fixed_point(monkeypatch):
+    calls = []
+
+    def counting_splu(mat):
+        calls.append(mat.shape)
+        return splu(mat)
+
+    monkeypatch.setattr(keldysh, "splu", counting_splu)
+    dom, coeffs, bc = reference_scenario()
+    opts = KeldyshOptions(nx=65, ny=65, tol=1e-11, max_iter=200)
+    fld = solve_model(dom, coeffs, opts, bc)
+    assert len(calls) == fld.metadata["iterations"] <= 20
+    # the solution is the fixed point of the frozen-coefficient (Picard) map
+    st = keldysh._assemble(dom, coeffs, opts, bc)
+    _, c1, _, _ = st.evaluate(fld.values)
+    frozen = splu(st.matrix(c1)).solve(st.rhs).reshape(fld.values.shape)
+    assert np.max(np.abs(frozen - fld.values)) <= 1e-9 * np.max(np.abs(fld.values))
+
+
+@pytest.mark.parametrize("eps0", [0.4, 0.6])
+def test_reference_converges_off_center(eps0):
+    dom, coeffs, bc = reference_scenario(eps0=eps0)
+    fld = solve_model(dom, coeffs, KeldyshOptions(nx=65, ny=65, tol=1e-11, max_iter=200), bc)
+    assert fld.metadata["residual"] <= 1e-8
+    assert fld.metadata["iterations"] <= 20
 
 
 # ---------------------------------------------------------------------------
