@@ -24,14 +24,14 @@ import time
 import numpy as np
 
 from . import __version__
-from .field2d import field_csv_text
+from .field2d import csv_text, field_csv_text
 from .gas import GasParams, critical_field, find_u_star
 from .keldysh import (KeldyshBC, KeldyshCoefficients, KeldyshConvergenceError,
                       KeldyshDivergenceError, KeldyshDomain, KeldyshOptions,
                       corner_probe, solve_model, sonic_derivative_scan,
-                      reference_scenario, verify_bounds)
+                      reference_scenario, verify_bounds, _Grid, _scan_abscissas)
 from .mixed2d import BoundaryData2D, ChannelDomain, build_operator, solve_linear, \
-    sonic_smoothness_diag
+    sonic_smoothness_diag, _sonic_side_columns
 from .profile1d import (InletData, ProfileError, critical_inlet, integrate_profile,
                         kz_check, profile_csv_text, reconstruct_fields, verify_lemma)
 from .shockpolar import (SelfSimilarState, UpstreamState, compute_polar,
@@ -184,14 +184,6 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
-def csv_text(header: str, columns) -> str:
-    cols = [np.asarray(c, dtype=float) for c in columns]
-    lines = [header]
-    for row in zip(*cols):
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def _digest(path: str) -> dict:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -230,15 +222,17 @@ def run_phase_portrait(cfg, aw: ArtifactWriter) -> None:
                   timestamp=ts)
 
 
+def _integrator_opts(cfg) -> dict:
+    """The integrator keys the config sets, as integrate_profile arguments;
+    absent ones keep its defaults."""
+    return {key: _INTEG[key](val) for key, val in cfg.get("integrator", {}).items()}
+
+
 def _profile_from(cfg, params):
     inlet = _inlet_from(cfg, params)
     stop = cfg.get("stop", {})
-    integ = cfg.get("integrator", {})
-    return integrate_profile(
-        params, inlet,
-        x_max=stop.get("x_max"), u_target=stop.get("u_target"),
-        rtol=float(integ.get("rtol", 1e-10)), atol=float(integ.get("atol", 1e-12)),
-        n_samples=int(integ.get("n_samples", 4001))), inlet
+    return integrate_profile(params, inlet, x_max=stop.get("x_max"),
+                             u_target=stop.get("u_target"), **_integrator_opts(cfg)), inlet
 
 
 def _lemma_json(report):
@@ -320,6 +314,8 @@ def run_keldysh(cfg, aw: ArtifactWriter) -> None:
     else:
         raise ConfigError(f"unknown keldysh scenario {scenario!r}")
     coeffs.validate_bounds(dom)
+    # the scan abscissas depend on the grid alone: reject a coarse grid unsolved
+    _scan_abscissas(_Grid(dom, opts.nx, opts.ny, opts.grading).x)
     fld = solve_model(dom, coeffs, opts, bc)
     aw.write_text("field.csv", field_csv_text(fld))
     f0 = float(fld.y[0, -1])
@@ -357,16 +353,14 @@ def run_mixed(cfg, aw: ArtifactWriter) -> None:
     inlet = _inlet_from(cfg, params)
     chan = cfg.get("channel", {})
     L = float(chan.get("L", 2.0))
-    dom = ChannelDomain(L=L, n1=int(chan.get("n1", 129)), n2=int(chan.get("n2", 65)))
-    integ = cfg.get("integrator", {})
-    profile = integrate_profile(params, inlet, x_max=1.02 * L,
-                                rtol=float(integ.get("rtol", 1e-10)),
-                                atol=float(integ.get("atol", 1e-12)),
-                                n_samples=int(integ.get("n_samples", 4001)))
+    # n1 and n2 are ChannelDomain fields; absent ones keep its defaults
+    dom = ChannelDomain(**dict(chan, L=L))
+    profile = integrate_profile(params, inlet, x_max=1.02 * L, **_integrator_opts(cfg))
     if profile.x1[-1] < L:
         raise ConfigError(f"profile terminates at x1={profile.x1[-1]:.6g} < L={L}; "
                           "shorten the channel")
     spec = build_operator(profile, dom)
+    _sonic_side_columns(spec)  # the smoothness diagnostic's columns, before solving
     bc_blk = cfg.get("bc", {})
     kind = bc_blk.get("kind", "cos")
     amp = float(bc_blk.get("amplitude", 0.01))

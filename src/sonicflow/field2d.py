@@ -1,4 +1,4 @@
-"""Shared gridded-field container with CSV export.
+"""Shared gridded-field container and the package's one CSV formatter.
 
 Used by both 2D solvers; coordinates are stored per node so the container
 handles mapped (non-rectangular) grids as well as tensor-product ones.
@@ -33,11 +33,15 @@ class Field2D:
         return self.values.shape
 
 
+def csv_text(header: str, columns) -> str:
+    """One row per index of the equal-length columns, each value written as
+    repr(float): full double precision, locale-independent."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return "\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n"
+
+
 def field_csv_text(fld: Field2D) -> str:
-    lines = [CSV_HEADER]
-    for xv, yv, vv in zip(fld.x.ravel(), fld.y.ravel(), fld.values.ravel()):
-        lines.append(f"{float(xv)!r},{float(yv)!r},{float(vv)!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text(CSV_HEADER, (fld.x.ravel(), fld.y.ravel(), fld.values.ravel()))
 
 
 def field_to_csv(fld: Field2D, path) -> None:

@@ -530,6 +530,24 @@ def _aitken(seq):
     return (ests[-1] if ests else seq[-1]), ests
 
 
+def _scan_abscissas(xcol, k_min: int = 1, k_max: int | None = None) -> np.ndarray:
+    """x_k = eps0 * 2**-k, k >= k_min, down to the third node of the x column.
+
+    The grid alone fixes them, so a run can be rejected before it solves.
+    Raises InsufficientGradingError when fewer than three are resolvable.
+    """
+    eps0 = float(xcol[-1])
+    ks = []
+    k = k_min
+    while eps0 * 2.0 ** (-k) >= xcol[2] and (k_max is None or k <= k_max):
+        ks.append(k)
+        k += 1
+    if len(ks) < 3:
+        raise InsufficientGradingError(
+            f"only {len(ks)} trace abscissas resolvable; refine the grid or grading")
+    return eps0 * 2.0 ** (-np.asarray(ks, dtype=float))
+
+
 @dataclass(frozen=True)
 class ScanReport:
     """psi_xx traces on x_k = eps0*2**-k at fixed heights, with limits."""
@@ -550,19 +568,8 @@ def sonic_derivative_scan(fld: Field2D, y_values, k_min: int = 1,
     excluded from pass/fail use.  Raises InsufficientGradingError when fewer
     than three abscissas are resolvable on the grid.
     """
+    x_k = _scan_abscissas(fld.x[:, 0], k_min, k_max)
     _, _, psi_xx = structured_derivatives(fld)
-    xcol = fld.x[:, 0]
-    eps0 = float(xcol[-1])
-    x_min_ok = xcol[2]
-    ks = []
-    k = k_min
-    while eps0 * 2.0 ** (-k) >= x_min_ok and (k_max is None or k <= k_max):
-        ks.append(k)
-        k += 1
-    if len(ks) < 3:
-        raise InsufficientGradingError(
-            f"only {len(ks)} trace abscissas resolvable; refine the grid or grading")
-    x_k = eps0 * 2.0 ** (-np.asarray(ks, dtype=float))
     f0 = float(fld.y[0, -1])
     top_cell = f0 / (fld.shape[1] - 1)
     y_values = np.asarray(y_values, dtype=float)

@@ -15,6 +15,13 @@ imposed when the exit is supersonic.
 beta1 < 0 on accelerating profiles, which is exactly the sign the upwind
 bias needs; on decelerating coefficients (the sign condition fails) the
 solve still runs but is flagged, and its output is exploratory.
+
+The coefficients depend on x1 alone, so the discrete operator is a Kronecker
+sum of 1D difference matrices (LeVeque, Finite Difference Methods for ODEs
+and PDEs, SIAM 2007, ch. 3): kron(P, D22) + kron(A11, I) + kron(B1, I), with
+D22 the wall-mirrored x2 second difference, A11 and B1 the n1 x n1 matrices
+of each column's alpha11 d11 and beta1 d1 weights, and P the diagonal that
+selects the columns carrying the PDE.  Boundary rows are added whole.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix, diags, identity, kron
 from scipy.sparse.linalg import splu
 
 from .field2d import Field2D
@@ -148,12 +155,23 @@ class BoundaryData2D:
 
 
 def _inlet_values(bc: BoundaryData2D, x2: np.ndarray) -> np.ndarray:
+    """Right-hand side of the entrance rows: w for dirichlet/d2, d1 w for d1."""
     g = np.array([float(bc.inlet_data(v)) for v in x2])
-    if bc.inlet_mode == "dirichlet":
+    if bc.inlet_mode != "d2":
         return g
     # d2: cumulative trapezoid from the bottom wall, anchored there
     vals = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(x2))])
     return bc.anchor + vals
+
+
+def _x1_matrix(n1, coef, scale, stencils):
+    """n1 x n1 matrix with coef[j] * weight / scale at (j, j + offset), for
+    each (columns j, offsets, weights) stencil."""
+    rows, cols, vals = zip(*[(js, js + o, wt * coef[js] / scale)
+                             for js, offsets, weights in stencils
+                             for o, wt in zip(offsets, weights)])
+    return coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n1, n1))
 
 
 def solve_linear(spec: MixedOperatorSpec, f, bc: BoundaryData2D) -> Field2D:
@@ -164,7 +182,9 @@ def solve_linear(spec: MixedOperatorSpec, f, bc: BoundaryData2D) -> Field2D:
     location drops its d11 term (the coefficient is exactly zero there).
     At a supersonic exit the last column uses one-sided second differences
     instead of an outlet condition; a subsonic exit requires Dirichlet
-    outlet data.  Raises on a singular system or unmet residual.
+    outlet data.  The matrix is built as the Kronecker sum of the module
+    docstring from 1D matrices, with no loop over nodes.  Raises on a
+    singular system or unmet residual.
     """
     dom = spec.domain
     n1, n2 = dom.n1, dom.n2
@@ -194,92 +214,54 @@ def solve_linear(spec: MixedOperatorSpec, f, bc: BoundaryData2D) -> Field2D:
         if F.shape != (n1, n2):
             raise ValueError(f"source shape {F.shape} != grid {(n1, n2)}")
 
-    def node(j, i):
-        return j * n2 + i
+    # Unknown j * n2 + i is node (x1[j], x2[i]), so a term with a coefficient
+    # of x1 alone is kron(an n1 x n1 matrix, an n2 x n2 matrix).  The terms are
+    # added d22, then d11, then d1, so entries they share sum in that order.
+    n = n1 * n2
+    j_pde = np.arange(1, n1 if exit_supersonic else n1 - 1)
+    pde = np.zeros(n1)
+    pde[j_pde] = 1.0
+    off = np.full(n2 - 1, 1.0 / h2 ** 2)
+    lower, upper = off.copy(), off.copy()
+    lower[-1] = upper[0] = 2.0 / h2 ** 2  # mirrored wall ghosts
+    d22 = diags([lower, np.full(n2, -2.0 / h2 ** 2), upper], [-1, 0, 1])
+    # alpha11 * d11: dropped on a sonic column.  Fully one-sided in the
+    # hyperbolic region: a centered second difference there admits a growing
+    # sawtooth mode whenever |alpha11| < (h1/h2)^2 + |beta1| h1/2 (always true
+    # near the sonic line), while the backward 4-point stencil stays
+    # von-Neumann stable for alpha11 < 0 with the downstream-biased
+    # first-order term and keeps second-order consistency.
+    kind = np.array(spec.node_type)[j_pde]
+    back = (kind == HYPERBOLIC) & (j_pde >= 2)
+    a11 = _x1_matrix(n1, spec.alpha11, h1 ** 2, (
+        (j_pde[(kind != SONIC) & ~back], (-1, 0, 1), (1.0, -2.0, 1.0)),
+        (j_pde[back & (j_pde == 2)], (0, -1, -2), (1.0, -2.0, 1.0)),
+        (j_pde[back & (j_pde >= 3)], (0, -1, -2, -3), (2.0, -5.0, 4.0, -1.0))))
+    # beta1 * d1, backward (3-point second-order; 2-point at j = 1)
+    b1 = _x1_matrix(n1, spec.beta1, h1, (
+        (j_pde[j_pde >= 2], (0, -1, -2), (1.5, -2.0, 0.5)),
+        (j_pde[j_pde == 1], (0, -1), (1.0, -1.0))))
+    eye2 = identity(n2)
+    mat = (kron(diags(pde), d22, format="csr") + kron(a11, eye2, format="csr")
+           + kron(b1, eye2, format="csr"))
 
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(n1 * n2)
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    # entrance column
-    if bc.inlet_mode in ("dirichlet", "d2"):
-        w0 = _inlet_values(bc, x2)
-        for i in range(n2):
-            add(node(0, i), node(0, i), 1.0)
-            rhs[node(0, i)] = w0[i]
-    else:  # d1: second-order one-sided derivative rows, anchored at i = 0
-        add(node(0, 0), node(0, 0), 1.0)
-        rhs[node(0, 0)] = bc.anchor
-        for i in range(1, n2):
-            r = node(0, i)
-            add(r, node(0, i), -3.0 / (2 * h1))
-            add(r, node(1, i), 4.0 / (2 * h1))
-            add(r, node(2, i), -1.0 / (2 * h1))
-            rhs[r] = float(bc.inlet_data(x2[i]))
-
-    # outlet column (subsonic exit only)
-    j_last_pde = n1 - 1
+    # entrance column: Dirichlet rows, or second-order one-sided d1 rows with
+    # the constant mode pinned at i = 0; a subsonic exit adds Dirichlet rows
+    rhs = np.zeros(n)
+    R = rhs.reshape(n1, n2)
+    R[j_pde] = F[j_pde]
+    R[0] = _inlet_values(bc, x2)
+    pinned = np.arange(n2)
+    if bc.inlet_mode == "d1":
+        R[0, 0] = bc.anchor
+        pinned, k = pinned[:1], pinned[1:]
+        wts = np.repeat([-3.0 / (2 * h1), 4.0 / (2 * h1), -1.0 / (2 * h1)], n2 - 1)
+        mat = mat + coo_matrix((wts, (np.tile(k, 3), np.concatenate([k, k + n2, k + 2 * n2]))),
+                               shape=(n, n))
     if not exit_supersonic:
-        for i in range(n2):
-            add(node(n1 - 1, i), node(n1 - 1, i), 1.0)
-            rhs[node(n1 - 1, i)] = float(bc.outlet_data(x2[i]))
-        j_last_pde = n1 - 2
-
-
-    for j in range(1, j_last_pde + 1):
-        a = spec.alpha11[j]
-        b = spec.beta1[j]
-        drop_d11 = spec.node_type[j] == SONIC
-        # Fully one-sided d11 in the hyperbolic region: a centered second
-        # difference there admits a growing sawtooth mode whenever
-        # |alpha11| < (h1/h2)^2 + |beta1| h1/2 (always true near the sonic
-        # line), while the backward 4-point stencil stays von-Neumann stable
-        # for alpha11 < 0 with the downstream-biased first-order term and
-        # keeps second-order consistency.
-        one_sided = spec.node_type[j] == HYPERBOLIC
-        for i in range(n2):
-            r = node(j, i)
-            rhs[r] = F[j, i]
-            # d22 with mirrored wall ghosts
-            if i == 0:
-                add(r, node(j, 1), 2.0 / h2 ** 2)
-                add(r, node(j, 0), -2.0 / h2 ** 2)
-            elif i == n2 - 1:
-                add(r, node(j, n2 - 2), 2.0 / h2 ** 2)
-                add(r, node(j, n2 - 1), -2.0 / h2 ** 2)
-            else:
-                add(r, node(j, i - 1), 1.0 / h2 ** 2)
-                add(r, node(j, i), -2.0 / h2 ** 2)
-                add(r, node(j, i + 1), 1.0 / h2 ** 2)
-            # alpha11 * d11
-            if not drop_d11:
-                if one_sided and j >= 3:
-                    add(r, node(j, i), 2.0 * a / h1 ** 2)
-                    add(r, node(j - 1, i), -5.0 * a / h1 ** 2)
-                    add(r, node(j - 2, i), 4.0 * a / h1 ** 2)
-                    add(r, node(j - 3, i), -a / h1 ** 2)
-                elif one_sided and j == 2:
-                    add(r, node(j, i), a / h1 ** 2)
-                    add(r, node(j - 1, i), -2.0 * a / h1 ** 2)
-                    add(r, node(j - 2, i), a / h1 ** 2)
-                else:
-                    add(r, node(j - 1, i), a / h1 ** 2)
-                    add(r, node(j, i), -2.0 * a / h1 ** 2)
-                    add(r, node(j + 1, i), a / h1 ** 2)
-            # beta1 * d1, backward (3-point second-order; 2-point at j = 1)
-            if j >= 2:
-                add(r, node(j, i), 1.5 * b / h1)
-                add(r, node(j - 1, i), -2.0 * b / h1)
-                add(r, node(j - 2, i), 0.5 * b / h1)
-            else:
-                add(r, node(j, i), b / h1)
-                add(r, node(j - 1, i), -b / h1)
-
-    mat = csr_matrix((vals, (rows, cols)), shape=(rhs.size, rhs.size)).tocsc()
+        R[-1] = [float(bc.outlet_data(v)) for v in x2]
+        pinned = np.concatenate([pinned, np.arange(n - n2, n)])
+    mat = (mat + coo_matrix((np.ones(pinned.size), (pinned, pinned)), shape=(n, n))).tocsc()
     try:
         lu = splu(mat)
     except RuntimeError as exc:
@@ -307,6 +289,21 @@ class JumpReport:
     rows: np.ndarray = field(repr=False, default=None)
 
 
+def _sonic_side_columns(spec: MixedOperatorSpec):
+    """The three columns on each side of x1 = l_s that sonic_smoothness_diag
+    extrapolates from.  They depend on the grid alone, so a run can be
+    rejected before it solves; raises ValueError when they do not exist."""
+    if spec.l_s is None:
+        raise ValueError("operator spec has no sonic location")
+    x1 = spec.x1
+    tol = SONIC_NODE_TOL * max(1.0, x1[-1])
+    left = np.flatnonzero(x1 < spec.l_s - tol)
+    right = np.flatnonzero(x1 > spec.l_s + tol)
+    if len(left) < 3 or len(right) < 3:
+        raise ValueError("sonic line too close to the channel ends for the diagnostic")
+    return left[-3:], right[:3]
+
+
 def sonic_smoothness_diag(fld: Field2D, spec: MixedOperatorSpec) -> JumpReport:
     """One-sided extrapolation mismatch of w, d1 w, d11 w across x1 = l_s.
 
@@ -316,19 +313,10 @@ def sonic_smoothness_diag(fld: Field2D, spec: MixedOperatorSpec) -> JumpReport:
     level; this is the numerical shadow of the solution staying classical
     across the degenerate interface.
     """
-    if spec.l_s is None:
-        raise ValueError("operator spec has no sonic location")
+    jl, jr = _sonic_side_columns(spec)
     x1 = spec.x1
     w = fld.values
-    h1 = x1[1] - x1[0]
     ls = spec.l_s
-    tol = SONIC_NODE_TOL * max(1.0, x1[-1])
-    left = [j for j in range(len(x1)) if x1[j] < ls - tol]
-    right = [j for j in range(len(x1)) if x1[j] > ls + tol]
-    if len(left) < 3 or len(right) < 3:
-        raise ValueError("sonic line too close to the channel ends for the diagnostic")
-    jl = left[-3:]
-    jr = right[:3]
 
     def extrap(js):
         xs = x1[js]

@@ -28,6 +28,7 @@ from scipy.integrate import cumulative_simpson, solve_ivp
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
+from .field2d import csv_text
 from .gas import (
     ACCELERATING,
     BOUNDARY,
@@ -905,15 +906,10 @@ CSV_HEADER = "x1,u,E,rho,p,Phi,phi_bar"
 
 
 def profile_csv_text(profile: Profile1D) -> str:
-    """CSV serialization with full double precision, locale-independent."""
     if not profile.fields_filled:
         raise ValueError("reconstruct_fields must run before CSV export")
-    lines = [CSV_HEADER]
-    cols = (profile.x1, profile.u, profile.E, profile.rho, profile.p,
-            profile.Phi, profile.phi_bar)
-    for row in zip(*cols):
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    return csv_text(CSV_HEADER, (profile.x1, profile.u, profile.E, profile.rho, profile.p,
+                                 profile.Phi, profile.phi_bar))
 
 
 def profile_to_csv(profile: Profile1D, path) -> None:

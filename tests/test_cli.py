@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 
+from sonicflow import keldysh, mixed2d
 from sonicflow.cli import main
 
 GAS = {"gamma": 3.0, "S0": 1.0 / 3.0, "J": 1.0, "rho_ion": 0.5}
@@ -94,9 +95,15 @@ def test_mixed_subcommand(tmp_path):
     assert rep["kz_holds"] is True
 
 
-def test_failed_run_leaves_no_artifacts(tmp_path, capsys):
-    # both fail after writing a CSV: the 3x3 scan has too few abscissas, the
-    # short accelerating channel has no sonic location
+def test_failed_run_leaves_no_artifacts(tmp_path, capsys, monkeypatch):
+    # both are rejected before any solve: the 3x3 scan has too few abscissas,
+    # the short accelerating channel has no sonic location
+    factorizations = []
+    for module in (keldysh, mixed2d):
+        def counting(mat, real=module.splu):
+            factorizations.append(mat)
+            return real(mat)
+        monkeypatch.setattr(module, "splu", counting)
     runs = {
         "keldysh": base_cfg("keldysh-solve", tmp_path / "keldysh",
                             grid={"nx": 3, "ny": 3}),
@@ -112,6 +119,7 @@ def test_failed_run_leaves_no_artifacts(tmp_path, capsys):
         assert main(["run", write_cfg(tmp_path, name + ".json", cfg)]) == 1
         assert list(out.iterdir()) == []
     assert capsys.readouterr().err.count("validation error") == 2
+    assert len(factorizations) == 0
 
 
 def test_shock_polar_subcommand(tmp_path):

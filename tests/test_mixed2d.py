@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from _oracles import reduced_ode_solution
+from sonicflow import mixed2d
 from sonicflow.mixed2d import (BoundaryData2D, ChannelDomain, build_operator,
                                solve_linear, sonic_smoothness_diag)
 from sonicflow.profile1d import critical_inlet, integrate_profile, kz_coefficients
@@ -82,6 +83,75 @@ def test_sonic_column_flagged(canonical, background):
 def test_operator_requires_span(canonical, background):
     with pytest.raises(ValueError, match="shorter"):
         build_operator(background, ChannelDomain(L=100.0, n1=17, n2=17))
+
+
+def captured_matrix(monkeypatch, spec, bc):
+    """The matrix solve_linear factors, taken at its one splu call."""
+    mats = []
+
+    def capture(mat, real=mixed2d.splu):
+        mats.append(mat)
+        return real(mat)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(mixed2d, "splu", capture)
+        solve_linear(spec, None, bc)
+    assert len(mats) == 1
+    return mats[0].tocsr()
+
+
+@pytest.mark.parametrize("case", ["dirichlet", "d1", "subsonic-exit"])
+def test_operator_rows(monkeypatch, background, dec_background, case):
+    """The discrete operator applied to w = (x1 - c)**2, which has no x2
+    dependence.
+
+    Every difference formula is exact on quadratics, so PDE rows give
+    2 alpha11 + 2 beta1 (x1 - c) (the 2-point d1 at j = 1 gives its own
+    value), and entrance and outlet rows reproduce their stencils on a
+    random field.
+    """
+    if case == "subsonic-exit":
+        dom = ChannelDomain(L=L, n1=65, n2=33)
+        spec = build_operator(dec_background, dom)
+        bc = BoundaryData2D(outlet_data=lambda x2: 0.0)
+    else:
+        # L = 2 l_s puts the sonic line on column 32: elliptic columns, the
+        # dropped-d11 column and hyperbolic columns are all covered
+        dom = ChannelDomain(L=2.0 * background.l_s, n1=65, n2=33)
+        spec = build_operator(background, dom)
+        assert spec.sonic_columns == (32,)
+        bc = BoundaryData2D(inlet_mode=case, anchor=0.3)
+    n1, n2 = dom.n1, dom.n2
+    x1 = dom.x1
+    h1 = x1[1] - x1[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the decelerating background is flagged
+        mat = captured_matrix(monkeypatch, spec, bc)
+
+    j_last = n1 - 1 if case != "subsonic-exit" else n1 - 2
+    for c in (0.0, 1.0):  # the shift makes the entrance column's weights count
+        s = x1 - c
+        lw = (mat @ np.repeat(s ** 2, n2)).reshape(n1, n2)
+        want = 2.0 * spec.alpha11 + 2.0 * spec.beta1 * s
+        want[1] = 2.0 * spec.alpha11[1] + spec.beta1[1] * (s[1] ** 2 - s[0] ** 2) / h1
+        err = np.abs(lw[1:j_last + 1] - want[1:j_last + 1, None])
+        assert float(np.max(err)) <= 1e-9
+
+    if case != "subsonic-exit":
+        # from the sonic column on, rows use no column downstream of their own
+        for j in range(32, n1):
+            assert mat[j * n2:(j + 1) * n2].indices.max() < (j + 1) * n2
+
+    v = np.random.default_rng(3).standard_normal((n1, n2))
+    lv = (mat @ v.ravel()).reshape(n1, n2)
+    if case == "d1":
+        assert lv[0, 0] == v[0, 0]
+        d1 = (-3.0 * v[0, 1:] + 4.0 * v[1, 1:] - v[2, 1:]) / (2.0 * h1)
+        assert np.allclose(lv[0, 1:], d1, rtol=1e-12, atol=1e-9)
+    else:
+        assert np.array_equal(lv[0], v[0])
+    if case == "subsonic-exit":
+        assert np.array_equal(lv[-1], v[-1])
 
 
 # ---------------------------------------------------------------------------
