@@ -137,11 +137,25 @@ def _inlet_from(cfg, params: GasParams) -> InletData:
     blk = cfg.get("inlet")
     if blk is None:
         raise ConfigError("missing 'inlet' block")
-    u0 = float(blk["u0"])
+    try:
+        u0 = float(blk["u0"])
+    except KeyError as exc:
+        raise ConfigError(f"inlet block missing {exc}") from exc
     if "E0" in blk:
         return InletData(u0=u0, E0=float(blk["E0"]))
     branch = blk.get("branch", "accelerating")
     return critical_inlet(params, u0, branch)
+
+
+def _upstream_from(cfg) -> UpstreamState:
+    up = cfg.get("upstream")
+    if up is None:
+        raise ConfigError("missing 'upstream' block")
+    try:
+        return UpstreamState(gamma=float(up["gamma"]), rho_inf=float(up["rho_inf"]),
+                             q_inf=float(up["q_inf"]))
+    except KeyError as exc:
+        raise ConfigError(f"upstream block missing {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +217,12 @@ def _emit_opts(cfg):
 
 def run_phase_portrait(cfg, aw: ArtifactWriter) -> None:
     params = _gas_from(cfg)
+    n = int(cfg.get("n", 1001))
+    if n < 2:
+        raise ConfigError(f"n must be at least 2 samples, got {n}")
     ustar = find_u_star(params)
     u_min = float(cfg.get("u_min", 0.3 * params.u_sonic))
     u_max = min(float(cfg.get("u_max", ustar)), ustar)  # critical set ends at u*
-    n = int(cfg.get("n", 1001))
     u = np.linspace(u_min, u_max, n)
     e_acc = np.asarray(critical_field(params, u, "accelerating"))
     e_dec = np.asarray(critical_field(params, u, "decelerating"))
@@ -394,6 +410,9 @@ def run_mixed(cfg, aw: ArtifactWriter) -> None:
         "l_s": diag.l_s, "w_jump": diag.w_jump, "dw_jump": diag.dw_jump,
         "d2w_jump": diag.d2w_jump, "kz_holds": spec.kz_holds,
         "residual": fld.metadata["residual"],
+        "factored_columns": fld.metadata["factored_columns"],
+        "marched_columns": fld.metadata["marched_columns"],
+        "lu_nnz": fld.metadata["lu_nnz"],
     })
     svg_on, ts = _emit_opts(cfg)
     if svg_on:
@@ -403,11 +422,7 @@ def run_mixed(cfg, aw: ArtifactWriter) -> None:
 
 
 def run_shock_polar(cfg, aw: ArtifactWriter) -> None:
-    up = cfg.get("upstream")
-    if up is None:
-        raise ConfigError("missing 'upstream' block")
-    state = UpstreamState(gamma=float(up["gamma"]), rho_inf=float(up["rho_inf"]),
-                          q_inf=float(up["q_inf"]))
+    state = _upstream_from(cfg)
     curve = compute_polar(state, n_samples=int(cfg.get("n_samples", 2048)))
     aw.write_text("polar.csv", csv_text("sigma,u1,u2,rho,deflection",
                                         [curve.sigma, curve.u1, curve.u2,
@@ -432,11 +447,7 @@ def run_shock_polar(cfg, aw: ArtifactWriter) -> None:
 
 
 def run_geometry(cfg, aw: ArtifactWriter) -> None:
-    up = cfg.get("upstream")
-    if up is None:
-        raise ConfigError("missing 'upstream' block")
-    state = UpstreamState(gamma=float(up["gamma"]), rho_inf=float(up["rho_inf"]),
-                          q_inf=float(up["q_inf"]))
+    state = _upstream_from(cfg)
     theta_w = float(cfg.get("theta_w", 0.15))
     configuration = cfg.get("configuration", "wedge-flow")
     curve = compute_polar(state)

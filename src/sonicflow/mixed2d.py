@@ -6,11 +6,16 @@ The operator
 
 built on a transonic background profile is elliptic upstream of the sonic
 location, hyperbolic downstream, and degenerates on the sonic line: a
-Keldysh-type change of type, but from elliptic to hyperbolic.  One global
-sparse solve covers both regions: the first-order term is differenced
-backward (downstream-biased), which both stabilizes the implicit march in
-the hyperbolic region and adds ellipticity upstream; no outlet condition is
-imposed when the exit is supersonic.
+Keldysh-type change of type, but from elliptic to hyperbolic.  The
+first-order term is differenced backward (downstream-biased), which both
+stabilizes the implicit march in the hyperbolic region and adds ellipticity
+upstream; no outlet condition is imposed when the exit is supersonic.
+
+In the hyperbolic region x1 acts like time: from the first non-elliptic
+column on, every row refers only to its own column and the ones upstream of
+it.  So the solve factors only the coupled upstream block with one sparse
+LU and marches the rest column by column, one tridiagonal solve in x2 per
+column.  A subsonic exit couples the whole channel and gets one LU.
 
 beta1 < 0 on accelerating profiles, which is exactly the sign the upwind
 bias needs; on decelerating coefficients (the sign condition fails) the
@@ -30,7 +35,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix, diags, identity, kron
+from scipy.linalg import LinAlgError, solve_banded
+from scipy.sparse import coo_matrix, diags, identity, kron, triu
 from scipy.sparse.linalg import splu
 
 from .field2d import Field2D
@@ -81,6 +87,10 @@ class MixedOperatorSpec:
     @property
     def sonic_columns(self) -> tuple:
         return tuple(j for j, t in enumerate(self.node_type) if t == SONIC)
+
+    @property
+    def exit_supersonic(self) -> bool:
+        return self.node_type[-1] == HYPERBOLIC
 
 
 def build_operator(profile: Profile1D, domain: ChannelDomain) -> MixedOperatorSpec:
@@ -174,17 +184,13 @@ def _x1_matrix(n1, coef, scale, stencils):
                       shape=(n1, n1))
 
 
-def solve_linear(spec: MixedOperatorSpec, f, bc: BoundaryData2D) -> Field2D:
-    """One global sparse solve of L w = f on the channel.
+def _assemble(spec: MixedOperatorSpec, f, bc: BoundaryData2D):
+    """The discrete system of solve_linear, as (mat, rhs, c, d22).
 
-    Centered second differences carry alpha11*d11 and d22; beta1*d1 is
-    differenced backward.  A column within SONIC_NODE_TOL of the sonic
-    location drops its d11 term (the coefficient is exactly zero there).
-    At a supersonic exit the last column uses one-sided second differences
-    instead of an outlet condition; a subsonic exit requires Dirichlet
-    outlet data.  The matrix is built as the Kronecker sum of the module
-    docstring from 1D matrices, with no loop over nodes.  Raises on a
-    singular system or unmet residual.
+    mat is the CSC matrix of all n1*n2 rows, boundary rows included, and rhs
+    its right-hand side.  c = A11 + B1 (n1 x n1, CSR) and d22 (n2 x n2) are
+    the 1D factors of the Kronecker sum, which the column march reuses.
+    Raises ValueError on inconsistent boundary data or source shape.
     """
     dom = spec.domain
     n1, n2 = dom.n1, dom.n2
@@ -192,11 +198,7 @@ def solve_linear(spec: MixedOperatorSpec, f, bc: BoundaryData2D) -> Field2D:
     h1 = x1[1] - x1[0]
     h2 = x2[1] - x2[0]
 
-    if not spec.kz_holds:
-        warnings.warn("sign condition fails on the background profile; "
-                      "solve proceeds flagged as exploratory", stacklevel=2)
-
-    exit_supersonic = spec.node_type[-1] == HYPERBOLIC
+    exit_supersonic = spec.exit_supersonic
     if not exit_supersonic and bc.outlet_data is None:
         raise ValueError("subsonic exit: Dirichlet outlet data is required")
     if exit_supersonic and bc.outlet_data is not None:
@@ -262,19 +264,73 @@ def solve_linear(spec: MixedOperatorSpec, f, bc: BoundaryData2D) -> Field2D:
         R[-1] = [float(bc.outlet_data(v)) for v in x2]
         pinned = np.concatenate([pinned, np.arange(n - n2, n)])
     mat = (mat + coo_matrix((np.ones(pinned.size), (pinned, pinned)), shape=(n, n))).tocsc()
+    return mat, rhs, (a11 + b1).tocsr(), d22
+
+
+def solve_linear(spec: MixedOperatorSpec, f, bc: BoundaryData2D) -> Field2D:
+    """Solve L w = f on the channel: one LU of the coupled upstream block,
+    then a march over the remaining columns.
+
+    Centered second differences carry alpha11*d11 and d22; beta1*d1 is
+    differenced backward.  A column within SONIC_NODE_TOL of the sonic
+    location drops its d11 term (the coefficient is exactly zero there).
+    At a supersonic exit the last column uses one-sided second differences
+    instead of an outlet condition; a subsonic exit requires Dirichlet
+    outlet data.  The matrix is built as the Kronecker sum of the module
+    docstring from 1D matrices, with no loop over nodes.
+
+    Rows of column j reach column j + 1 only through a centered d11 (and the
+    d1 inlet rows reach column 2).  With j_c the last column so reached, the
+    leading (j_c + 1) * n2 block is closed and is factored with splu; each
+    later column j solves the tridiagonal (D22 + C[j, j] I) W[j] = R[j] -
+    sum_{k<j} C[j, k] W[k], with C = A11 + B1.  A subsonic exit has
+    j_c = n1 - 1: one LU of the whole system.  The residual is checked on
+    the full matrix.  Raises on a singular system or unmet residual.
+    """
+    dom = spec.domain
+    n1, n2 = dom.n1, dom.n2
+
+    if not spec.kz_holds:
+        warnings.warn("sign condition fails on the background profile; "
+                      "solve proceeds flagged as exploratory", stacklevel=2)
+
+    mat, rhs, c, d22 = _assemble(spec, f, bc)
+    if spec.exit_supersonic:
+        ahead = triu(c, k=1).col  # columns reached by a centered d11
+        j_c = int(max(ahead.max(initial=0), 2 if bc.inlet_mode == "d1" else 0))
+    else:
+        j_c = n1 - 1  # the outlet rows are boundary rows, not marched ones
+    n_c = (j_c + 1) * n2
     try:
-        lu = splu(mat)
+        lu = splu(mat[:n_c, :n_c])
     except RuntimeError as exc:
         raise RuntimeError(f"singular system: {exc}") from exc
-    w = lu.solve(rhs)
+    W = np.empty((n1, n2))
+    W[:j_c + 1] = lu.solve(rhs[:n_c]).reshape(j_c + 1, n2)
+
+    R = rhs.reshape(n1, n2)
+    band = np.zeros((3, n2))  # solve_banded's (1, 1) layout of D22
+    band[0, 1:], band[2, :-1] = d22.diagonal(1), d22.diagonal(-1)
+    diag22 = d22.diagonal()
+    for j in range(j_c + 1, n1):
+        row = slice(c.indptr[j], c.indptr[j + 1])
+        k, ck = c.indices[row], c.data[row]
+        up = k < j
+        band[1] = diag22 + ck[k == j].sum()
+        try:
+            W[j] = solve_banded((1, 1), band, R[j] - ck[up] @ W[k[up]])
+        except LinAlgError as exc:
+            raise RuntimeError(f"singular system: column {j}: {exc}") from exc
+
+    w = W.ravel()
     resid = float(np.max(np.abs(mat @ w - rhs))) / max(1.0, float(np.max(np.abs(rhs))))
     if resid > 1e-8:
         raise RuntimeError(f"linear residual {resid:.3e} exceeds tolerance")
-    W = w.reshape(n1, n2)
-    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
+    X1, X2 = np.meshgrid(dom.x1, dom.x2, indexing="ij")
     meta = {"residual": resid, "kz_holds": spec.kz_holds,
-            "exit_supersonic": exit_supersonic, "l_s": spec.l_s,
-            "n1": n1, "n2": n2}
+            "exit_supersonic": spec.exit_supersonic, "l_s": spec.l_s,
+            "n1": n1, "n2": n2, "factored_columns": j_c + 1,
+            "marched_columns": n1 - 1 - j_c, "lu_nnz": int(lu.nnz)}
     return Field2D(x=X1, y=X2, values=W, metadata=meta)
 
 

@@ -93,6 +93,10 @@ def test_mixed_subcommand(tmp_path):
     check_manifest(out)
     rep = json.loads((out / "smoothness.json").read_text())
     assert rep["kz_holds"] is True
+    # the upstream block up to the first non-elliptic column is factored,
+    # the supersonic rest is marched
+    assert rep["factored_columns"] + rep["marched_columns"] == 65
+    assert 0 < rep["factored_columns"] < 65 and rep["lu_nnz"] > 0
 
 
 def test_failed_run_leaves_no_artifacts(tmp_path, capsys, monkeypatch):
@@ -208,3 +212,32 @@ def test_sweep(tmp_path):
     p2 = write_cfg(tmp_path, "b.json", bad)
     assert main(["sweep", p1, p2, "--jobs", "2"]) == 1
     assert (tmp_path / "a" / "portrait.csv").exists()
+
+
+def test_missing_required_keys_exit_1(tmp_path, capsys):
+    cfgs = [base_cfg("profile", tmp_path / "p", gas=GAS, inlet={}),
+            base_cfg("shock-polar", tmp_path / "s", upstream={"gamma": 2.0, "q_inf": 2.0}),
+            base_cfg("geometry", tmp_path / "g", upstream={"gamma": 2.0, "q_inf": 2.0})]
+    for i, cfg in enumerate(cfgs):
+        assert main(["run", write_cfg(tmp_path, f"c{i}.json", cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["validation error: inlet block missing 'u0'",
+                   "validation error: upstream block missing 'rho_inf'",
+                   "validation error: upstream block missing 'rho_inf'"]
+
+
+def test_sweep_reports_every_config(tmp_path, capsys):
+    ok = write_cfg(tmp_path, "a.json", base_cfg("phase-portrait", tmp_path / "a", gas=GAS, n=101))
+    bad = write_cfg(tmp_path, "b.json", base_cfg("profile", tmp_path / "b", gas=GAS, inlet={}))
+    assert main(["sweep", ok, bad, "--jobs", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"{ok}: exit 0", f"{bad}: exit 1"]
+
+
+def test_phase_portrait_needs_two_samples(tmp_path, capsys):
+    for n in (0, 1):
+        cfg = base_cfg("phase-portrait", tmp_path / "out", gas=GAS, n=n)
+        assert main(["run", write_cfg(tmp_path, "c.json", cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["validation error: n must be at least 2 samples, got 0",
+                   "validation error: n must be at least 2 samples, got 1"]

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
+from scipy.sparse.linalg import splu
 
 from _oracles import reduced_ode_solution
 from sonicflow import mixed2d
@@ -85,23 +87,13 @@ def test_operator_requires_span(canonical, background):
         build_operator(background, ChannelDomain(L=100.0, n1=17, n2=17))
 
 
-def captured_matrix(monkeypatch, spec, bc):
-    """The matrix solve_linear factors, taken at its one splu call."""
-    mats = []
-
-    def capture(mat, real=mixed2d.splu):
-        mats.append(mat)
-        return real(mat)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(mixed2d, "splu", capture)
-        solve_linear(spec, None, bc)
-    assert len(mats) == 1
-    return mats[0].tocsr()
+def captured_matrix(spec, bc):
+    """The full matrix of the system solve_linear solves, all n1*n2 rows."""
+    return mixed2d._assemble(spec, None, bc)[0].tocsr()
 
 
 @pytest.mark.parametrize("case", ["dirichlet", "d1", "subsonic-exit"])
-def test_operator_rows(monkeypatch, background, dec_background, case):
+def test_operator_rows(background, dec_background, case):
     """The discrete operator applied to w = (x1 - c)**2, which has no x2
     dependence.
 
@@ -126,7 +118,7 @@ def test_operator_rows(monkeypatch, background, dec_background, case):
     h1 = x1[1] - x1[0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the decelerating background is flagged
-        mat = captured_matrix(monkeypatch, spec, bc)
+        mat = captured_matrix(spec, bc)
 
     j_last = n1 - 1 if case != "subsonic-exit" else n1 - 2
     for c in (0.0, 1.0):  # the shift makes the entrance column's weights count
@@ -157,6 +149,82 @@ def test_operator_rows(monkeypatch, background, dec_background, case):
 # ---------------------------------------------------------------------------
 # solving
 # ---------------------------------------------------------------------------
+
+def refined_global_solution(spec, F, bc):
+    """splu of the full matrix plus one step of iterative refinement."""
+    mat, rhs = mixed2d._assemble(spec, F, bc)[:2]
+    lu = splu(mat)
+    w = lu.solve(rhs)
+    return (w + lu.solve(rhs - mat @ w)).reshape(spec.domain.n1, spec.domain.n2)
+
+
+def factored_sizes(monkeypatch, spec, F, bc):
+    """solve_linear's field and the orders of the matrices it handed to splu."""
+    sizes = []
+
+    def counting(mat, real=mixed2d.splu):
+        sizes.append(mat.shape)
+        return real(mat)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(mixed2d, "splu", counting)
+        fld = solve_linear(spec, F, bc)
+    return fld, sizes
+
+
+@pytest.mark.parametrize("mode", ["dirichlet", "d1", "d2"])
+@pytest.mark.parametrize("grid", ["129x65", "sonic-on-node"])
+def test_march_matches_refined_global_lu(monkeypatch, background, grid, mode):
+    """The coupled-block LU plus column march solves the full system: it
+    agrees with the refined global LU, factoring only the upstream block.
+
+    The unrefined global LU is no reference: it is itself off by up to
+    about 1e-11 here."""
+    if grid == "129x65":
+        dom = ChannelDomain(L=L, n1=129, n2=65)
+    else:
+        dom = ChannelDomain(L=2.0 * background.l_s, n1=65, n2=33)
+    n1, n2 = dom.n1, dom.n2
+    spec = build_operator(background, dom)
+    assert grid == "129x65" or spec.sonic_columns == (32,)
+    F = np.random.default_rng(11).standard_normal((n1, n2))
+    data = (lambda x2: 0.01 * math.sin(math.pi * x2)) if mode == "d2" else \
+        (lambda x2: 0.01 * math.cos(math.pi * x2))
+    bc = BoundaryData2D(inlet_mode=mode, inlet_data=data, anchor=0.2)
+    fld, sizes = factored_sizes(monkeypatch, spec, F, bc)
+    assert float(np.max(np.abs(fld.values - refined_global_solution(spec, F, bc)))) <= 1e-10
+    # the upstream block ends at the first column that is not elliptic
+    j_c = next(j for j, t in enumerate(spec.node_type) if t != "elliptic")
+    assert sizes == [((j_c + 1) * n2, (j_c + 1) * n2)]
+    assert fld.metadata["factored_columns"] == j_c + 1
+    assert fld.metadata["marched_columns"] == n1 - 1 - j_c > 0
+    assert fld.metadata["lu_nnz"] > 0
+
+
+def test_singular_march_column_reported(monkeypatch, background):
+    def singular(*args, **kwargs):
+        raise LinAlgError("singular matrix")
+
+    monkeypatch.setattr(mixed2d, "solve_banded", singular)
+    dom, spec, F, _, bc = manufactured_setup(background, 65, 17)
+    with pytest.raises(RuntimeError, match="singular system: column"):
+        solve_linear(spec, F, bc)
+
+
+def test_subsonic_exit_factors_whole_system(monkeypatch, dec_background):
+    dom = ChannelDomain(L=L, n1=65, n2=33)
+    spec = build_operator(dec_background, dom)
+    bc = BoundaryData2D(inlet_data=lambda x2: 0.01 * math.cos(math.pi * x2),
+                        outlet_data=lambda x2: 0.0)
+    F = np.random.default_rng(12).standard_normal((65, 33))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the decelerating background is flagged
+        fld, sizes = factored_sizes(monkeypatch, spec, F, bc)
+        want = refined_global_solution(spec, F, bc)
+    assert sizes == [(65 * 33, 65 * 33)]
+    assert fld.metadata["factored_columns"] == 65 and fld.metadata["marched_columns"] == 0
+    assert float(np.max(np.abs(fld.values - want))) <= 1e-10
+
 
 def test_zero_problem(background):
     dom, spec, _, _, _ = manufactured_setup(background, 33, 17)
