@@ -332,10 +332,13 @@ def run_keldysh(cfg, aw: ArtifactWriter) -> None:
     coeffs.validate_bounds(dom)
     # the scan abscissas depend on the grid alone: reject a coarse grid unsolved
     _scan_abscissas(_Grid(dom, opts.nx, opts.ny, opts.grading).x)
+    fractions = cfg.get("scan", {}).get("y_fractions", [0.25, 0.5])
+    if not fractions or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                                and 0.0 <= v <= 1.0 for v in fractions):
+        raise ConfigError("scan.y_fractions must be a non-empty list of numbers in [0, 1]")
     fld = solve_model(dom, coeffs, opts, bc)
     aw.write_text("field.csv", field_csv_text(fld))
     f0 = float(fld.y[0, -1])
-    fractions = cfg.get("scan", {}).get("y_fractions", [0.25, 0.5])
     scan = sonic_derivative_scan(fld, [fr * f0 for fr in fractions])
     cols = [scan.x_k] + [scan.table[i] for i in range(len(scan.y_values))]
     hdr = "x," + ",".join(f"psi_xx_y{fr:g}" for fr in fractions)
@@ -409,10 +412,7 @@ def run_mixed(cfg, aw: ArtifactWriter) -> None:
     aw.write_json("smoothness.json", {
         "l_s": diag.l_s, "w_jump": diag.w_jump, "dw_jump": diag.dw_jump,
         "d2w_jump": diag.d2w_jump, "kz_holds": spec.kz_holds,
-        "residual": fld.metadata["residual"],
-        "factored_columns": fld.metadata["factored_columns"],
-        "marched_columns": fld.metadata["marched_columns"],
-        "lu_nnz": fld.metadata["lu_nnz"],
+        "residual": fld.metadata["residual"], "modes": fld.metadata["n2"],
     })
     svg_on, ts = _emit_opts(cfg)
     if svg_on:

@@ -8,25 +8,23 @@ built on a transonic background profile is elliptic upstream of the sonic
 location, hyperbolic downstream, and degenerates on the sonic line: a
 Keldysh-type change of type, but from elliptic to hyperbolic.  The
 first-order term is differenced backward (downstream-biased), which both
-stabilizes the implicit march in the hyperbolic region and adds ellipticity
-upstream; no outlet condition is imposed when the exit is supersonic.
-
-In the hyperbolic region x1 acts like time: from the first non-elliptic
-column on, every row refers only to its own column and the ones upstream of
-it.  So the solve factors only the coupled upstream block with one sparse
-LU and marches the rest column by column, one tridiagonal solve in x2 per
-column.  A subsonic exit couples the whole channel and gets one LU.
+stabilizes the hyperbolic region, where x1 acts like time, and adds
+ellipticity upstream; no outlet condition is imposed when the exit is supersonic.
 
 beta1 < 0 on accelerating profiles, which is exactly the sign the upwind
 bias needs; on decelerating coefficients (the sign condition fails) the
 solve still runs but is flagged, and its output is exploratory.
 
-The coefficients depend on x1 alone, so the discrete operator is a Kronecker
-sum of 1D difference matrices (LeVeque, Finite Difference Methods for ODEs
-and PDEs, SIAM 2007, ch. 3): kron(P, D22) + kron(A11, I) + kron(B1, I), with
-D22 the wall-mirrored x2 second difference, A11 and B1 the n1 x n1 matrices
-of each column's alpha11 d11 and beta1 d1 weights, and P the diagonal that
-selects the columns carrying the PDE.  Boundary rows are added whole.
+The coefficients depend on x1 alone, so the discrete operator is a tensor
+sum (LeVeque, Finite Difference Methods for ODEs and PDEs, SIAM 2007, ch. 3):
+P (x) D22 + C (x) I, with D22 the wall-mirrored x2 second difference, C the
+n1 x n1 matrix of each column's alpha11 d11 and beta1 d1 weights plus the
+entrance and outlet rows, and P the diagonal that selects the columns
+carrying the PDE.  A DCT-I diagonalizes D22, so the solve is one banded
+x1 system per x2 mode (Lynch, Rice & Thomas, Numer. Math. 6, 1964), for
+either exit.  The d1 inlet's pinned corner node, the one row outside the
+tensor form, is restored by a capacitance correction.  No n1*n2 matrix is
+built.
 """
 
 from __future__ import annotations
@@ -35,9 +33,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import dct
 from scipy.linalg import LinAlgError, solve_banded
-from scipy.sparse import coo_matrix, diags, identity, kron, triu
-from scipy.sparse.linalg import splu
+from scipy.sparse import coo_matrix
 
 from .field2d import Field2D
 from .profile1d import Profile1D, kz_check, kz_coefficients
@@ -185,18 +183,18 @@ def _x1_matrix(n1, coef, scale, stencils):
 
 
 def _assemble(spec: MixedOperatorSpec, f, bc: BoundaryData2D):
-    """The discrete system of solve_linear, as (mat, rhs, c, d22).
+    """The 1D factors (c, pde, rhs) of the system of solve_linear: row (j, i)
+    is pde[j] (D22 w[j])[i] + (c @ w)[j, i] = rhs[j, i] (see _apply).
 
-    mat is the CSC matrix of all n1*n2 rows, boundary rows included, and rhs
-    its right-hand side.  c = A11 + B1 (n1 x n1, CSR) and d22 (n2 x n2) are
-    the 1D factors of the Kronecker sum, which the column march reuses.
-    Raises ValueError on inconsistent boundary data or source shape.
+    c = A11 + B1 (n1 x n1, CSR) with the whole entrance row (identity, or the
+    one-sided d1 stencil) and, at a subsonic exit, the outlet identity row;
+    pde is the 0/1 mask of PDE columns and rhs is (n1, n2).  Raises
+    ValueError on inconsistent boundary data or source shape.
     """
     dom = spec.domain
     n1, n2 = dom.n1, dom.n2
     x1, x2 = dom.x1, dom.x2
     h1 = x1[1] - x1[0]
-    h2 = x2[1] - x2[0]
 
     exit_supersonic = spec.exit_supersonic
     if not exit_supersonic and bc.outlet_data is None:
@@ -216,17 +214,9 @@ def _assemble(spec: MixedOperatorSpec, f, bc: BoundaryData2D):
         if F.shape != (n1, n2):
             raise ValueError(f"source shape {F.shape} != grid {(n1, n2)}")
 
-    # Unknown j * n2 + i is node (x1[j], x2[i]), so a term with a coefficient
-    # of x1 alone is kron(an n1 x n1 matrix, an n2 x n2 matrix).  The terms are
-    # added d22, then d11, then d1, so entries they share sum in that order.
-    n = n1 * n2
     j_pde = np.arange(1, n1 if exit_supersonic else n1 - 1)
     pde = np.zeros(n1)
     pde[j_pde] = 1.0
-    off = np.full(n2 - 1, 1.0 / h2 ** 2)
-    lower, upper = off.copy(), off.copy()
-    lower[-1] = upper[0] = 2.0 / h2 ** 2  # mirrored wall ghosts
-    d22 = diags([lower, np.full(n2, -2.0 / h2 ** 2), upper], [-1, 0, 1])
     # alpha11 * d11: dropped on a sonic column.  Fully one-sided in the
     # hyperbolic region: a centered second difference there admits a growing
     # sawtooth mode whenever |alpha11| < (h1/h2)^2 + |beta1| h1/2 (always true
@@ -243,94 +233,102 @@ def _assemble(spec: MixedOperatorSpec, f, bc: BoundaryData2D):
     b1 = _x1_matrix(n1, spec.beta1, h1, (
         (j_pde[j_pde >= 2], (0, -1, -2), (1.5, -2.0, 0.5)),
         (j_pde[j_pde == 1], (0, -1), (1.0, -1.0))))
-    eye2 = identity(n2)
-    mat = (kron(diags(pde), d22, format="csr") + kron(a11, eye2, format="csr")
-           + kron(b1, eye2, format="csr"))
+    # entrance row: Dirichlet, or the second-order one-sided d1; a subsonic
+    # exit adds a Dirichlet row on the column past the PDE ones
+    d1 = ((0, 1, 2), (-1.5 / h1, 2.0 / h1, -0.5 / h1))
+    ends = _x1_matrix(n1, np.ones(n1), 1.0, (
+        (np.array([0]),) + (d1 if bc.inlet_mode == "d1" else ((0,), (1.0,))),
+        (np.arange(j_pde[-1] + 1, n1), (0,), (1.0,))))
 
-    # entrance column: Dirichlet rows, or second-order one-sided d1 rows with
-    # the constant mode pinned at i = 0; a subsonic exit adds Dirichlet rows
-    rhs = np.zeros(n)
-    R = rhs.reshape(n1, n2)
-    R[j_pde] = F[j_pde]
-    R[0] = _inlet_values(bc, x2)
-    pinned = np.arange(n2)
+    rhs = np.zeros((n1, n2))
+    rhs[j_pde] = F[j_pde]
+    rhs[0] = _inlet_values(bc, x2)
     if bc.inlet_mode == "d1":
-        R[0, 0] = bc.anchor
-        pinned, k = pinned[:1], pinned[1:]
-        wts = np.repeat([-3.0 / (2 * h1), 4.0 / (2 * h1), -1.0 / (2 * h1)], n2 - 1)
-        mat = mat + coo_matrix((wts, (np.tile(k, 3), np.concatenate([k, k + n2, k + 2 * n2]))),
-                               shape=(n, n))
+        rhs[0, 0] = bc.anchor
     if not exit_supersonic:
-        R[-1] = [float(bc.outlet_data(v)) for v in x2]
-        pinned = np.concatenate([pinned, np.arange(n - n2, n)])
-    mat = (mat + coo_matrix((np.ones(pinned.size), (pinned, pinned)), shape=(n, n))).tocsc()
-    return mat, rhs, (a11 + b1).tocsr(), d22
+        rhs[-1] = [float(bc.outlet_data(v)) for v in x2]
+    return (a11 + b1 + ends).tocsr(), pde, rhs
+
+
+def _apply(c, pde, h2, w, pinned):
+    """The operator of _assemble applied to an (n1, n2) field w, matrix-free;
+    pinned (the d1 inlet) makes row (0, 0) read w[0, 0]."""
+    wp = np.pad(w, ((0, 0), (1, 1)), mode="reflect")  # mirrored wall ghosts
+    out = pde[:, None] * ((wp[:, :-2] - 2.0 * w + wp[:, 2:]) / h2 ** 2) + c @ w
+    if pinned:
+        out[0, 0] = w[0, 0]
+    return out
 
 
 def solve_linear(spec: MixedOperatorSpec, f, bc: BoundaryData2D) -> Field2D:
-    """Solve L w = f on the channel: one LU of the coupled upstream block,
-    then a march over the remaining columns.
+    """Solve L w = f on the channel: a cosine transform in x2, then one
+    banded x1 solve per mode.
 
     Centered second differences carry alpha11*d11 and d22; beta1*d1 is
     differenced backward.  A column within SONIC_NODE_TOL of the sonic
     location drops its d11 term (the coefficient is exactly zero there).
     At a supersonic exit the last column uses one-sided second differences
     instead of an outlet condition; a subsonic exit requires Dirichlet
-    outlet data.  The matrix is built as the Kronecker sum of the module
-    docstring from 1D matrices, with no loop over nodes.
+    outlet data.
 
-    Rows of column j reach column j + 1 only through a centered d11 (and the
-    d1 inlet rows reach column 2).  With j_c the last column so reached, the
-    leading (j_c + 1) * n2 block is closed and is factored with splu; each
-    later column j solves the tridiagonal (D22 + C[j, j] I) W[j] = R[j] -
-    sum_{k<j} C[j, k] W[k], with C = A11 + B1.  A subsonic exit has
-    j_c = n1 - 1: one LU of the whole system.  The residual is checked on
-    the full matrix.  Raises on a singular system or unmet residual.
+    D22 = V Lambda V^-1 with V[i, k] = cos(pi k i / m), m = n2 - 1, and
+    lambda_k = -(4 / h2^2) sin^2(pi k / (2 m)); V and V^-1 are DCT-Is with
+    end weights e = (2, 1, ..., 1, 2).  Mode k solves the banded
+    (lambda_k P + C) u_k = r_k.  A d1 inlet's pin w[0, 0] = anchor is the one
+    row outside this form; it gets a capacitance correction (Buzbee, Dorr,
+    George & Golub, SINUM 8, 1971).  Raises on a singular system or unmet
+    residual, which is checked matrix-free.
     """
     dom = spec.domain
     n1, n2 = dom.n1, dom.n2
+    h2 = dom.x2[1] - dom.x2[0]
 
     if not spec.kz_holds:
         warnings.warn("sign condition fails on the background profile; "
                       "solve proceeds flagged as exploratory", stacklevel=2)
 
-    mat, rhs, c, d22 = _assemble(spec, f, bc)
-    if spec.exit_supersonic:
-        ahead = triu(c, k=1).col  # columns reached by a centered d11
-        j_c = int(max(ahead.max(initial=0), 2 if bc.inlet_mode == "d1" else 0))
-    else:
-        j_c = n1 - 1  # the outlet rows are boundary rows, not marched ones
-    n_c = (j_c + 1) * n2
-    try:
-        lu = splu(mat[:n_c, :n_c])
-    except RuntimeError as exc:
-        raise RuntimeError(f"singular system: {exc}") from exc
-    W = np.empty((n1, n2))
-    W[:j_c + 1] = lu.solve(rhs[:n_c]).reshape(j_c + 1, n2)
-
-    R = rhs.reshape(n1, n2)
-    band = np.zeros((3, n2))  # solve_banded's (1, 1) layout of D22
-    band[0, 1:], band[2, :-1] = d22.diagonal(1), d22.diagonal(-1)
-    diag22 = d22.diagonal()
-    for j in range(j_c + 1, n1):
-        row = slice(c.indptr[j], c.indptr[j + 1])
-        k, ck = c.indices[row], c.data[row]
-        up = k < j
-        band[1] = diag22 + ck[k == j].sum()
+    c, pde, rhs = _assemble(spec, f, bc)
+    pinned = bc.inlet_mode == "d1"
+    m = n2 - 1
+    e = np.ones(n2)
+    e[[0, -1]] = 2.0
+    lam = -(2.0 / h2) ** 2 * np.sin(0.5 * np.pi * np.arange(n2) / m) ** 2
+    r = dct(rhs, type=1, axis=1) / (m * e)
+    band = np.zeros((6, n1))  # solve_banded's (3, 2) layout of C
+    for off in range(-3, 3):
+        band[2 - off, max(off, 0):n1 + min(off, 0)] = c.diagonal(off)
+    unit = np.eye(n1, 1)[:, 0]  # a unit entrance forcing, for the d1 capacitance step
+    u, z = np.empty((n1, n2)), np.empty((n1, n2))  # z: each mode's response to it
+    for k in range(n2):
+        ab = band.copy()
+        ab[2] += lam[k] * pde
+        b = np.column_stack([r[:, k], unit])
+        if pinned and k == 0:  # row 0 becomes u[0] = b[0]: C[0, j] sits at ab[2 - j, j]
+            ab[[2, 1, 0], [0, 1, 2]] = 1.0, 0.0, 0.0
+            b[0, 0] = 0.0
         try:
-            W[j] = solve_banded((1, 1), band, R[j] - ck[up] @ W[k[up]])
+            u[:, k], z[:, k] = solve_banded((3, 2), ab, b).T
         except LinAlgError as exc:
-            raise RuntimeError(f"singular system: column {j}: {exc}") from exc
+            raise RuntimeError(f"singular system: mode {k}: {exc}") from exc
+    if pinned:
+        # mode 0's entrance value t and the d1 value s that row (0, 0) of the
+        # tensor form would need, fixed by mode 0's d1 row and w[0, 0] = anchor
+        row0 = c[0].toarray().ravel()
+        g = z[0, 1:] / (m * e[1:])
+        t, s = np.linalg.solve([[row0 @ z[:, 0], -1.0 / (m * e[0])], [1.0, g.sum()]],
+                               [r[0, 0] - row0 @ u[:, 0], bc.anchor - u[0, 1:].sum()])
+        u[:, 0] += t * z[:, 0]
+        u[:, 1:] += s * z[:, 1:] / (m * e[1:])
+    W = dct(e * u, type=1, axis=1) / 2.0
 
-    w = W.ravel()
-    resid = float(np.max(np.abs(mat @ w - rhs))) / max(1.0, float(np.max(np.abs(rhs))))
+    resid = float(np.max(np.abs(_apply(c, pde, h2, W, pinned) - rhs)))
+    resid /= max(1.0, float(np.max(np.abs(rhs))))
     if resid > 1e-8:
         raise RuntimeError(f"linear residual {resid:.3e} exceeds tolerance")
     X1, X2 = np.meshgrid(dom.x1, dom.x2, indexing="ij")
     meta = {"residual": resid, "kz_holds": spec.kz_holds,
             "exit_supersonic": spec.exit_supersonic, "l_s": spec.l_s,
-            "n1": n1, "n2": n2, "factored_columns": j_c + 1,
-            "marched_columns": n1 - 1 - j_c, "lu_nnz": int(lu.nnz)}
+            "n1": n1, "n2": n2}
     return Field2D(x=X1, y=X2, values=W, metadata=meta)
 
 

@@ -93,24 +93,26 @@ def test_mixed_subcommand(tmp_path):
     check_manifest(out)
     rep = json.loads((out / "smoothness.json").read_text())
     assert rep["kz_holds"] is True
-    # the upstream block up to the first non-elliptic column is factored,
-    # the supersonic rest is marched
-    assert rep["factored_columns"] + rep["marched_columns"] == 65
-    assert 0 < rep["factored_columns"] < 65 and rep["lu_nnz"] > 0
+    assert rep["modes"] == 33  # one banded x1 solve per x2 mode
 
 
 def test_failed_run_leaves_no_artifacts(tmp_path, capsys, monkeypatch):
-    # both are rejected before any solve: the 3x3 scan has too few abscissas,
-    # the short accelerating channel has no sonic location
-    factorizations = []
-    for module in (keldysh, mixed2d):
-        def counting(mat, real=module.splu):
-            factorizations.append(mat)
-            return real(mat)
-        monkeypatch.setattr(module, "splu", counting)
+    # all are rejected before any solve: the 3x3 scan has too few abscissas,
+    # the scan heights must be a non-empty list of numbers in [0, 1], and the
+    # short accelerating channel has no sonic location
+    solves = []
+    for module, name in ((keldysh, "splu"), (mixed2d, "solve_banded")):
+        def counting(*args, real=getattr(module, name)):
+            solves.append(args)
+            return real(*args)
+        monkeypatch.setattr(module, name, counting)
     runs = {
         "keldysh": base_cfg("keldysh-solve", tmp_path / "keldysh",
                             grid={"nx": 3, "ny": 3}),
+        **{f"scan{i}": base_cfg("keldysh-solve", tmp_path / f"scan{i}",
+                                scenario="manufactured", grid={"nx": 17, "ny": 17},
+                                scan={"y_fractions": fractions})
+           for i, fractions in enumerate((["x"], [], [1.5]))},
         "mixed": base_cfg("mixed-solve", tmp_path / "mixed", gas=GAS,
                           inlet={"u0": 0.7, "branch": "accelerating"},
                           channel={"L": 0.8, "n1": 65, "n2": 33},
@@ -122,8 +124,8 @@ def test_failed_run_leaves_no_artifacts(tmp_path, capsys, monkeypatch):
         (out / "manifest.json").write_text("{}")  # left by an earlier run
         assert main(["run", write_cfg(tmp_path, name + ".json", cfg)]) == 1
         assert list(out.iterdir()) == []
-    assert capsys.readouterr().err.count("validation error") == 2
-    assert len(factorizations) == 0
+    assert capsys.readouterr().err.count("validation error") == 5
+    assert len(solves) == 0
 
 
 def test_shock_polar_subcommand(tmp_path):
