@@ -33,7 +33,8 @@ from .keldysh import (KeldyshBC, KeldyshCoefficients, KeldyshConvergenceError,
 from .mixed2d import BoundaryData2D, ChannelDomain, build_operator, solve_linear, \
     sonic_smoothness_diag, _sonic_side_columns
 from .profile1d import (InletData, ProfileError, critical_inlet, integrate_profile,
-                        kz_check, profile_csv_text, reconstruct_fields, verify_lemma)
+                        kz_check, profile_csv_text, reconstruct_fields, verify_lemma,
+                        _kz_alpha_beta)
 from .shockpolar import (SelfSimilarState, UpstreamState, compute_polar,
                          normal_shock, pseudo_sonic_geometry, weak_state)
 from .svgplot import SvgCanvas, heatmap, line_plot
@@ -111,6 +112,8 @@ def _check_keys(block, schema, path):
 
 
 def validate_config(cfg: dict) -> str:
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be an object")
     if cfg.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
     sub = cfg.get("subcommand")
@@ -122,25 +125,25 @@ def validate_config(cfg: dict) -> str:
     return sub
 
 
-def _gas_from(cfg) -> GasParams:
-    g = cfg.get("gas")
-    if g is None:
-        raise ConfigError("missing 'gas' block")
+def _required(cfg, name, keys) -> dict:
+    """The keys of block `name` as floats, in order; a missing block or key is
+    a ConfigError naming it."""
+    blk = cfg.get(name)
+    if blk is None:
+        raise ConfigError(f"missing {name!r} block")
     try:
-        return GasParams(gamma=float(g["gamma"]), S0=float(g["S0"]),
-                         J=float(g["J"]), rho_ion=float(g["rho_ion"]))
+        return {key: float(blk[key]) for key in keys}
     except KeyError as exc:
-        raise ConfigError(f"gas block missing {exc}") from exc
+        raise ConfigError(f"{name} block missing {exc}") from exc
+
+
+def _gas_from(cfg) -> GasParams:
+    return GasParams(**_required(cfg, "gas", ("gamma", "S0", "J", "rho_ion")))
 
 
 def _inlet_from(cfg, params: GasParams) -> InletData:
-    blk = cfg.get("inlet")
-    if blk is None:
-        raise ConfigError("missing 'inlet' block")
-    try:
-        u0 = float(blk["u0"])
-    except KeyError as exc:
-        raise ConfigError(f"inlet block missing {exc}") from exc
+    u0 = _required(cfg, "inlet", ("u0",))["u0"]
+    blk = cfg["inlet"]
     if "E0" in blk:
         return InletData(u0=u0, E0=float(blk["E0"]))
     branch = blk.get("branch", "accelerating")
@@ -148,14 +151,7 @@ def _inlet_from(cfg, params: GasParams) -> InletData:
 
 
 def _upstream_from(cfg) -> UpstreamState:
-    up = cfg.get("upstream")
-    if up is None:
-        raise ConfigError("missing 'upstream' block")
-    try:
-        return UpstreamState(gamma=float(up["gamma"]), rho_inf=float(up["rho_inf"]),
-                             q_inf=float(up["q_inf"]))
-    except KeyError as exc:
-        raise ConfigError(f"upstream block missing {exc}") from exc
+    return UpstreamState(**_required(cfg, "upstream", ("gamma", "rho_inf", "q_inf")))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +162,10 @@ class ArtifactWriter:
     def __init__(self, outdir: str):
         self.outdir = outdir
         self.files: list[str] = []
-        os.makedirs(outdir, exist_ok=True)
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output_dir {outdir!r}: {exc}") from exc
 
     def path(self, name: str) -> str:
         self.files.append(name)
@@ -289,10 +288,7 @@ def run_kz_check(cfg, aw: ArtifactWriter) -> None:
     profile, _ = _profile_from(cfg, params)
     profile = reconstruct_fields(params, profile)
     report = kz_check(params, profile)
-    g = params.gamma
-    us = params.u_sonic
-    alpha = 1.0 - (profile.u / us) ** (g + 1.0)
-    beta = (profile.E - (g + 1.0) * profile.du * profile.u) * profile.u ** (g - 1.0) / us ** (g + 1.0)
+    alpha, beta = _kz_alpha_beta(params, profile.u, profile.E, profile.du)
     aw.write_text("coefficients.csv", csv_text("x1,alpha11,beta1",
                                                [profile.x1, alpha, beta]))
     aw.write_json("kz_report.json", {

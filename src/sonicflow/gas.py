@@ -9,6 +9,7 @@ u* of H, and state classification.  All quantities are nondimensional.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -141,7 +142,10 @@ def enthalpy_quadrature(params: GasParams, u: float) -> float:
     return (params.J / ub) * val
 
 
-_GL48 = None
+@functools.lru_cache(maxsize=None)
+def _leggauss(n: int):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _enthalpy_local(params: GasParams, u: float) -> float:
@@ -153,10 +157,7 @@ def _enthalpy_local(params: GasParams, u: float) -> float:
     contributes a value proportional to (t - u_sonic), keeping the relative
     error at machine level arbitrarily close to the sonic speed.
     """
-    global _GL48
-    if _GL48 is None:
-        _GL48 = np.polynomial.legendre.leggauss(48)
-    nodes, weights = _GL48
+    nodes, weights = _leggauss(48)
     g = params.gamma
     us = params.u_sonic
     ub = params.u_bar

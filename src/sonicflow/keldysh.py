@@ -189,6 +189,8 @@ class KeldyshOptions:
     clamp: float = 1e-3
 
     def __post_init__(self):
+        if self.nx < 1 or self.ny < 1:
+            raise ValueError(f"grid sizes must be >= 1, got nx={self.nx}, ny={self.ny}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -536,6 +538,8 @@ def _scan_abscissas(xcol, k_min: int = 1, k_max: int | None = None) -> np.ndarra
     The grid alone fixes them, so a run can be rejected before it solves.
     Raises InsufficientGradingError when fewer than three are resolvable.
     """
+    if len(xcol) < 3:
+        raise InsufficientGradingError(f"x column has {len(xcol)} nodes; need at least 3")
     eps0 = float(xcol[-1])
     ks = []
     k = k_min

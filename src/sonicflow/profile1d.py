@@ -41,13 +41,14 @@ from .gas import (
     critical_field,
     enthalpy,
     enthalpy_curvature_at_sonic,
+    find_u_star,
+    _branch_sign,
     _enthalpy_local,
+    _leggauss,
 )
 
 #: Relative half-width |u/u_sonic - 1| of the u-parametrized integration band.
 SONIC_SWITCH_BAND = 1e-3
-
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 class ProfileError(RuntimeError):
@@ -124,12 +125,7 @@ def dx_du_critical(params: GasParams, u: float, branch: str) -> float:
     and H are evaluated in cancellation-free form near the sonic speed so
     the ratio stays accurate to machine precision arbitrarily close to it.
     """
-    if branch == ACCELERATING:
-        s = 1.0
-    elif branch == DECELERATING:
-        s = -1.0
-    else:
-        raise ValueError(f"branch must be accelerating/decelerating, got {branch!r}")
+    s = _branch_sign(branch)
     g = params.gamma
     us = params.u_sonic
     h = u - us
@@ -144,28 +140,24 @@ def dx_du_critical(params: GasParams, u: float, branch: str) -> float:
     return num / E
 
 
-def _gauss(n: int):
-    if n not in _GAUSS_CACHE:
-        _GAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GAUSS_CACHE[n]
-
-
 def _gauss_int(fn, a: float, b: float, n: int = 32) -> float:
-    nodes, weights = _gauss(n)
+    nodes, weights = _leggauss(n)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return half * float(sum(w * fn(mid + half * t) for t, w in zip(nodes, weights)))
 
 
-def _slope(params: GasParams, u: float, E: float) -> float:
-    """ODE right-hand side u'(x1), cancellation-free in the denominator."""
-    g = params.gamma
-    us = params.u_sonic
-    den = us ** (g + 1.0) * math.expm1((g + 1.0) * math.log1p((u - us) / us))
-    return E * u ** g / den
+def _gauss_pieces(fn, x: float, a: float, b: float, n_seg: int, n: int = 32) -> float:
+    """x plus the n-point Gauss integrals of fn over n_seg equal pieces of
+    [a, b], added one piece at a time from a."""
+    for k in range(n_seg):
+        x += _gauss_int(fn, a + (b - a) * k / n_seg, a + (b - a) * (k + 1) / n_seg, n)
+    return x
 
 
 def _rhs(params: GasParams):
+    """ODE right-hand side (u', E') in solve_ivp's (x, y) form.  Scalar math,
+    cancellation-free in the u' denominator; _du_from_state is its array form."""
     g = params.gamma
     us = params.u_sonic
     usp = us ** (g + 1.0)
@@ -186,13 +178,23 @@ def _event(fn, direction: float):
     return fn
 
 
-def _run_rk(params, x0, y0, x_end, events, rtol, atol):
-    sol = solve_ivp(_rhs(params), (x0, x_end), y0, method="RK45",
-                    rtol=rtol, atol=atol, dense_output=True, events=events)
-    if sol.status == -1:
-        raise IntegratorError(f"integrator failure: {sol.message} "
-                              f"(last x1={sol.t[-1]:.6g}, u={sol.y[0, -1]:.6g}, E={sol.y[1, -1]:.6g})")
-    return sol
+def _du_from_state(params: GasParams, u, E, branch: str):
+    """Slope u' from the ODE right-hand side, desingularized near the sonic speed."""
+    g = params.gamma
+    us = params.u_sonic
+    ua = np.atleast_1d(np.asarray(u, dtype=float))
+    Ea = np.atleast_1d(np.asarray(E, dtype=float))
+    out = np.empty_like(ua)
+    near = np.abs(ua - us) < SONIC_SWITCH_BAND * us
+    if branch in (ACCELERATING, DECELERATING):
+        for i in np.nonzero(near)[0]:
+            out[i] = 1.0 / dx_du_critical(params, float(ua[i]), branch)
+    else:
+        near = np.zeros_like(near)
+    idx = np.nonzero(~near)[0]
+    den = us ** (g + 1.0) * np.expm1((g + 1.0) * np.log1p((ua[idx] - us) / us))
+    out[idx] = Ea[idx] * ua[idx] ** g / den
+    return out
 
 
 def integrate_profile(params: GasParams, inlet: InletData, *,
@@ -211,8 +213,9 @@ def integrate_profile(params: GasParams, inlet: InletData, *,
     speed; reaching it raises SonicBlowupError.
     """
     us = params.u_sonic
-    g = params.gamma
     u0, E0 = inlet.u0, inlet.E0
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     if abs(u0 - us) <= SONIC_BAND * us:
         raise ValueError("degenerate inlet: exactly-sonic data is a fixed point "
                          "of the desingularized flow and is rejected")
@@ -227,8 +230,9 @@ def integrate_profile(params: GasParams, inlet: InletData, *,
 
     if u_target is not None and u_target <= 0.0:
         raise ValueError("u_target must be > 0")
-    slope0 = _slope(params, u0, E0)
-    increasing = slope0 > 0.0
+    rhs = _rhs(params)
+    increasing = rhs(0.0, (u0, E0))[0] > 0.0
+    ahead = 1.0 if increasing else -1.0  # event direction of a u level ahead of the run
     if u_target is not None:
         if increasing and u_target <= u0:
             raise ValueError(f"u_target={u_target} not ahead of increasing inlet u0={u0}")
@@ -257,6 +261,22 @@ def integrate_profile(params: GasParams, inlet: InletData, *,
     y_here = (u0, E0)
     done = False
 
+    def run_rk(events):
+        """RK45 from (x_here, y_here) toward x_cap; appends the segment, moves
+        the state to its end and returns the index of the event hit, or None."""
+        nonlocal x_here, y_here
+        sol = solve_ivp(rhs, (x_here, x_cap), y_here, method="RK45",
+                        rtol=rtol, atol=atol, dense_output=True, events=events)
+        if sol.status == -1:
+            raise IntegratorError(f"integrator failure: {sol.message} "
+                                  f"(last x1={sol.t[-1]:.6g}, u={sol.y[0, -1]:.6g}, E={sol.y[1, -1]:.6g})")
+        segments.append((x_here, sol.t[-1], "rk", sol))
+        x_here = sol.t[-1]
+        y_here = (sol.y[0, -1], sol.y[1, -1])
+        if sol.status == 0:
+            return None
+        return next(k for k, te in enumerate(sol.t_events) if len(te))
+
     # Critical data heading toward the sonic speed crosses it via phases
     # A (x-parametrized approach), B (u-parametrized band) and C (beyond);
     # critical data moving away from it integrates as phase C directly.
@@ -268,42 +288,32 @@ def integrate_profile(params: GasParams, inlet: InletData, *,
                                   (not increasing and u0 > band_hi))
     if branch == OFF_CRITICAL:
         events = [ev_u(band_lo, +1.0), ev_u(band_hi, -1.0)]
-        i_stop = 2
         if u_target is not None:
-            events.append(ev_u(u_target, +1.0 if increasing else -1.0))
-        sol = _run_rk(params, x_here, y_here, x_cap, events, rtol, atol)
-        segments.append((x_here, sol.t[-1], "rk", sol))
-        x_here = sol.t[-1]
-        y_here = (sol.y[0, -1], sol.y[1, -1])
+            events.append(ev_u(u_target, ahead))
+        hit = run_rk(events)
         done = True
-        if sol.status == 0:
+        if hit is None:
             terminated = "x_max" if x_max is not None else "guard"
+        elif hit < 2:
+            raise SonicBlowupError(
+                "sonic blow-up: off-critical data cannot cross the sonic speed "
+                f"(reached u={y_here[0]:.9g} at x1={x_here:.9g} with E={y_here[1]:.6g})")
         else:
-            hit = [k for k, te in enumerate(sol.t_events) if len(te)]
-            if hit[0] < i_stop:
-                raise SonicBlowupError(
-                    "sonic blow-up: off-critical data cannot cross the sonic speed "
-                    f"(reached u={y_here[0]:.9g} at x1={x_here:.9g} with E={y_here[1]:.6g})")
             terminated = "u_target"
     elif need_band:
         pre_band_u = band_lo if increasing else band_hi
-        events = [ev_u(pre_band_u, +1.0 if increasing else -1.0)]
+        events = [ev_u(pre_band_u, ahead)]
         between = (u0 < u_target < pre_band_u) if (u_target is not None and increasing) \
             else (u_target is not None and pre_band_u < u_target < u0)
         if between:
-            events.append(ev_u(u_target, +1.0 if increasing else -1.0))
-        sol = _run_rk(params, x_here, y_here, x_cap, events, rtol, atol)
-        segments.append((x_here, sol.t[-1], "rk", sol))
-        x_here = sol.t[-1]
-        y_here = (sol.y[0, -1], sol.y[1, -1])
-        if sol.status == 0:
+            events.append(ev_u(u_target, ahead))
+        hit = run_rk(events)
+        if hit is None:
             terminated = "x_max" if x_max is not None else "guard"
             done = True
-        else:
-            hit = [k for k, te in enumerate(sol.t_events) if len(te)]
-            if hit[0] != 0:
-                terminated = "u_target"
-                done = True
+        elif hit != 0:
+            terminated = "u_target"
+            done = True
 
     # ---- phase B: u-parametrized crossing of the sonic band ----
     if not done and toward_sonic:
@@ -317,7 +327,6 @@ def integrate_profile(params: GasParams, inlet: InletData, *,
                 crosses = (u_a - us) * (u_b - us) < 0.0
                 terminated = "u_target"
                 done = True
-        lo_grid = np.linspace(u_a, us, 17) if crosses else None
         if crosses:
             u_nodes = np.concatenate([np.linspace(u_a, us, 17), np.linspace(us, u_b, 17)[1:]])
         else:
@@ -328,7 +337,7 @@ def integrate_profile(params: GasParams, inlet: InletData, *,
             x_nodes[i] = x_nodes[i - 1] + _gauss_int(
                 lambda t: dx_du_critical(params, t, branch), u_nodes[i - 1], u_nodes[i], 16)
         if crosses:
-            l_s = float(x_nodes[len(lo_grid) - 1])
+            l_s = float(x_nodes[16])  # the node at us
         if x_max is not None and x_nodes[-1] > x_max:
             keep = x_nodes <= x_max
             u_nodes, x_nodes = u_nodes[keep], x_nodes[keep]
@@ -346,21 +355,17 @@ def integrate_profile(params: GasParams, inlet: InletData, *,
         if branch == ACCELERATING:
             events.append(ev_E_zero())
         if u_target is not None:
-            events.append(ev_u(u_target, +1.0 if increasing else -1.0))
-        sol = _run_rk(params, x_here, y_here, x_cap, events, rtol, atol)
-        segments.append((x_here, sol.t[-1], "rk", sol))
-        x_here = sol.t[-1]
-        if sol.status == 0:
+            events.append(ev_u(u_target, ahead))
+        hit = run_rk(events)
+        if hit is None:
             terminated = "x_max"
             if x_max is None:
                 raise IntegratorError("integration guard exceeded without a stop condition")
+        elif branch == ACCELERATING and hit == 0:
+            terminated = "turning_point"
+            l_max = x_here
         else:
-            hit = [k for k, te in enumerate(sol.t_events) if len(te)]
-            if branch == ACCELERATING and hit[0] == 0:
-                terminated = "turning_point"
-                l_max = x_here
-            else:
-                terminated = "u_target"
+            terminated = "u_target"
 
     # ---- sample assembly on a dense x grid ----
     x_end = x_here
@@ -389,22 +394,12 @@ def integrate_profile(params: GasParams, inlet: InletData, *,
             uu = interp(xs)
             u_out[mask] = uu
             E_out[mask] = critical_field(params, uu, branch)
-    if not segments:
-        raise IntegratorError("empty integration: no segment produced")
 
     if l_s is not None:
         i_s = int(np.argmin(np.abs(grid - l_s)))
         u_out[i_s], E_out[i_s] = us, 0.0
 
-    du_out = np.empty_like(grid)
-    in_band = np.abs(u_out - us) < SONIC_SWITCH_BAND * us
-    if branch in (ACCELERATING, DECELERATING):
-        for i in np.nonzero(in_band)[0]:
-            du_out[i] = 1.0 / dx_du_critical(params, float(u_out[i]), branch)
-    outside = ~in_band if branch in (ACCELERATING, DECELERATING) else np.ones_like(in_band)
-    idx = np.nonzero(outside)[0]
-    den = us ** (g + 1.0) * np.expm1((g + 1.0) * np.log1p((u_out[idx] - us) / us))
-    du_out[idx] = E_out[idx] * u_out[idx] ** g / den
+    du_out = _du_from_state(params, u_out, E_out, branch)
 
     return Profile1D(params=params, branch=branch, x1=grid, u=u_out, E=E_out,
                      du=du_out, l_s=l_s, l_max=l_max, terminated=terminated)
@@ -468,8 +463,6 @@ def _x_extent_accelerating(params: GasParams, u0: float) -> float:
     whole stretch from u_bar to u* is integrated under u = u* - s**2, which
     makes the integrand smooth and even in s.
     """
-    from .gas import find_u_star
-
     ustar = find_u_star(params)
     fn = lambda t: dx_du_critical(params, t, ACCELERATING)
     us = params.u_sonic
@@ -477,14 +470,9 @@ def _x_extent_accelerating(params: GasParams, u0: float) -> float:
     pts = sorted({u0, u_mid} | ({us} if u0 < us < u_mid else set()))
     x = 0.0
     for a, b in zip(pts[:-1], pts[1:]):
-        n_seg = max(4, int(math.ceil((b - a) / (0.05 * (ustar - u0)))))
-        for k in range(n_seg):
-            x += _gauss_int(fn, a + (b - a) * k / n_seg, a + (b - a) * (k + 1) / n_seg, 32)
-    s_hi = math.sqrt(ustar - u_mid)
-    g = lambda s: fn(ustar - s * s) * 2.0 * s
-    for k in range(8):
-        x += _gauss_int(g, s_hi * k / 8.0, s_hi * (k + 1) / 8.0, 48)
-    return x
+        x = _gauss_pieces(fn, x, a, b, max(4, int(math.ceil((b - a) / (0.05 * (ustar - u0))))))
+    tail = lambda s: fn(ustar - s * s) * 2.0 * s
+    return _gauss_pieces(tail, x, 0.0, math.sqrt(ustar - u_mid), 8, 48)
 
 
 def locate_lmax(params: GasParams, inlet: InletData, *,
@@ -529,9 +517,7 @@ def locate_lmax(params: GasParams, inlet: InletData, *,
                   if p <= inlet.u0}, reverse=True)
     x = 0.0
     for a, b in zip(pts[:-1], pts[1:]):
-        n_seg = max(4, int(math.ceil(abs(b - a) / (0.1 * us))))
-        for k in range(n_seg):
-            x += _gauss_int(fn, a + (b - a) * k / n_seg, a + (b - a) * (k + 1) / n_seg, 32)
+        x = _gauss_pieces(fn, x, a, b, max(4, int(math.ceil(abs(b - a) / (0.1 * us)))))
     xs[0] = x
     for i in range(1, n_floors):
         xs[i] = xs[i - 1] + _gauss_int(fn, floors[i - 1], floors[i], 32)
@@ -582,23 +568,13 @@ def bernoulli_defect(profile: Profile1D) -> float:
     return float(np.max(np.abs(bern - profile.Phi)))
 
 
-def _du_from_state(params: GasParams, u, E, branch: str):
-    """Slope u' from the ODE right-hand side, desingularized near the sonic speed."""
+def _kz_alpha_beta(params: GasParams, u, E, du):
+    """alpha11 = 1 - (u/us)**(g+1), beta1 = (E - (g+1) u' u) u**(g-1) / us**(g+1)."""
     g = params.gamma
     us = params.u_sonic
-    ua = np.atleast_1d(np.asarray(u, dtype=float))
-    Ea = np.atleast_1d(np.asarray(E, dtype=float))
-    out = np.empty_like(ua)
-    near = np.abs(ua - us) < SONIC_SWITCH_BAND * us
-    if branch in (ACCELERATING, DECELERATING):
-        for i in np.nonzero(near)[0]:
-            out[i] = 1.0 / dx_du_critical(params, float(ua[i]), branch)
-    else:
-        near = np.zeros_like(near)
-    idx = np.nonzero(~near)[0]
-    den = us ** (g + 1.0) * np.expm1((g + 1.0) * np.log1p((ua[idx] - us) / us))
-    out[idx] = Ea[idx] * ua[idx] ** g / den
-    return out
+    alpha = 1.0 - (u / us) ** (g + 1.0)
+    beta = (E - (g + 1.0) * du * u) * u ** (g - 1.0) / us ** (g + 1.0)
+    return alpha, beta
 
 
 def kz_coefficients(params: GasParams, profile: Profile1D, x1):
@@ -612,7 +588,6 @@ def kz_coefficients(params: GasParams, profile: Profile1D, x1):
     xa = np.atleast_1d(np.asarray(x1, dtype=float))
     if np.any(xa < profile.x1[0] - 1e-12) or np.any(xa > profile.x1[-1] + 1e-12):
         raise ValueError("x1 out of profile range")
-    g = params.gamma
     us = params.u_sonic
     u = PchipInterpolator(profile.x1, profile.u)(np.clip(xa, profile.x1[0], profile.x1[-1]))
     E = PchipInterpolator(profile.x1, profile.E)(np.clip(xa, profile.x1[0], profile.x1[-1]))
@@ -620,9 +595,7 @@ def kz_coefficients(params: GasParams, profile: Profile1D, x1):
         exact = np.abs(xa - profile.l_s) <= 1e-14 * max(1.0, profile.l_s)
         u = np.where(exact, us, u)
         E = np.where(exact, 0.0, E)
-    du = _du_from_state(params, u, E, profile.branch)
-    alpha = 1.0 - (u / us) ** (g + 1.0)
-    beta = (E - (g + 1.0) * du * u) * u ** (g - 1.0) / us ** (g + 1.0)
+    alpha, beta = _kz_alpha_beta(params, u, E, _du_from_state(params, u, E, profile.branch))
     if np.isscalar(x1) or np.asarray(x1).ndim == 0:
         return float(alpha[0]), float(beta[0])
     return alpha, beta
@@ -654,8 +627,6 @@ class KZReport:
 
 def kz_check(params: GasParams, profile: Profile1D, ms=(0, 1, 2, 3)) -> KZReport:
     """Evaluate the sign condition on all samples via the closed representation."""
-    g = params.gamma
-    us = params.u_sonic
     u, E, du, x = profile.u, profile.E, profile.du, profile.x1
 
     per_m_min = {}
@@ -667,8 +638,7 @@ def kz_check(params: GasParams, profile: Profile1D, ms=(0, 1, 2, 3)) -> KZReport
     lam = min(per_m_min.values())
 
     # direct route: beta1 from the samples, d(alpha11)/dx1 by finite differences
-    alpha = 1.0 - (u / us) ** (g + 1.0)
-    beta = (E - (g + 1.0) * du * u) * u ** (g - 1.0) / us ** (g + 1.0)
+    alpha, beta = _kz_alpha_beta(params, u, E, du)
     hl = x[1:-1] - x[:-2]
     hr = x[2:] - x[1:-1]
     dalpha = (alpha[2:] * hl ** 2 - alpha[:-2] * hr ** 2
@@ -820,8 +790,10 @@ def verify_lemma(params: GasParams, inlet: InletData, *,
         lmax_report = locate_lmax(params, inlet, rtol=rtol, atol=atol)
     else:
         branch = OFF_CRITICAL
-        increasing = _slope(params, inlet.u0, inlet.E0) > 0.0
+        increasing = _rhs(params)(0.0, (inlet.u0, inlet.E0))[0] > 0.0
         guard = us * (1.0 - 2 * SONIC_SWITCH_BAND) if inlet.u0 < us else us * (1.0 + 2 * SONIC_SWITCH_BAND)
+        if increasing != (inlet.u0 < us):
+            guard = None  # the run moves away from the sonic speed: no guard ahead of it
         try:
             profile = integrate_profile(params, inlet, u_target=guard, x_max=20.0,
                                         rtol=rtol, atol=atol, n_samples=n_samples)
@@ -874,7 +846,6 @@ def verify_lemma(params: GasParams, inlet: InletData, *,
     else:
         visited = np.column_stack([profile.u, profile.E])
         if branch == ACCELERATING:
-            from .gas import find_u_star
             poly = _branch_polyline(params, branch, inlet.u0, find_u_star(params))
         else:
             poly = _branch_polyline(params, branch, float(profile.u[-1]), inlet.u0)

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sonicflow import keldysh, mixed2d
 from sonicflow.cli import main
@@ -51,6 +55,20 @@ def test_profile_subcommand(tmp_path):
     assert header == "x1,u,E,rho,p,Phi,phi_bar"
 
 
+def test_profile_off_critical_reports_failing_claims(tmp_path):
+    # off-critical inlets moving away from the sonic speed: a report, not an error
+    for u0 in (0.9, 1.2):
+        out = tmp_path / f"out{u0}"
+        cfg = base_cfg("profile", out, gas=GAS, inlet={"u0": u0, "E0": 0.01},
+                       stop={"x_max": 1.0}, emit={"svg": False})
+        assert main(["run", write_cfg(tmp_path, "c.json", cfg)]) == 0
+        check_manifest(out)
+        report = json.loads((out / "lemma_report.json").read_text())
+        assert report["branch"] == "off-critical" and report["passed"] is False
+        failed = {c["name"] for c in report["claims"] if not c["passed"]}
+        assert {"coverage", "sonic_crossing"} <= failed
+
+
 def test_phase_portrait_subcommand(tmp_path):
     out = tmp_path / "out"
     cfg = base_cfg("phase-portrait", out, gas=GAS, n=301)
@@ -98,6 +116,7 @@ def test_mixed_subcommand(tmp_path):
 
 def test_failed_run_leaves_no_artifacts(tmp_path, capsys, monkeypatch):
     # all are rejected before any solve: the 3x3 scan has too few abscissas,
+    # grid sizes must be at least 1 and a 1-cell x column has too few nodes,
     # the scan heights must be a non-empty list of numbers in [0, 1], and the
     # short accelerating channel has no sonic location
     solves = []
@@ -109,6 +128,9 @@ def test_failed_run_leaves_no_artifacts(tmp_path, capsys, monkeypatch):
     runs = {
         "keldysh": base_cfg("keldysh-solve", tmp_path / "keldysh",
                             grid={"nx": 3, "ny": 3}),
+        **{f"grid{i}": base_cfg("keldysh-solve", tmp_path / f"grid{i}", grid=grid)
+           for i, grid in enumerate(({"nx": 0, "ny": 3}, {"nx": 3, "ny": 0},
+                                     {"nx": 1, "ny": 3}))},
         **{f"scan{i}": base_cfg("keldysh-solve", tmp_path / f"scan{i}",
                                 scenario="manufactured", grid={"nx": 17, "ny": 17},
                                 scan={"y_fractions": fractions})
@@ -124,7 +146,7 @@ def test_failed_run_leaves_no_artifacts(tmp_path, capsys, monkeypatch):
         (out / "manifest.json").write_text("{}")  # left by an earlier run
         assert main(["run", write_cfg(tmp_path, name + ".json", cfg)]) == 1
         assert list(out.iterdir()) == []
-    assert capsys.readouterr().err.count("validation error") == 5
+    assert capsys.readouterr().err.count("validation error") == 8
     assert len(solves) == 0
 
 
@@ -171,6 +193,11 @@ def test_bad_schema_version_exit_1(tmp_path, capsys):
     cfg = base_cfg("profile", tmp_path / "out", gas=GAS)
     cfg["schema_version"] = 99
     assert main(["run", write_cfg(tmp_path, "c.json", cfg)]) == 1
+    # a config that is not an object at all
+    assert main(["run", write_cfg(tmp_path, "list.json", [cfg])]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["validation error: schema_version must be 1",
+                   "validation error: config must be an object"]
 
 
 def test_solver_failure_exit_2(tmp_path, capsys):
@@ -184,6 +211,14 @@ def test_solver_failure_exit_2(tmp_path, capsys):
 
 def test_missing_config_exit_1(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 1
+    # an output_dir that exists as a file is left as it is
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    cfg = base_cfg("phase-portrait", taken, gas=GAS, n=11)
+    assert main(["run", write_cfg(tmp_path, "c.json", cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[1].startswith("validation error: cannot create output_dir")
+    assert taken.read_text() == "keep"
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -243,3 +278,77 @@ def test_phase_portrait_needs_two_samples(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == ["validation error: n must be at least 2 samples, got 0",
                    "validation error: n must be at least 2 samples, got 1"]
+
+
+def test_profile_needs_two_samples(tmp_path, capsys):
+    for n in (0, 1):
+        cfg = base_cfg("profile", tmp_path / "out", gas=GAS,
+                       inlet={"u0": 0.95, "branch": "accelerating"},
+                       integrator={"n_samples": n})
+        assert main(["run", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        assert not (tmp_path / "out" / "profile.csv").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["validation error: n_samples must be at least 2, got 0",
+                   "validation error: n_samples must be at least 2, got 1"]
+
+
+# ---------------------------------------------------------------------------
+# config fuzzing: every config ends in exit 0, 1 or 2, never in a traceback
+# ---------------------------------------------------------------------------
+
+UPSTREAM = {"gamma": 2.0, "rho_inf": 1.0, "q_inf": 2.0}
+# cheap valid bodies for the fuzzer to break
+FUZZ_BODIES = {
+    "phase-portrait": {"gas": GAS, "n": 11},
+    "profile": {"gas": GAS, "inlet": {"u0": 0.9, "E0": 0.01}, "stop": {"x_max": 0.5},
+                "integrator": {"n_samples": 11}},
+    "kz-check": {"gas": GAS, "inlet": {"u0": 1.05, "branch": "decelerating"},
+                 "stop": {"u_target": 0.4}, "integrator": {"n_samples": 101}},
+    "keldysh-solve": {"scenario": "manufactured", "scan": {"y_fractions": [0.5]}},
+    "mixed-solve": {"gas": GAS, "inlet": {"u0": 1.05, "branch": "decelerating"},
+                    "channel": {"L": 0.5, "n1": 9, "n2": 5}},
+    "shock-polar": {"upstream": UPSTREAM, "n_samples": 16},
+    "geometry": {"upstream": UPSTREAM, "theta_w": 0.15},
+}
+JUNK = st.sampled_from([None, True, "x", -1, 0, 0.5, 2.5, [], [1], {}, {"k": 1}])
+
+
+@st.composite
+def fuzz_configs(draw):
+    """A valid config with up to three keys dropped or replaced by junk, or
+    junk in place of the whole config."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JUNK)
+    sub = draw(st.sampled_from(sorted(FUZZ_BODIES)))
+    cfg = json.loads(json.dumps(dict(FUZZ_BODIES[sub], schema_version=1, subcommand=sub,
+                                     emit={"svg": False})))
+    for _ in range(draw(st.integers(0, 3))):
+        paths = [(cfg, key) for key in cfg]
+        paths += [(blk, key) for blk in cfg.values() if isinstance(blk, dict) for key in blk]
+        if not paths:
+            break
+        blk, key = draw(st.sampled_from(paths))
+        if draw(st.booleans()):
+            del blk[key]
+        else:
+            blk[key] = draw(JUNK)
+    if sub == "keldysh-solve":
+        # grid sizes below the scan's minimum: no case reaches a solve
+        cfg["grid"] = {"nx": draw(st.integers(-2, 4)), "ny": draw(st.integers(-2, 4))}
+    return cfg
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(fuzz_configs(), st.booleans())
+def test_fuzzed_configs_exit_cleanly(cfg, outdir_is_file):
+    with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(cfg, dict):
+            out = os.path.join(tmp, "out")
+            if outdir_is_file:
+                with open(out, "w") as fh:
+                    fh.write("taken")
+            cfg = dict(cfg, output_dir=out)
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        assert main(["run", path]) in (0, 1, 2)

@@ -329,11 +329,13 @@ def test_verify_lemma_decelerating_gamma3(canonical):
 
 def test_verify_lemma_off_critical_coverage_fails(canonical):
     e0 = float(critical_field(canonical, 0.95))
-    rep = verify_lemma(canonical, InletData(0.95, e0 + 1e-3))
-    assert rep.branch == "off-critical"
-    assert not rep.claim("coverage").passed
-    assert not rep.claim("sonic_crossing").passed
-    assert not rep.passed
+    # toward the sonic speed, then away from it below and above
+    for inlet in (InletData(0.95, e0 + 1e-3), InletData(0.9, 0.01), InletData(1.2, 0.01)):
+        rep = verify_lemma(canonical, inlet)
+        assert rep.branch == "off-critical"
+        assert not rep.claim("coverage").passed
+        assert not rep.claim("sonic_crossing").passed
+        assert not rep.passed
 
 
 # ---------------------------------------------------------------------------
