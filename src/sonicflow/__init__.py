@@ -22,7 +22,7 @@ from .profile1d import (InletData, KZReport, LemmaReport, LmaxReport, Profile1D,
                         reconstruct_fields, verify_lemma)
 from .field2d import Field2D, field_to_csv
 from .keldysh import (KeldyshBC, KeldyshCoefficients, KeldyshDomain,
-                      KeldyshOptions, corner_probe, solve_model,
+                      KeldyshOptions, corner_probe, manufactured_scenario, solve_model,
                       sonic_derivative_scan, reference_scenario, verify_bounds)
 from .mixed2d import (BoundaryData2D, ChannelDomain, MixedOperatorSpec,
                       build_operator, solve_linear, sonic_smoothness_diag)

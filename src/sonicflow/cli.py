@@ -20,16 +20,17 @@ import math
 import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
 from . import __version__
 from .field2d import csv_text, field_csv_text
 from .gas import GasParams, critical_field, find_u_star
-from .keldysh import (KeldyshBC, KeldyshCoefficients, KeldyshConvergenceError,
-                      KeldyshDivergenceError, KeldyshDomain, KeldyshOptions,
-                      corner_probe, solve_model, sonic_derivative_scan,
-                      reference_scenario, verify_bounds, _Grid, _scan_abscissas)
+from .keldysh import (KeldyshConvergenceError, KeldyshDivergenceError, KeldyshOptions,
+                      corner_probe, manufactured_scenario, solve_model,
+                      sonic_derivative_scan, reference_scenario, verify_bounds, _Grid,
+                      _scan_abscissas)
 from .mixed2d import BoundaryData2D, ChannelDomain, build_operator, solve_linear, \
     sonic_smoothness_diag, _sonic_side_columns
 from .profile1d import (InletData, ProfileError, critical_inlet, integrate_profile,
@@ -55,7 +56,9 @@ _GAS = {"gamma": float, "S0": float, "J": float, "rho_ion": float}
 _INLET = {"u0": float, "E0": float, "branch": str}
 _STOP = {"x_max": float, "u_target": float}
 _INTEG = {"rtol": float, "atol": float, "n_samples": int}
-_EMIT = {"svg": bool, "svg_timestamp": bool}
+_BC = {"inlet_mode": str, "kind": str, "amplitude": float, "mode_k": int,
+       "anchor": float, "outlet_zero": bool}
+_EMIT = {"svg": bool}
 
 SCHEMAS = {
     "phase-portrait": {"gas": _GAS, "u_min": float, "u_max": float, "n": int},
@@ -72,8 +75,7 @@ SCHEMAS = {
     "mixed-solve": {
         "gas": _GAS, "inlet": _INLET,
         "channel": {"L": float, "n1": int, "n2": int},
-        "bc": {"inlet_mode": str, "kind": str, "amplitude": float, "mode_k": int,
-               "anchor": float, "outlet_zero": bool},
+        "bc": _BC,
         "source": {"kind": str, "amplitude": float, "wavenumber": float},
         "integrator": _INTEG,
     },
@@ -97,6 +99,8 @@ def _check_keys(block, schema, path):
         elif want is float:
             if not isinstance(val, (int, float)) or isinstance(val, bool):
                 raise ConfigError(f"{path + key} must be a number")
+            if not abs(val) <= sys.float_info.max:  # json reads NaN and Infinity
+                raise ConfigError(f"{path + key} must be a finite number, got {val}")
         elif want is int:
             if not isinstance(val, int) or isinstance(val, bool):
                 raise ConfigError(f"{path + key} must be an integer")
@@ -141,13 +145,19 @@ def _gas_from(cfg) -> GasParams:
     return GasParams(**_required(cfg, "gas", ("gamma", "S0", "J", "rho_ion")))
 
 
+def _given(blk, schema, keys=None) -> dict:
+    """The keys (default: all of `schema`) that block `blk` sets, converted to
+    their schema types.  Absent keys are left out, so that the library
+    function they are passed to supplies its own default."""
+    return {key: schema[key](blk[key]) for key in keys or schema if key in blk}
+
+
 def _inlet_from(cfg, params: GasParams) -> InletData:
     u0 = _required(cfg, "inlet", ("u0",))["u0"]
     blk = cfg["inlet"]
     if "E0" in blk:
         return InletData(u0=u0, E0=float(blk["E0"]))
-    branch = blk.get("branch", "accelerating")
-    return critical_inlet(params, u0, branch)
+    return critical_inlet(params, u0, **_given(blk, _INLET, ("branch",)))
 
 
 def _upstream_from(cfg) -> UpstreamState:
@@ -209,9 +219,8 @@ def _digest(path: str) -> dict:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _emit_opts(cfg):
-    emit = cfg.get("emit", {})
-    return emit.get("svg", True), emit.get("svg_timestamp", False)
+def _svg_on(cfg) -> bool:
+    return cfg.get("emit", {}).get("svg", True)
 
 
 def run_phase_portrait(cfg, aw: ArtifactWriter) -> None:
@@ -227,27 +236,20 @@ def run_phase_portrait(cfg, aw: ArtifactWriter) -> None:
     e_dec = np.asarray(critical_field(params, u, "decelerating"))
     aw.write_text("portrait.csv", csv_text("u,E_accelerating,E_decelerating",
                                            [u, e_acc, e_dec]))
-    svg_on, ts = _emit_opts(cfg)
-    if svg_on:
+    if _svg_on(cfg):
         line_plot(aw.path("portrait.svg"),
                   [(u, e_acc, "#1f77b4"), (u, e_dec, "#d62728")],
                   title="critical trajectories", xlabel="u", ylabel="E",
                   markers=[(params.u_sonic, 0.0, "u_s"), (params.u_bar, 0.0, "u_bar"),
-                           (ustar, 0.0, "u_*")],
-                  timestamp=ts)
-
-
-def _integrator_opts(cfg) -> dict:
-    """The integrator keys the config sets, as integrate_profile arguments;
-    absent ones keep its defaults."""
-    return {key: _INTEG[key](val) for key, val in cfg.get("integrator", {}).items()}
+                           (ustar, 0.0, "u_*")])
 
 
 def _profile_from(cfg, params):
     inlet = _inlet_from(cfg, params)
     stop = cfg.get("stop", {})
     return integrate_profile(params, inlet, x_max=stop.get("x_max"),
-                             u_target=stop.get("u_target"), **_integrator_opts(cfg)), inlet
+                             u_target=stop.get("u_target"),
+                             **_given(cfg.get("integrator", {}), _INTEG)), inlet
 
 
 def _lemma_json(report):
@@ -274,13 +276,11 @@ def run_profile(cfg, aw: ArtifactWriter) -> None:
     aw.write_text("profile.csv", profile_csv_text(profile))
     report = verify_lemma(params, inlet)
     aw.write_json("lemma_report.json", _lemma_json(report))
-    svg_on, ts = _emit_opts(cfg)
-    if svg_on:
+    if _svg_on(cfg):
         line_plot(aw.path("profile.svg"),
                   [(profile.x1, profile.u, "#1f77b4"), (profile.x1, profile.E, "#d62728")],
                   title="profile: u (blue), E (red)", xlabel="x1", ylabel="value",
-                  markers=[(profile.l_s, params.u_sonic, "l_s")] if profile.l_s else [],
-                  timestamp=ts)
+                  markers=[(profile.l_s, params.u_sonic, "l_s")] if profile.l_s else [])
 
 
 def run_kz_check(cfg, aw: ArtifactWriter) -> None:
@@ -298,33 +298,25 @@ def run_kz_check(cfg, aw: ArtifactWriter) -> None:
         "agreement_rel_max": report.agreement_rel_max,
         "branch": profile.branch,
     })
-    svg_on, ts = _emit_opts(cfg)
-    if svg_on:
+    if _svg_on(cfg):
         line_plot(aw.path("coefficients.svg"),
                   [(profile.x1, alpha, "#1f77b4"), (profile.x1, beta, "#d62728")],
-                  title="alpha11 (blue), beta1 (red)", xlabel="x1", ylabel="value",
-                  timestamp=ts)
+                  title="alpha11 (blue), beta1 (red)", xlabel="x1", ylabel="value")
+
+
+_SCENARIOS = {"reference": reference_scenario, "manufactured": manufactured_scenario}
 
 
 def run_keldysh(cfg, aw: ArtifactWriter) -> None:
+    schema = SCHEMAS["keldysh-solve"]
+    opts = KeldyshOptions(**_given(cfg.get("grid", {}), schema["grid"]),
+                          **_given(cfg.get("solver", {}), schema["solver"]))
     scenario = cfg.get("scenario", "reference")
-    a = float(cfg.get("a", 4.0))
-    b = float(cfg.get("b", 1.0))
-    eps0 = float(cfg.get("eps0", 0.5))
-    # grid and solver keys are KeldyshOptions fields; absent ones keep its defaults
-    opts = KeldyshOptions(**cfg.get("grid", {}), **cfg.get("solver", {}))
-    if scenario == "reference":
-        dom, coeffs, bc = reference_scenario(eps0=eps0, a=a, b=b,
-                                           o_scale=float(cfg.get("o_scale", 0.05)))
-    elif scenario == "manufactured":
-        dom = KeldyshDomain(eps0=eps0, f=lambda x: 1.0 + x, fp=lambda x: 1.0,
-                            fpp=lambda x: 0.0, omega=1.0)
-        coeffs = KeldyshCoefficients(a=a, b=b)
-        exact = lambda x: x * x / (2.0 * a)
-        bc = KeldyshBC(top_mode="dirichlet", top_data=exact,
-                       right_data=lambda y: exact(eps0))
-    else:
+    if scenario not in _SCENARIOS:
         raise ConfigError(f"unknown keldysh scenario {scenario!r}")
+    if scenario != "reference" and "o_scale" in cfg:
+        raise ConfigError(f"o_scale applies to the reference scenario only, not {scenario!r}")
+    dom, coeffs, bc = _SCENARIOS[scenario](**_given(cfg, schema, ("eps0", "a", "b", "o_scale")))
     coeffs.validate_bounds(dom)
     # the scan abscissas depend on the grid alone: reject a coarse grid unsolved
     _scan_abscissas(_Grid(dom, opts.nx, opts.ny, opts.grading).x)
@@ -339,28 +331,27 @@ def run_keldysh(cfg, aw: ArtifactWriter) -> None:
     cols = [scan.x_k] + [scan.table[i] for i in range(len(scan.y_values))]
     hdr = "x," + ",".join(f"psi_xx_y{fr:g}" for fr in fractions)
     aw.write_text("scan.csv", csv_text(hdr, cols))
-    probe = corner_probe(fld, c=float(cfg.get("corner", {}).get("c", 1.0)))
+    probe = corner_probe(fld, **_given(cfg.get("corner", {}), schema["corner"]))
     bounds = verify_bounds(fld, coeffs)
     aw.write_json("diagnostics.json", {
         "iterations": fld.metadata["iterations"],
         "residual": fld.metadata["residual"],
         "clamp_active": fld.metadata["clamp_active"],
         "scan_limits": scan.limits,
-        "scan_target": 1.0 / a,
+        "scan_target": 1.0 / coeffs.a,
         "corner": {"tangential": probe.limit_tangential,
                    "hugging": probe.limit_hugging, "gap": probe.gap},
         "bounds": {"psi_min": bounds.psi_min, "psi_nonneg": bounds.psi_nonneg,
                    "L": bounds.quadratic_L, "mu": bounds.mu, "delta": bounds.delta},
     })
-    svg_on, ts = _emit_opts(cfg)
-    if svg_on:
+    if _svg_on(cfg):
         heatmap(aw.path("field.svg"), fld.x, fld.y, fld.values,
-                title="degenerate-model solution", xlabel="x", ylabel="y", timestamp=ts)
+                title="degenerate-model solution", xlabel="x", ylabel="y")
         series = [(scan.x_k, scan.table[i], color)
                   for i, color in zip(range(len(scan.y_values)),
                                       ("#1f77b4", "#d62728", "#2ca02c", "#9467bd"))]
         line_plot(aw.path("scan.svg"), series, title="psi_xx traces toward x=0",
-                  xlabel="x", ylabel="psi_xx", timestamp=ts)
+                  xlabel="x", ylabel="psi_xx")
 
 
 def run_mixed(cfg, aw: ArtifactWriter) -> None:
@@ -368,9 +359,9 @@ def run_mixed(cfg, aw: ArtifactWriter) -> None:
     inlet = _inlet_from(cfg, params)
     chan = cfg.get("channel", {})
     L = float(chan.get("L", 2.0))
-    # n1 and n2 are ChannelDomain fields; absent ones keep its defaults
-    dom = ChannelDomain(**dict(chan, L=L))
-    profile = integrate_profile(params, inlet, x_max=1.02 * L, **_integrator_opts(cfg))
+    dom = ChannelDomain(L=L, **_given(chan, SCHEMAS["mixed-solve"]["channel"], ("n1", "n2")))
+    profile = integrate_profile(params, inlet, x_max=1.02 * L,
+                                **_given(cfg.get("integrator", {}), _INTEG))
     if profile.x1[-1] < L:
         raise ConfigError(f"profile terminates at x1={profile.x1[-1]:.6g} < L={L}; "
                           "shorten the channel")
@@ -387,9 +378,8 @@ def run_mixed(cfg, aw: ArtifactWriter) -> None:
     else:
         raise ConfigError(f"unknown inlet data kind {kind!r}")
     outlet = (lambda x2: 0.0) if bc_blk.get("outlet_zero") else None
-    bc = BoundaryData2D(inlet_mode=bc_blk.get("inlet_mode", "dirichlet"),
-                        inlet_data=data, outlet_data=outlet,
-                        anchor=float(bc_blk.get("anchor", 0.0)))
+    bc = BoundaryData2D(inlet_data=data, outlet_data=outlet,
+                        **_given(bc_blk, _BC, ("inlet_mode", "anchor")))
     src = cfg.get("source", {})
     s_kind = src.get("kind", "zero")
     if s_kind == "zero":
@@ -410,16 +400,14 @@ def run_mixed(cfg, aw: ArtifactWriter) -> None:
         "d2w_jump": diag.d2w_jump, "kz_holds": spec.kz_holds,
         "residual": fld.metadata["residual"], "modes": fld.metadata["n2"],
     })
-    svg_on, ts = _emit_opts(cfg)
-    if svg_on:
+    if _svg_on(cfg):
         heatmap(aw.path("solution.svg"), fld.x, fld.y, fld.values,
-                title="mixed-type channel solution", xlabel="x1", ylabel="x2",
-                timestamp=ts)
+                title="mixed-type channel solution", xlabel="x1", ylabel="x2")
 
 
 def run_shock_polar(cfg, aw: ArtifactWriter) -> None:
     state = _upstream_from(cfg)
-    curve = compute_polar(state, n_samples=int(cfg.get("n_samples", 2048)))
+    curve = compute_polar(state, **_given(cfg, SCHEMAS["shock-polar"], ("n_samples",)))
     aw.write_text("polar.csv", csv_text("sigma,u1,u2,rho,deflection",
                                         [curve.sigma, curve.u1, curve.u2,
                                          curve.rho, curve.deflection]))
@@ -429,8 +417,7 @@ def run_shock_polar(cfg, aw: ArtifactWriter) -> None:
         "normal_state": {"u": curve.normal_state[0], "rho": curve.normal_state[1]},
         "max_rh_residual": float(np.max(curve.residuals)),
     })
-    svg_on, ts = _emit_opts(cfg)
-    if svg_on:
+    if _svg_on(cfg):
         u1 = np.concatenate([curve.u1, curve.u1[::-1]])
         u2 = np.concatenate([curve.u2, -curve.u2[::-1]])
         wk, _, _ = weak_state(curve, curve.theta_sonic)
@@ -438,8 +425,7 @@ def run_shock_polar(cfg, aw: ArtifactWriter) -> None:
                   title="shock polar", xlabel="u1", ylabel="u2",
                   markers=[(curve.normal_state[0], 0.0, "normal"),
                            (state.q_inf, 0.0, "vanishing"),
-                           (wk[0], wk[1], "sonic")],
-                  timestamp=ts)
+                           (wk[0], wk[1], "sonic")])
 
 
 def run_geometry(cfg, aw: ArtifactWriter) -> None:
@@ -449,7 +435,7 @@ def run_geometry(cfg, aw: ArtifactWriter) -> None:
     curve = compute_polar(state)
     u_vec, rho0, sigma = weak_state(curve, theta_w)
     ss = SelfSimilarState(gamma=state.gamma, u0_vec=(float(u_vec[0]), float(u_vec[1])),
-                         rho0=rho0, k=float(cfg.get("k", 0.0)))
+                         rho0=rho0, **_given(cfg, SCHEMAS["geometry"], ("k",)))
     geo = pseudo_sonic_geometry(ss, theta_w, configuration)
     u_ns, rho_ns = normal_shock(state)
     aw.write_json("states.json", {
@@ -463,13 +449,12 @@ def run_geometry(cfg, aw: ArtifactWriter) -> None:
     })
     arc = geo.arc_points(0.0, 2.0 * math.pi, 361)
     aw.write_text("sonic_arc.csv", csv_text("xi1,xi2", [arc[:, 0], arc[:, 1]]))
-    svg_on, ts = _emit_opts(cfg)
-    if svg_on:
+    if _svg_on(cfg):
         r = ss.sonic_radius
         span = max(state.q_inf, abs(ss.u0_vec[0]) + r) * 1.2
         cv = SvgCanvas((-0.2 * span, span), (-0.7 * span, 0.7 * span),
                        title=f"configuration ({configuration})", xlabel="xi1",
-                       ylabel="xi2", timestamp=ts)
+                       ylabel="xi2")
         # wedge
         wedge_len = span
         cv.line(0.0, 0.0, wedge_len, wedge_len * math.tan(theta_w), color="#000000", width=2)
@@ -511,12 +496,27 @@ def _resolve_outdir(cfg, config_path: str) -> str:
     return outdir
 
 
+def _write_manifest(aw: ArtifactWriter, sub: str, cfg: dict, t0: float) -> None:
+    manifest = {
+        "schema_version": SCHEMA_VERSION,
+        "subcommand": sub,
+        "tool_version": __version__,
+        "config": cfg,
+        "wall_time_s": time.perf_counter() - t0,
+        "outputs": [{"name": name, **_digest(os.path.join(aw.outdir, name))}
+                    for name in aw.files],
+    }
+    with open(os.path.join(aw.outdir, "manifest.json"), "w", newline="") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def run_config(config_path: str) -> int:
     t0 = time.perf_counter()
     try:
         with open(config_path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read config {config_path}: {exc}", file=sys.stderr)
         return 1
     aw = None
@@ -524,6 +524,7 @@ def run_config(config_path: str) -> int:
         sub = validate_config(cfg)
         aw = ArtifactWriter(_resolve_outdir(cfg, config_path))
         HANDLERS[sub](cfg, aw)
+        _write_manifest(aw, sub, cfg, t0)
     except (ConfigError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         code = 1
@@ -531,29 +532,17 @@ def run_config(config_path: str) -> int:
             RuntimeError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         code = 2
+    except Exception as exc:  # a defect: one line naming where it was raised, not a traceback
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message} "
+              f"({os.path.basename(where.filename)}:{where.lineno})", file=sys.stderr)
+        code = 2
     else:
-        code = 0
-    if code:
-        if aw is not None:
-            aw.discard()
-        return code
-
-    outputs = []
-    for name in aw.files:
-        info = _digest(os.path.join(aw.outdir, name))
-        outputs.append({"name": name, **info})
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": sub,
-        "tool_version": __version__,
-        "config": cfg,
-        "wall_time_s": time.perf_counter() - t0,
-        "outputs": outputs,
-    }
-    with open(os.path.join(aw.outdir, "manifest.json"), "w", newline="") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return 0
+        return 0
+    if aw is not None:
+        aw.discard()
+    return code
 
 
 def run_sweep(config_paths, jobs: int | None = None) -> int:

@@ -54,6 +54,13 @@ class GasParams:
             raise ValueError(f"J must be > 0, got {self.J}")
         if not self.rho_ion > 0.0:
             raise ValueError(f"rho_ion must be > 0, got {self.rho_ion}")
+        try:
+            us = self.u_sonic
+        except OverflowError:
+            us = math.inf
+        if not 0.0 < us < math.inf:
+            raise ValueError(f"u_sonic = (gamma*S0*J**(gamma-1))**(1/(gamma+1)) "
+                             f"must be finite and > 0, got {us}")
 
     @property
     def u_sonic(self) -> float:
@@ -185,7 +192,7 @@ def _branch_sign(branch: str) -> float:
     raise ValueError(f"branch must be '{ACCELERATING}' or '{DECELERATING}', got {branch!r}")
 
 
-def critical_field(params: GasParams, u, branch: str = ACCELERATING, tol: float = 1e-12):
+def critical_field(params: GasParams, u, branch: str = ACCELERATING):
     """Field value E on the critical level set (1/2)E^2 = H(u).
 
     The sign follows the branch convention: (u - u_sonic)*E >= 0 on the
@@ -196,22 +203,24 @@ def critical_field(params: GasParams, u, branch: str = ACCELERATING, tol: float 
     s = _branch_sign(branch)
     ua = _check_u(u)
     h = np.asarray(enthalpy(params, ua), dtype=float)
-    if np.any(h < -tol):
+    if np.any(h < -1e-12):
         raise ValueError("H(u) < 0 beyond tolerance: state outside the critical set")
     out = s * np.sign(ua - params.u_sonic) * np.sqrt(2.0 * np.maximum(h, 0.0))
     return out if out.ndim else float(out)
 
 
-def find_u_star(params: GasParams, method: str = "brent", tol: float = 1e-13) -> float:
+def find_u_star(params: GasParams, method: str = "brent") -> float:
     """Second zero u* > u_bar of H; endpoint of the accelerating branch.
 
     H rises from 0 at u_sonic, peaks at u_bar and decreases afterwards, so
     for zeta0 > 1 there is exactly one root beyond u_bar.  Found by
-    bracketing plus either Brent's method or plain bisection.
+    bracketing plus either Brent's method or plain bisection, each to an
+    absolute tolerance of 1e-13.
     """
     if not params.zeta0 > 1.0:
         raise ValueError(f"find_u_star requires zeta0 > 1, got {params.zeta0}")
     ub = params.u_bar
+    tol = 1e-13
     lo = ub * (1.0 + 1e-9)
     hi = 2.0 * ub
     f = lambda x: float(enthalpy(params, x))

@@ -186,7 +186,6 @@ class KeldyshOptions:
     grading: float = 2.0
     max_iter: int = 120
     tol: float = 1e-11
-    clamp: float = 1e-3
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
@@ -194,6 +193,10 @@ class KeldyshOptions:
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
+
+# c1 is clamped below at _CLAMP * 2x, which keeps the frozen problem elliptic
+# for x > 0
+_CLAMP = 1e-3
 
 # smallest step factor t the natural monotonicity test tries before it gives
 # up; on the reference scenario at 97^2 near (a, o_scale, eps0) = (4.05, 0.055,
@@ -278,8 +281,8 @@ class _Stencil:
     values on the one pattern.
     """
 
-    def __init__(self, grid, a, O1, clamp, rows, cols, m0, p, d, rhs):
-        self.grid, self.a, self.O1, self.clamp = grid, a, O1, clamp
+    def __init__(self, grid, a, O1, rows, cols, m0, p, d, rhs):
+        self.grid, self.a, self.O1 = grid, a, O1
         n = rhs.size
         order = np.lexsort((rows, cols))
         self.rows = rows[order]
@@ -303,12 +306,11 @@ class _Stencil:
     def evaluate(self, w):
         """F(w), the clamped c1(w), the mask of unclamped nodes, and P w.
 
-        c1 = max(2x - a psi_x + O1, clamp 2x) keeps the frozen problem
-        elliptic for x > 0.
+        c1 = max(2x - a psi_x + O1, _CLAMP * 2x).
         """
         X = self.grid.X
         c1_raw = 2.0 * X - self.a * _psi_x_nodes(self.grid, w) + self.O1
-        c1_floor = self.clamp * 2.0 * X
+        c1_floor = _CLAMP * 2.0 * X
         c1 = np.maximum(c1_raw, c1_floor)
         pw = self.P @ w.ravel()
         return self.M0 @ w.ravel() + c1.ravel() * pw - self.rhs, c1, c1_raw >= c1_floor, pw
@@ -388,7 +390,7 @@ def _assemble(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
     put(node(nx, i), node(nx, i), 1.0)
     rhs[node(nx, i)] = [float(bc.right_data(y)) for y in grid.Y[nx, :]]
 
-    return _Stencil(grid, coeffs.a, O1, opts.clamp, np.concatenate(rows),
+    return _Stencil(grid, coeffs.a, O1, np.concatenate(rows),
                     np.concatenate(cols), *(np.concatenate(v) for v in vals), rhs)
 
 
@@ -398,7 +400,7 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
     """Solve the discrete model equation by semismooth Newton iteration.
 
     The unknowns solve F(w) = M(c1(w)) w - rhs = 0, where the principal
-    coefficient c1 = max(2x - a psi_x + O1, clamp*2x) is clamped below to
+    coefficient c1 = max(2x - a psi_x + O1, 1e-3*2x) is clamped below to
     keep the problem elliptic for x > 0.  The Jacobian
 
         J = M0 + diag(c1) P - a diag((P w) * unclamped) D
@@ -519,37 +521,41 @@ def _interp_field(fld: Field2D, arr: np.ndarray, x: float, y: float) -> float:
 
 
 def _aitken(seq):
-    """Accelerated limit of a geometric-ish sequence, with the estimates."""
-    ests = []
-    for m in range(2, len(seq)):
-        d1 = seq[m - 1] - seq[m - 2]
-        d2 = seq[m] - seq[m - 1]
-        if d1 == 0.0 or abs(d2 / d1) >= 0.99:
-            ests.append(seq[m])
-        else:
-            r = d2 / d1
-            ests.append(seq[m] + d2 * r / (1.0 - r))
-    return (ests[-1] if ests else seq[-1]), ests
+    """Aitken-accelerated limit of a geometric-ish sequence from its last three
+    terms; the last term when there are fewer or the ratio is near 1."""
+    if len(seq) < 3:
+        return seq[-1]
+    d1 = seq[-2] - seq[-3]
+    d2 = seq[-1] - seq[-2]
+    if d1 == 0.0 or abs(d2 / d1) >= 0.99:
+        return seq[-1]
+    r = d2 / d1
+    return seq[-1] + d2 * r / (1.0 - r)
 
 
-def _scan_abscissas(xcol, k_min: int = 1, k_max: int | None = None) -> np.ndarray:
-    """x_k = eps0 * 2**-k, k >= k_min, down to the third node of the x column.
+def _dyadic_abscissas(xcol, k_first: int) -> np.ndarray:
+    """x_k = eps0 * 2**-k for k = k_first, k_first + 1, ..., down to the third
+    node of the x column (eps0 is its last node)."""
+    eps0 = float(xcol[-1])
+    k = k_first
+    while eps0 * 2.0 ** (-k) >= xcol[2]:
+        k += 1
+    return eps0 * 2.0 ** (-np.arange(k_first, k, dtype=float))
+
+
+def _scan_abscissas(xcol) -> np.ndarray:
+    """The scan's x_k = eps0 * 2**-k, k >= 1, down to the third node.
 
     The grid alone fixes them, so a run can be rejected before it solves.
     Raises InsufficientGradingError when fewer than three are resolvable.
     """
     if len(xcol) < 3:
         raise InsufficientGradingError(f"x column has {len(xcol)} nodes; need at least 3")
-    eps0 = float(xcol[-1])
-    ks = []
-    k = k_min
-    while eps0 * 2.0 ** (-k) >= xcol[2] and (k_max is None or k <= k_max):
-        ks.append(k)
-        k += 1
-    if len(ks) < 3:
+    x_k = _dyadic_abscissas(xcol, 1)
+    if len(x_k) < 3:
         raise InsufficientGradingError(
-            f"only {len(ks)} trace abscissas resolvable; refine the grid or grading")
-    return eps0 * 2.0 ** (-np.asarray(ks, dtype=float))
+            f"only {len(x_k)} trace abscissas resolvable; refine the grid or grading")
+    return x_k
 
 
 @dataclass(frozen=True)
@@ -561,18 +567,16 @@ class ScanReport:
     x_k: np.ndarray
     table: np.ndarray  # (len(y), len(x_k))
     limits: np.ndarray
-    aitken_estimates: list
 
 
-def sonic_derivative_scan(fld: Field2D, y_values, k_min: int = 1,
-                          k_max: int | None = None) -> ScanReport:
+def sonic_derivative_scan(fld: Field2D, y_values) -> ScanReport:
     """Trace psi_xx toward the degenerate boundary and extrapolate the limit.
 
     Heights within one top cell of f(0) are flagged corner-contaminated and
     excluded from pass/fail use.  Raises InsufficientGradingError when fewer
     than three abscissas are resolvable on the grid.
     """
-    x_k = _scan_abscissas(fld.x[:, 0], k_min, k_max)
+    x_k = _scan_abscissas(fld.x[:, 0])
     _, _, psi_xx = structured_derivatives(fld)
     f0 = float(fld.y[0, -1])
     top_cell = f0 / (fld.shape[1] - 1)
@@ -581,15 +585,12 @@ def sonic_derivative_scan(fld: Field2D, y_values, k_min: int = 1,
 
     table = np.empty((len(y_values), len(x_k)))
     limits = np.empty(len(y_values))
-    ests_all = []
     for iy, yv in enumerate(y_values):
         for jx, xv in enumerate(x_k):
             table[iy, jx] = _interp_field(fld, psi_xx, float(xv), float(yv))
-        lim, ests = _aitken(list(table[iy, ::-1]))  # ascending toward x -> 0
-        limits[iy] = lim
-        ests_all.append(ests)
+        limits[iy] = _aitken(list(table[iy, ::-1]))  # ascending toward x -> 0
     return ScanReport(y_values=y_values, corner_contaminated=contaminated,
-                      x_k=x_k, table=table, limits=limits, aitken_estimates=ests_all)
+                      x_k=x_k, table=table, limits=limits)
 
 
 @dataclass(frozen=True)
@@ -617,15 +618,9 @@ def corner_probe(fld: Field2D, c: float = 1.0) -> CornerProbe:
     """
     _, _, psi_xx = structured_derivatives(fld)
     xcol = fld.x[:, 0]
-    eps0 = float(xcol[-1])
     f0 = float(fld.y[0, -1])
     ftop = fld.y[:, -1]
-    ks = []
-    k = 2
-    while eps0 * 2.0 ** (-k) >= xcol[2]:
-        ks.append(k)
-        k += 1
-    x_m = eps0 * 2.0 ** (-np.asarray(ks, dtype=float))
+    x_m = _dyadic_abscissas(xcol, 2)
     tang = np.empty(len(x_m))
     hug = np.empty(len(x_m))
     for m, xv in enumerate(x_m):
@@ -634,10 +629,9 @@ def corner_probe(fld: Field2D, c: float = 1.0) -> CornerProbe:
         fx = float(np.interp(xv, xcol, ftop))
         y2 = fx - c * xv * xv
         hug[m] = _interp_field(fld, psi_xx, float(xv), float(max(y2, 0.0)))
-    lim_t, _ = _aitken(list(tang[::-1]))
-    lim_h, _ = _aitken(list(hug[::-1]))
     return CornerProbe(x_m=x_m, tangential=tang, hugging=hug,
-                       limit_tangential=lim_t, limit_hugging=lim_h)
+                       limit_tangential=_aitken(list(tang[::-1])),
+                       limit_hugging=_aitken(list(hug[::-1])))
 
 
 @dataclass(frozen=True)
@@ -681,6 +675,19 @@ def reference_scenario(eps0: float = 0.5, a: float = 4.0, b: float = 1.0,
     bc = KeldyshBC(top_mode="oblique", top_data=lambda x: 0.0,
                    right_data=lambda y: eps0 ** 2 / (2.0 * a) * (1.0 - 0.5 * (y / f_eps) ** 2))
     return dom, coeffs, bc
+
+
+def manufactured_scenario(eps0: float = 0.5, a: float = 4.0, b: float = 1.0):
+    """Manufactured scenario with exact solution psi = x**2/(2a): (domain, coeffs, bc).
+
+    The reference domain f(x) = 1 + x, no perturbation terms, and Dirichlet
+    data from the exact solution on the top and right edges.
+    """
+    dom = KeldyshDomain(eps0=eps0, f=lambda x: 1.0 + x, fp=lambda x: 1.0,
+                        fpp=lambda x: 0.0, omega=1.0)
+    exact = lambda x: x * x / (2.0 * a)
+    bc = KeldyshBC(top_mode="dirichlet", top_data=exact, right_data=lambda y: exact(eps0))
+    return dom, KeldyshCoefficients(a=a, b=b), bc
 
 
 def verify_bounds(fld: Field2D, coeffs: KeldyshCoefficients) -> BoundChecks:

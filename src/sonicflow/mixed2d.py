@@ -141,10 +141,10 @@ class BoundaryData2D:
         if self.inlet_data is None:
             object.__setattr__(self, "inlet_data", lambda x2: 0.0)
 
-    def validate_compatibility(self, x2: np.ndarray, rel_tol: float = 0.1) -> None:
+    def validate_compatibility(self, x2: np.ndarray) -> None:
         """Odd x2-derivatives of the inlet data must vanish at the walls.
 
-        A sampled check: the one-sided wall slope must be small relative to
+        A sampled check: the one-sided wall slope must be at most 0.1 times
         the interior slope scale (gross violations are caught; finite-
         difference truncation on smooth compatible data is not).
         """
@@ -158,7 +158,7 @@ class BoundaryData2D:
         d_lo = abs(-3 * g[0] + 4 * g[1] - g[2]) / (2 * h)
         d_hi = abs(3 * g[-1] - 4 * g[-2] + g[-3]) / (2 * h)
         slope_scale = max(float(np.max(np.abs(np.diff(g)))) / h, scale)
-        if max(d_lo, d_hi) > rel_tol * slope_scale + 1e-12:
+        if max(d_lo, d_hi) > 0.1 * slope_scale + 1e-12:
             raise ValueError("inlet data has nonvanishing odd derivative at the walls")
 
 

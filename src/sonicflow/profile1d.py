@@ -202,8 +202,7 @@ def integrate_profile(params: GasParams, inlet: InletData, *,
                       u_target: float | None = None,
                       rtol: float = 1e-10,
                       atol: float = 1e-12,
-                      n_samples: int = 4001,
-                      critical_tol: float = 1e-9) -> Profile1D:
+                      n_samples: int = 4001) -> Profile1D:
     """Integrate the profile from the inlet until a stop condition.
 
     Critical-branch data is carried through the sonic point by switching to
@@ -219,7 +218,7 @@ def integrate_profile(params: GasParams, inlet: InletData, *,
     if abs(u0 - us) <= SONIC_BAND * us:
         raise ValueError("degenerate inlet: exactly-sonic data is a fixed point "
                          "of the desingularized flow and is rejected")
-    cls = classify_state(params, PhaseState(u0, E0), tol=critical_tol)
+    cls = classify_state(params, PhaseState(u0, E0), tol=1e-9)
     on_critical = cls.on_critical
     if on_critical:
         branch = DECELERATING if cls.branch == BOUNDARY else cls.branch
@@ -405,18 +404,11 @@ def integrate_profile(params: GasParams, inlet: InletData, *,
                      du=du_out, l_s=l_s, l_max=l_max, terminated=terminated)
 
 
-def conservation_defect(profile: Profile1D, relative: bool = False) -> float:
-    """max over samples of |(1/2)E^2 - H(u) - (1/2)E0^2 + H(u0)|.
-
-    With relative=True each sample defect is divided by max(1, |E^2/2| + |H|),
-    which is the meaningful gauge on decelerating runs where E diverges.
-    """
+def conservation_defect(profile: Profile1D) -> float:
+    """max over samples of |(1/2)E^2 - H(u) - (1/2)E0^2 + H(u0)|."""
     H = np.asarray(enthalpy(profile.params, profile.u))
     ke = 0.5 * profile.E ** 2
-    defect = np.abs((ke - H) - (ke[0] - H[0]))
-    if relative:
-        defect = defect / np.maximum(1.0, np.abs(ke) + np.abs(H))
-    return float(np.max(defect))
+    return float(np.max(np.abs((ke - H) - (ke[0] - H[0]))))
 
 
 def locate_sonic(profile: Profile1D) -> float:
@@ -475,9 +467,11 @@ def _x_extent_accelerating(params: GasParams, u0: float) -> float:
     return _gauss_pieces(tail, x, 0.0, math.sqrt(ustar - u_mid), 8, 48)
 
 
+#: x beyond which `locate_lmax` reports a decelerating extent infinite.
+LMAX_HORIZON = 1e3
+
+
 def locate_lmax(params: GasParams, inlet: InletData, *,
-                horizon: float = 1e3,
-                ratio_threshold: float = 0.97,
                 n_floors: int = 14,
                 ode_profile: Profile1D | None = None,
                 rtol: float = 1e-10, atol: float = 1e-12) -> LmaxReport:
@@ -488,7 +482,7 @@ def locate_lmax(params: GasParams, inlet: InletData, *,
     Decelerating: the extent x(u) is tracked on dyadic velocity floors
     u_k = u_sonic * 2**-k; the increments shrink geometrically iff the full
     extent is finite (gamma < 2).  The report flags "infinite" when the
-    mean increment ratio reaches ratio_threshold or x exceeds the horizon.
+    mean increment ratio reaches 0.97 or x exceeds LMAX_HORIZON.
     This is an operational diagnosis, not a proof.
     """
     cls = classify_state(params, PhaseState(inlet.u0, inlet.E0), tol=1e-9)
@@ -505,7 +499,7 @@ def locate_lmax(params: GasParams, inlet: InletData, *,
             ode_val = prof.l_max
         return LmaxReport(branch=ACCELERATING, finite=True, value=quad_val,
                           u_floors=None, x_at_floors=None, increment_ratios=None,
-                          ratio_mean=None, horizon=horizon,
+                          ratio_mean=None, horizon=LMAX_HORIZON,
                           method_values={"quadrature": quad_val, "ode": ode_val})
 
     fn = lambda t: dx_du_critical(params, t, DECELERATING)
@@ -531,14 +525,14 @@ def locate_lmax(params: GasParams, inlet: InletData, *,
         if d1 != 0.0 and abs(d2 / d1) < 0.95:
             rho = d2 / d1
             rbar = float(ratios[-1] + d2 * rho / (1.0 - rho))
-    if xs[-1] > horizon or rbar >= ratio_threshold:
+    if xs[-1] > LMAX_HORIZON or rbar >= 0.97:
         return LmaxReport(branch=DECELERATING, finite=False, value=None,
                           u_floors=floors, x_at_floors=xs, increment_ratios=ratios,
-                          ratio_mean=rbar, horizon=horizon, method_values={})
+                          ratio_mean=rbar, horizon=LMAX_HORIZON, method_values={})
     l_tilde = float(xs[-1] + inc[-1] * rbar / (1.0 - rbar))
     return LmaxReport(branch=DECELERATING, finite=True, value=l_tilde,
                       u_floors=floors, x_at_floors=xs, increment_ratios=ratios,
-                      ratio_mean=rbar, horizon=horizon, method_values={"extrapolated": l_tilde})
+                      ratio_mean=rbar, horizon=LMAX_HORIZON, method_values={"extrapolated": l_tilde})
 
 
 def reconstruct_fields(params: GasParams, profile: Profile1D) -> Profile1D:
@@ -760,18 +754,16 @@ def _branch_polyline(params: GasParams, branch: str, u_lo: float, u_hi: float) -
 
 
 def verify_lemma(params: GasParams, inlet: InletData, *,
-                 u_floor: float | None = None,
-                 hausdorff_tol: float = 1e-6,
-                 slope_tol: float = 1e-6,
-                 rtol: float = 1e-10, atol: float = 1e-12,
-                 n_samples: int = 4001) -> LemmaReport:
+                 rtol: float = 1e-10, atol: float = 1e-12) -> LemmaReport:
     """Run the full pipeline and check the qualitative profile properties.
 
     Checks, per branch: (i) strict monotonicity of u, (ii) vanishing terminal
-    slope (plus diverging field on the decelerating branch), (iii) the visited
-    (u, E) polyline covers the analytic critical branch within hausdorff_tol,
-    (iv) a unique sonic crossing.  Off-critical inlets are integrated only up
-    to the sonic band; their coverage and crossing claims fail by design.
+    slope, |u'| <= 1e-6 (plus diverging field on the decelerating branch),
+    (iii) the visited (u, E) polyline covers the analytic critical branch
+    within Hausdorff distance 1e-6, (iv) a unique sonic crossing.  Profiles
+    take integrate_profile's default 4001 samples; decelerating runs stop at
+    u_sonic/50.  Off-critical inlets are integrated only up to the sonic band;
+    their coverage and crossing claims fail by design.
     """
     us = params.u_sonic
     cls = classify_state(params, PhaseState(inlet.u0, inlet.E0), tol=1e-9)
@@ -780,13 +772,11 @@ def verify_lemma(params: GasParams, inlet: InletData, *,
 
     if cls.on_critical and cls.branch == ACCELERATING:
         branch = ACCELERATING
-        profile = integrate_profile(params, inlet, rtol=rtol, atol=atol, n_samples=n_samples)
+        profile = integrate_profile(params, inlet, rtol=rtol, atol=atol)
         lmax_report = locate_lmax(params, inlet, ode_profile=profile, rtol=rtol, atol=atol)
     elif cls.on_critical and cls.branch == DECELERATING:
         branch = DECELERATING
-        floor = u_floor if u_floor is not None else us / 50.0
-        profile = integrate_profile(params, inlet, u_target=floor,
-                                    rtol=rtol, atol=atol, n_samples=n_samples)
+        profile = integrate_profile(params, inlet, u_target=us / 50.0, rtol=rtol, atol=atol)
         lmax_report = locate_lmax(params, inlet, rtol=rtol, atol=atol)
     else:
         branch = OFF_CRITICAL
@@ -796,7 +786,7 @@ def verify_lemma(params: GasParams, inlet: InletData, *,
             guard = None  # the run moves away from the sonic speed: no guard ahead of it
         try:
             profile = integrate_profile(params, inlet, u_target=guard, x_max=20.0,
-                                        rtol=rtol, atol=atol, n_samples=n_samples)
+                                        rtol=rtol, atol=atol)
         except SonicBlowupError:
             profile = None
 
@@ -816,7 +806,7 @@ def verify_lemma(params: GasParams, inlet: InletData, *,
         claims.append(ClaimResult("terminal_slope", False, math.inf, "no profile"))
     elif branch == ACCELERATING:
         m = abs(float(profile.du[-1]))
-        claims.append(ClaimResult("terminal_slope", m <= slope_tol, m,
+        claims.append(ClaimResult("terminal_slope", m <= 1e-6, m,
                                   f"|u'(l_max)| = {m:.3e}, E(l_max) = {profile.E[-1]:.3e}"))
     elif branch == DECELERATING:
         du_abs = np.abs(profile.du)
@@ -829,7 +819,7 @@ def verify_lemma(params: GasParams, inlet: InletData, *,
                                   f"|u'(end)| = {m:.3e}, E(end) = {profile.E[-1]:.3e}"))
     else:
         m = abs(float(profile.du[-1]))
-        claims.append(ClaimResult("terminal_slope", m <= slope_tol, m,
+        claims.append(ClaimResult("terminal_slope", m <= 1e-6, m,
                                   f"|u'(end)| = {m:.3e} (off-critical run)"))
 
     # (iii) phase-plane coverage of the critical branch
@@ -850,7 +840,7 @@ def verify_lemma(params: GasParams, inlet: InletData, *,
         else:
             poly = _branch_polyline(params, branch, float(profile.u[-1]), inlet.u0)
         dist = _polyline_hausdorff(visited, poly)
-        claims.append(ClaimResult("coverage", dist <= hausdorff_tol, dist,
+        claims.append(ClaimResult("coverage", dist <= 1e-6, dist,
                                   f"Hausdorff distance to analytic branch = {dist:.3e}"))
 
     # (iv) unique sonic crossing

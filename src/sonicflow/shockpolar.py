@@ -165,7 +165,6 @@ def compute_polar(state: UpstreamState, n_samples: int = 2048) -> ShockPolarCurv
     for i, s in enumerate(sigma):
         a1, a2, r, w = _downstream(state, s)
         u1[i], u2[i], rho[i] = a1, a2, r
-        v_t = state.q_inf * math.cos(s)
         res[i] = abs(r * w - state.rho_inf * state.q_inf * math.sin(s))
     theta = np.arctan2(u2, u1)
 

@@ -1,13 +1,11 @@
 """Minimal deterministic SVG emission: line plots, heatmaps, sketches.
 
 No external plotting dependency; output bytes depend only on the data, so
-re-running a config reproduces identical files.  A timestamp comment can be
-opted into but is off by default.
+re-running a config reproduces identical files.
 """
 
 from __future__ import annotations
 
-import datetime
 import math
 
 import numpy as np
@@ -34,7 +32,7 @@ class SvgCanvas:
     """World-coordinate drawing surface serialized to SVG."""
 
     def __init__(self, x_range, y_range, width=640, height=480, margin=50,
-                 title="", xlabel="", ylabel="", timestamp=False):
+                 title="", xlabel="", ylabel=""):
         self.x0, self.x1 = map(float, x_range)
         self.y0, self.y1 = map(float, y_range)
         if self.x1 <= self.x0:
@@ -43,7 +41,6 @@ class SvgCanvas:
             self.y1 = self.y0 + 1.0
         self.w, self.h, self.m = width, height, margin
         self.title, self.xlabel, self.ylabel = title, xlabel, ylabel
-        self.timestamp = timestamp
         self.body: list[str] = []
 
     def sx(self, x: float) -> float:
@@ -108,10 +105,8 @@ class SvgCanvas:
 
     def render(self) -> str:
         head = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.w}" height="{self.h}" '
-                f'viewBox="0 0 {self.w} {self.h}">']
-        if self.timestamp:
-            head.append(f"<!-- generated {datetime.datetime.now().isoformat()} -->")
-        head.append(f'<rect width="{self.w}" height="{self.h}" fill="#ffffff"/>')
+                f'viewBox="0 0 {self.w} {self.h}">',
+                f'<rect width="{self.w}" height="{self.h}" fill="#ffffff"/>']
         return "\n".join(head + self._axes() + self.body + ["</svg>"]) + "\n"
 
     def write(self, path) -> None:
@@ -119,7 +114,7 @@ class SvgCanvas:
             fh.write(self.render())
 
 
-def line_plot(path, series, title="", xlabel="", ylabel="", markers=(), timestamp=False):
+def line_plot(path, series, title="", xlabel="", ylabel="", markers=()):
     """Plot (x, y, color) series on shared axes; markers are (x, y, label) points."""
     xs = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
     ys = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
@@ -127,7 +122,7 @@ def line_plot(path, series, title="", xlabel="", ylabel="", markers=(), timestam
     xs, ys = xs[finite], ys[finite]
     pad = lambda lo, hi: (lo - 0.05 * (hi - lo + 1e-30), hi + 0.05 * (hi - lo + 1e-30))
     cv = SvgCanvas(pad(xs.min(), xs.max()), pad(ys.min(), ys.max()),
-                   title=title, xlabel=xlabel, ylabel=ylabel, timestamp=timestamp)
+                   title=title, xlabel=xlabel, ylabel=ylabel)
     for entry in series:
         x, y = entry[0], entry[1]
         color = entry[2] if len(entry) > 2 else "#1f77b4"
@@ -138,7 +133,7 @@ def line_plot(path, series, title="", xlabel="", ylabel="", markers=(), timestam
     cv.write(path)
 
 
-def heatmap(path, x, y, values, title="", xlabel="", ylabel="", timestamp=False):
+def heatmap(path, x, y, values, title="", xlabel="", ylabel=""):
     """Cell-quad heatmap of node values on a structured (possibly mapped) grid."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -146,7 +141,7 @@ def heatmap(path, x, y, values, title="", xlabel="", ylabel="", timestamp=False)
     lo, hi = float(v.min()), float(v.max())
     span = hi - lo if hi > lo else 1.0
     cv = SvgCanvas((x.min(), x.max()), (y.min(), y.max()),
-                   title=title, xlabel=xlabel, ylabel=ylabel, timestamp=timestamp)
+                   title=title, xlabel=xlabel, ylabel=ylabel)
     n1, n2 = v.shape
     for j in range(n1 - 1):
         for i in range(n2 - 1):

@@ -6,7 +6,7 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sonicflow import keldysh, mixed2d
+from sonicflow import cli, keldysh, mixed2d
 from sonicflow.cli import main
 
 GAS = {"gamma": 3.0, "S0": 1.0 / 3.0, "J": 1.0, "rho_ion": 0.5}
@@ -117,8 +117,9 @@ def test_mixed_subcommand(tmp_path):
 def test_failed_run_leaves_no_artifacts(tmp_path, capsys, monkeypatch):
     # all are rejected before any solve: the 3x3 scan has too few abscissas,
     # grid sizes must be at least 1 and a 1-cell x column has too few nodes,
-    # the scan heights must be a non-empty list of numbers in [0, 1], and the
-    # short accelerating channel has no sonic location
+    # the scan heights must be a non-empty list of numbers in [0, 1], the
+    # manufactured scenario takes no o_scale, and the short accelerating
+    # channel has no sonic location
     solves = []
     for module, name in ((keldysh, "splu"), (mixed2d, "solve_banded")):
         def counting(*args, real=getattr(module, name)):
@@ -135,6 +136,8 @@ def test_failed_run_leaves_no_artifacts(tmp_path, capsys, monkeypatch):
                                 scenario="manufactured", grid={"nx": 17, "ny": 17},
                                 scan={"y_fractions": fractions})
            for i, fractions in enumerate((["x"], [], [1.5]))},
+        "o_scale": base_cfg("keldysh-solve", tmp_path / "o_scale", scenario="manufactured",
+                            o_scale=0.05, grid={"nx": 17, "ny": 17}),
         "mixed": base_cfg("mixed-solve", tmp_path / "mixed", gas=GAS,
                           inlet={"u0": 0.7, "branch": "accelerating"},
                           channel={"L": 0.8, "n1": 65, "n2": 33},
@@ -146,7 +149,7 @@ def test_failed_run_leaves_no_artifacts(tmp_path, capsys, monkeypatch):
         (out / "manifest.json").write_text("{}")  # left by an earlier run
         assert main(["run", write_cfg(tmp_path, name + ".json", cfg)]) == 1
         assert list(out.iterdir()) == []
-    assert capsys.readouterr().err.count("validation error") == 8
+    assert capsys.readouterr().err.count("validation error") == 9
     assert len(solves) == 0
 
 
@@ -172,6 +175,9 @@ def test_geometry_subcommand(tmp_path):
     check_manifest(out)
 
 
+OVERFLOW_GAS = {"gamma": 2000.0, "S0": 1.0, "J": 2.0, "rho_ion": 0.5}  # u_sonic overflows
+
+
 def test_invalid_gamma_exit_1(tmp_path, capsys):
     bad = dict(GAS, gamma=0.9)
     cfg = base_cfg("profile", tmp_path / "out", gas=bad,
@@ -179,14 +185,27 @@ def test_invalid_gamma_exit_1(tmp_path, capsys):
     assert main(["run", write_cfg(tmp_path, "c.json", cfg)]) == 1
     err = capsys.readouterr().err
     assert "gamma" in err and "> 1" in err
+    cfg = base_cfg("phase-portrait", tmp_path / "out", gas=OVERFLOW_GAS)
+    assert main(["run", write_cfg(tmp_path, "c.json", cfg)]) == 1
+    assert capsys.readouterr().err.startswith("validation error: u_sonic")
 
 
 def test_unknown_key_exit_1(tmp_path, capsys):
-    cfg = base_cfg("profile", tmp_path / "out", gas=GAS,
-                   inlet={"u0": 0.95, "branch": "accelerating"})
-    cfg["tollerance"] = 1e-3
-    assert main(["run", write_cfg(tmp_path, "c.json", cfg)]) == 1
-    assert "unknown key" in capsys.readouterr().err
+    # unknown keys, emit.svg_timestamp among them, and numbers that json
+    # reads but that are not finite
+    profile = dict(gas=GAS, inlet={"u0": 0.95, "branch": "accelerating"})
+    cfgs = [base_cfg("profile", tmp_path / "out", tollerance=1e-3, **profile),
+            base_cfg("profile", tmp_path / "out", emit={"svg_timestamp": True}, **profile),
+            base_cfg("phase-portrait", tmp_path / "out", gas=GAS, u_min=float("nan")),
+            base_cfg("phase-portrait", tmp_path / "out", gas=GAS, u_max=float("-inf"))]
+    for cfg in cfgs:
+        assert main(["run", write_cfg(tmp_path, "c.json", cfg)]) == 1
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["validation error: unknown key 'tollerance'",
+                   "validation error: unknown key 'emit.svg_timestamp'",
+                   "validation error: u_min must be a finite number, got nan",
+                   "validation error: u_max must be a finite number, got -inf"]
 
 
 def test_bad_schema_version_exit_1(tmp_path, capsys):
@@ -211,13 +230,17 @@ def test_solver_failure_exit_2(tmp_path, capsys):
 
 def test_missing_config_exit_1(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 1
+    binary = tmp_path / "binary.json"  # not UTF-8
+    binary.write_bytes(b"\xff\xfe{}")
+    assert main(["run", str(binary)]) == 1
     # an output_dir that exists as a file is left as it is
     taken = tmp_path / "taken"
     taken.write_text("keep")
     cfg = base_cfg("phase-portrait", taken, gas=GAS, n=11)
     assert main(["run", write_cfg(tmp_path, "c.json", cfg)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 and err[1].startswith("validation error: cannot create output_dir")
+    assert len(err) == 3 and err[1].startswith(f"error: cannot read config {binary}")
+    assert err[2].startswith("validation error: cannot create output_dir")
     assert taken.read_text() == "keep"
 
 
@@ -264,11 +287,27 @@ def test_missing_required_keys_exit_1(tmp_path, capsys):
 
 
 def test_sweep_reports_every_config(tmp_path, capsys):
+    big = write_cfg(tmp_path, "c.json",
+                    base_cfg("phase-portrait", tmp_path / "c", gas=OVERFLOW_GAS))
     ok = write_cfg(tmp_path, "a.json", base_cfg("phase-portrait", tmp_path / "a", gas=GAS, n=101))
     bad = write_cfg(tmp_path, "b.json", base_cfg("profile", tmp_path / "b", gas=GAS, inlet={}))
-    assert main(["sweep", ok, bad, "--jobs", "1"]) == 1
+    assert main(["sweep", big, ok, bad, "--jobs", "1"]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out == [f"{ok}: exit 0", f"{bad}: exit 1"]
+    assert out == [f"{big}: exit 1", f"{ok}: exit 0", f"{bad}: exit 1"]
+
+
+def test_internal_error_exit_2(tmp_path, capsys, monkeypatch):
+    # a defect in a handler is one line on stderr and exit 2, and what the
+    # handler wrote before it is removed
+    def broken(cfg, aw):
+        aw.write_text("portrait.csv", "u\n")
+        raise KeyError("oops")
+    monkeypatch.setitem(cli.HANDLERS, "phase-portrait", broken)
+    out = tmp_path / "out"
+    assert main(["run", write_cfg(tmp_path, "c.json", base_cfg("phase-portrait", out, gas=GAS))]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("internal error: KeyError: 'oops' (test_cli.py:")
+    assert list(out.iterdir()) == []
 
 
 def test_phase_portrait_needs_two_samples(tmp_path, capsys):
@@ -310,7 +349,8 @@ FUZZ_BODIES = {
     "shock-polar": {"upstream": UPSTREAM, "n_samples": 16},
     "geometry": {"upstream": UPSTREAM, "theta_w": 0.15},
 }
-JUNK = st.sampled_from([None, True, "x", -1, 0, 0.5, 2.5, [], [1], {}, {"k": 1}])
+JUNK = st.sampled_from([None, True, "x", -1, 0, 0.5, 2.5, [], [1], {}, {"k": 1},
+                        float("nan"), float("inf"), float("-inf"), 1e308, -1e308])
 
 
 @st.composite
