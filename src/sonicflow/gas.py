@@ -30,6 +30,18 @@ SUPERSONIC = "supersonic"
 SONIC_BAND = 1e-9
 
 
+def require_finite(value, what: str) -> float:
+    """value() as a float; a ValueError naming `what` if it overflows or is
+    not finite."""
+    try:
+        v = value()
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ValueError(f"{what} must be finite, got {v}")
+    return v
+
+
 @dataclass(frozen=True)
 class GasParams:
     """Constants of the polytropic Euler-Poisson channel flow.
@@ -61,6 +73,13 @@ class GasParams:
         if not 0.0 < us < math.inf:
             raise ValueError(f"u_sonic = (gamma*S0*J**(gamma-1))**(1/(gamma+1)) "
                              f"must be finite and > 0, got {us}")
+        # The slope's denominator scales as (u/u_sonic)**(gamma+1).  Runs reach
+        # u* at most, and u* <= 2*u_bar - u_sonic: the integrand of H is at most
+        # w(u_bar)*(u_bar - t) with w(t) = 1 - (u_sonic/t)**(gamma+1) on both sides
+        # of u_bar, so H(2*u_bar - u_sonic) <= 0.
+        require_finite(lambda: (2.0 * self.zeta0 - 1.0) ** (self.gamma + 1.0),
+                       f"(2*u_bar/u_sonic - 1)**(gamma+1) (u_bar = {self.u_bar:.6g}, "
+                       f"u_sonic = {us:.6g})")
 
     @property
     def u_sonic(self) -> float:

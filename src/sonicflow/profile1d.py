@@ -27,6 +27,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson, solve_ivp
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
+from scipy.spatial import cKDTree
 
 from .field2d import csv_text
 from .gas import (
@@ -42,6 +43,7 @@ from .gas import (
     enthalpy,
     enthalpy_curvature_at_sonic,
     find_u_star,
+    require_finite,
     _branch_sign,
     _enthalpy_local,
     _leggauss,
@@ -79,8 +81,16 @@ class InletData:
             raise ValueError(f"u0 must be > 0, got {self.u0}")
 
 
+def _check_inlet_speed(params: GasParams, u0: float) -> None:
+    """Reject an inlet speed at which (u0/u_sonic)**(gamma+1), the scale of
+    the slope's denominator, overflows."""
+    require_finite(lambda: (u0 / params.u_sonic) ** (params.gamma + 1.0),
+                   f"(u0/u_sonic)**(gamma+1) (u0 = {u0:.6g})")
+
+
 def critical_inlet(params: GasParams, u0: float, branch: str = ACCELERATING) -> InletData:
     """Inlet on the critical level set at velocity u0, on the given branch."""
+    _check_inlet_speed(params, u0)
     return InletData(u0=u0, E0=float(critical_field(params, u0, branch)))
 
 
@@ -215,6 +225,7 @@ def integrate_profile(params: GasParams, inlet: InletData, *,
     u0, E0 = inlet.u0, inlet.E0
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2, got {n_samples}")
+    _check_inlet_speed(params, u0)
     if abs(u0 - us) <= SONIC_BAND * us:
         raise ValueError("degenerate inlet: exactly-sonic data is a fixed point "
                          "of the desingularized flow and is rejected")
@@ -699,36 +710,114 @@ class LemmaReport:
         raise KeyError(name)
 
 
-def _seg_point_dist(P: np.ndarray, Q: np.ndarray, window: int = 80) -> float:
-    """Directed Hausdorff distance from points P to the u-monotone polyline Q.
+PAIR_BUDGET = 1 << 20   # point-segment pairs per temporary in _seg_point_dist
+PRUNE_MARGIN = 1e-9     # relative slack of every pruning comparison there
 
-    Q must be sorted by its first coordinate.  Candidate segments are taken
-    from a window around each point's position in the segment ordering; this
-    is exact while the distances are small compared to the local spacing,
-    which is the regime the coverage threshold cares about.
+
+def _window_d2(P: np.ndarray, A: np.ndarray, B: np.ndarray, L2: np.ndarray,
+               first: np.ndarray, width: int) -> np.ndarray:
+    """Smallest squared distance from each point P[p] to the segments
+    first[p] .. first[p] + width - 1."""
+    best = np.full(len(P), math.inf)
+    for s in range(0, width, PAIR_BUDGET):
+        idx = first[:, None] + np.arange(s, min(s + PAIR_BUDGET, width))
+        Ak, Bk, Lk = A[idx], B[idx], L2[idx]
+        W = P[:, None, :] - Ak
+        t = np.clip(np.einsum("pmj,pmj->pm", W, Bk) / Lk, 0.0, 1.0)
+        D = W - t[:, :, None] * Bk
+        best = np.minimum(best, np.einsum("pmj,pmj->pm", D, D).min(axis=1))
+    return best
+
+
+def _box_d2(P: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Squared distances from the points P to the boxes [lo, hi] (per row)."""
+    gap = np.maximum(np.maximum(lo - P, P - hi), 0.0)
+    return np.einsum("pj,pj->p", gap, gap)
+
+
+def _seg_point_dist(P: np.ndarray, Q: np.ndarray) -> float:
+    """Directed Hausdorff distance from the points P to the polyline Q.
+
+    Exact for any polyline, sorted or not, turning back, with repeated
+    vertices or with a single one (a point): the result is the square root of the largest, over P, of the
+    smallest squared distance to any segment of Q.  Each segment runs from
+    its lexicographically smaller end, so the traversal direction of Q does
+    not matter, and every point-segment distance comes from the one formula
+    in _window_d2, so the result equals a scan over all pairs bit for bit.
+    The search only skips pairs that cannot change it:
+
+    - Bounds (Taha & Hanbury, IEEE TPAMI 37, 2015).  A point's upper bound
+      is its nearest vertex (k-d tree), later its smallest window distance.
+      The lower bound on the answer is an exact point minimum: each round
+      scans the live point with the largest upper bound over all segments.
+      A point whose upper bound is at or below the lower bound cannot set
+      the maximum and is dropped (early break).
+    - Certificate.  A point's window of segments starts at its nearest
+      vertex and doubles each round.  When the bounding boxes of all
+      vertices before and after the window lie farther away than the window
+      minimum, that minimum is the point's exact minimum: it may raise the
+      lower bound and the point is dropped.
+
+    The k-d tree and box distances are rounded differently from the segment
+    formula, whose rounding error is absolute, a few ulps of the largest
+    coordinate.  Comparisons with them therefore widen the distance by 16
+    such ulps and the squared distance by the relative margin PRUNE_MARGIN,
+    in the direction that keeps a point.  No temporary holds more than
+    PAIR_BUDGET point-segment pairs.
     """
-    A = Q[:-1]
-    B = Q[1:] - A
+    if len(Q) == 1:
+        Q = np.repeat(Q, 2, axis=0)  # one zero-length segment
+    # each segment runs from its lexicographically smaller end
+    swap = ((Q[1:, 0] < Q[:-1, 0]) | ((Q[1:, 0] == Q[:-1, 0]) & (Q[1:, 1] < Q[:-1, 1])))[:, None]
+    A = np.where(swap, Q[1:], Q[:-1])
+    B = np.where(swap, Q[:-1], Q[1:]) - A
     L2 = np.einsum("ij,ij->i", B, B)
     L2 = np.where(L2 == 0.0, 1.0, L2)
     m = len(A)
-    pos = np.searchsorted(Q[:, 0], P[:, 0])
-    offs = np.arange(-window, window + 1)
-    idx = np.clip(pos[:, None] + offs[None, :], 0, m - 1)
-    Ak, Bk, Lk = A[idx], B[idx], L2[idx]
-    W = P[:, None, :] - Ak
-    t = np.clip(np.einsum("pmj,pmj->pm", W, Bk) / Lk, 0.0, 1.0)
-    D = W - t[:, :, None] * Bk
-    d2 = np.einsum("pmj,pmj->pm", D, D).min(axis=1)
-    return float(np.sqrt(np.max(d2)))
+    # bounding boxes of the vertices Q[:s + 1] and Q[s:]
+    pre_lo, pre_hi = np.minimum.accumulate(Q), np.maximum.accumulate(Q)
+    suf_lo = np.minimum.accumulate(Q[::-1])[::-1]
+    suf_hi = np.maximum.accumulate(Q[::-1])[::-1]
 
+    ulps = 16.0 * np.finfo(float).eps * max(np.abs(P).max(), np.abs(Q).max())
 
-def _ascending(P: np.ndarray) -> np.ndarray:
-    return P if P[0, 0] <= P[-1, 0] else P[::-1]
+    def widened(d2):
+        return (np.sqrt(d2) + ulps) ** 2 * (1.0 + PRUNE_MARGIN)
+
+    vd, vertex = cKDTree(Q).query(P)
+    upper = widened(vd * vd)
+    lower = -math.inf
+    alive = np.arange(len(P))
+    half = 1
+    while len(alive):
+        # scan the live point with the largest upper bound over all segments
+        k = alive[np.argmax(upper[alive])]
+        upper[k] = _window_d2(P[k:k + 1], A, B, L2, np.zeros(1, dtype=int), m)[0]
+        lower = max(lower, upper[k])
+        alive = alive[upper[alive] > lower]  # the early break
+
+        width = min(2 * half, m)
+        step = max(1, PAIR_BUDGET // width)
+        keep = []
+        for c in range(0, len(alive), step):
+            pts = alive[c:c + step]
+            first = np.clip(vertex[pts] - half, 0, m - width)
+            stop = first + width
+            wmin = _window_d2(P[pts], A, B, L2, first, width)
+            box = np.minimum(
+                np.where(first > 0, _box_d2(P[pts], pre_lo[first], pre_hi[first]), math.inf),
+                np.where(stop < m, _box_d2(P[pts], suf_lo[stop], suf_hi[stop]), math.inf))
+            exact = box > widened(wmin)  # the certificate
+            if np.any(exact):
+                lower = max(lower, float(np.max(wmin[exact])))
+            upper[pts] = np.minimum(upper[pts], wmin)
+            keep.append(pts[~exact])
+        alive = np.concatenate(keep) if keep else alive
+        half *= 2
+    return float(np.sqrt(lower))
 
 
 def _polyline_hausdorff(P: np.ndarray, Q: np.ndarray) -> float:
-    P, Q = _ascending(P), _ascending(Q)
     return max(_seg_point_dist(P, Q), _seg_point_dist(Q, P))
 
 
@@ -763,7 +852,9 @@ def verify_lemma(params: GasParams, inlet: InletData, *,
     within Hausdorff distance 1e-6, (iv) a unique sonic crossing.  Profiles
     take integrate_profile's default 4001 samples; decelerating runs stop at
     u_sonic/50.  Off-critical inlets are integrated only up to the sonic band;
-    their coverage and crossing claims fail by design.
+    their coverage and crossing claims fail by design, and their coverage
+    margin is the exact Hausdorff distance to the critical branch of the
+    inlet's quadrant over the visited u-range.
     """
     us = params.u_sonic
     cls = classify_state(params, PhaseState(inlet.u0, inlet.E0), tol=1e-9)

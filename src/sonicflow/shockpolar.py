@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
+from .gas import require_finite
+
 
 class DetachedShockError(ValueError):
     """Requested deflection exceeds the detachment angle."""
@@ -45,6 +47,8 @@ class UpstreamState:
         if self.q_inf < self.sound_speed * (1.0 - 1e-12):
             raise ValueError(f"upstream must be supersonic: q_inf={self.q_inf} "
                              f"< sound speed {self.sound_speed}")
+        require_finite(lambda: self.B0, "Bernoulli constant B0 = q_inf**2/2 + "
+                       "(rho_inf**(gamma-1) - 1)/(gamma-1)")
 
     @property
     def sound_speed(self) -> float:

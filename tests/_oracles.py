@@ -66,3 +66,31 @@ def reduced_ode_solution(alpha, beta, f, l_s, L, w0, x_grid):
 
     v = np.array([v_of(x) for x in x_grid])
     return w0 + cumulative_simpson(v, x=x_grid, initial=0.0)
+
+
+def directed_polyline_distance(P, Q):
+    """Directed Hausdorff distance from the points P to the polyline Q by a
+    scan over every segment, at most 2**16 point-segment pairs at a time.
+
+    Each segment runs from its lexicographically smaller end A to the other
+    end, B is the segment vector and a zero-length segment divides by 1; the
+    point-segment distance is then |W - t B| with W = p - A and
+    t = clip(W.B / |B|^2, 0, 1), its dot products written out as x0*y0 + x1*y1.
+    """
+    P = np.asarray(P, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    swap = (Q[1:, 0] < Q[:-1, 0]) | ((Q[1:, 0] == Q[:-1, 0]) & (Q[1:, 1] < Q[:-1, 1]))
+    a = np.where(swap[:, None], Q[1:], Q[:-1])
+    b = np.where(swap[:, None], Q[:-1], Q[1:]) - a
+    l2 = b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1]
+    l2 = np.where(l2 == 0.0, 1.0, l2)
+    rows = max(1, (1 << 16) // len(a))
+    best = -np.inf
+    for c in range(0, len(P), rows):
+        wx = P[c:c + rows, 0:1] - a[:, 0]
+        wy = P[c:c + rows, 1:2] - a[:, 1]
+        t = np.clip((wx * b[:, 0] + wy * b[:, 1]) / l2, 0.0, 1.0)
+        dx = wx - t * b[:, 0]
+        dy = wy - t * b[:, 1]
+        best = max(best, float((dx * dx + dy * dy).min(axis=1).max()))
+    return float(np.sqrt(best))

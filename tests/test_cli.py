@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import tempfile
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -392,3 +393,32 @@ def test_fuzzed_configs_exit_cleanly(cfg, outdir_is_file):
         with open(path, "w") as fh:
             json.dump(cfg, fh)
         assert main(["run", path]) in (0, 1, 2)
+
+
+def test_extreme_finite_values_exit_1(tmp_path, capsys):
+    # finite numbers whose powers overflow: a one-line validation error, not an
+    # internal OverflowError, and no floating-point warning on the way
+    def body(sub):
+        return json.loads(json.dumps(dict(FUZZ_BODIES[sub], schema_version=1, subcommand=sub,
+                                          output_dir=str(tmp_path / "out"))))
+
+    cases = [(sub, blk, key, value)
+             for sub in ("profile", "kz-check", "mixed-solve")
+             for blk, key, value in (("inlet", "u0", 1e308), ("gas", "gamma", 1e308),
+                                     ("gas", "S0", 1e-308))]
+    cases += [(sub, "upstream", "q_inf", 1e308) for sub in ("shock-polar", "geometry")]
+    cfgs = []
+    for sub, blk, key, value in cases:
+        cfgs.append(body(sub))
+        cfgs[-1][blk][key] = value
+    # (u_bar/u_sonic)**1001 = 2**1001 is finite, but the accelerating run goes
+    # on to u* of about 3, and 3**1001 overflows
+    cfgs.append(dict(body("profile"), gas={"gamma": 1000.0, "S0": 1e-3, "J": 1.0, "rho_ion": 0.5},
+                     inlet={"u0": 0.99, "branch": "accelerating"}, stop={}))
+    for cfg in cfgs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", write_cfg(tmp_path, "c.json", cfg)]) == 1, cfg
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and err.count("\n") == 1, err
+        assert list((tmp_path / "out").iterdir()) == []

@@ -1,10 +1,15 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from _oracles import directed_polyline_distance
 from conftest import gamma_family
+from sonicflow import profile1d
 from sonicflow.gas import critical_field, find_u_star
 from sonicflow.profile1d import (InletData, NoSonicCrossingError, SonicBlowupError,
                                  bernoulli_defect, conservation_defect,
@@ -336,6 +341,128 @@ def test_verify_lemma_off_critical_coverage_fails(canonical):
         assert not rep.claim("coverage").passed
         assert not rep.claim("sonic_crossing").passed
         assert not rep.passed
+
+
+def test_verify_lemma_off_critical_coverage_is_exact(canonical, monkeypatch):
+    # the coverage margin is the true Hausdorff distance, also far off the branch
+    # (a fixed window of +-80 segments gave 1.029809587 and 982.3454246 here)
+    e0 = float(critical_field(canonical, 0.95))
+    seen = []
+    hausdorff = profile1d._polyline_hausdorff
+    monkeypatch.setattr(profile1d, "_polyline_hausdorff",
+                        lambda P, Q: seen.append((P, Q)) or hausdorff(P, Q))
+    for inlet, value in ((InletData(1.2, 0.01), 1.025777764),
+                         (InletData(0.95, e0 + 1e-3), 505.5635558)):
+        margin = verify_lemma(canonical, inlet).claim("coverage").margin
+        P, Q = seen[-1]
+        brute = max(directed_polyline_distance(P, Q), directed_polyline_distance(Q, P))
+        assert margin == pytest.approx(brute, rel=1e-12)
+        assert margin == pytest.approx(value, rel=1e-9)
+
+
+def test_verify_lemma_equilibrium_inlet(canonical):
+    # (u_bar, 0) is a fixed point: the run stays there, so the branch polyline
+    # over its u-range is a single vertex and the margin is the distance to it
+    ub = canonical.u_bar
+    rep = verify_lemma(canonical, InletData(ub, 0.0))
+    assert rep.branch == "off-critical" and not rep.passed
+    assert rep.claim("coverage").margin == abs(float(critical_field(canonical, ub)))
+
+
+# ---------------------------------------------------------------------------
+# coverage distance against a scan over every segment
+# ---------------------------------------------------------------------------
+
+@st.composite
+def polylines(draw):
+    """u-monotone, turning back in u, or with repeated vertices (zero-length segments)."""
+    kind = draw(st.sampled_from(["monotone", "turning", "repeated"]))
+    n = draw(st.integers(2, 60))
+    du = st.floats(1e-3, 1.0) if kind == "monotone" else st.floats(-1.0, 1.0)
+    # each step drawn on its own (no fill value), so that vertices are not on a lattice
+    steps = np.column_stack([draw(hnp.arrays(float, n - 1, elements=du, fill=st.nothing())),
+                             draw(hnp.arrays(float, n - 1, elements=st.floats(-1.0, 1.0),
+                                             fill=st.nothing()))])
+    start = draw(hnp.arrays(float, 2, elements=st.floats(-10.0, 10.0)))
+    Q = start + np.vstack([np.zeros(2), np.cumsum(steps, axis=0)])
+    if kind == "repeated":
+        Q = np.repeat(Q, draw(hnp.arrays(np.int64, n, elements=st.integers(1, 3))), axis=0)
+    return Q
+
+
+@st.composite
+def point_sets(draw, Q):
+    """Points near Q, far from it (distance >> segment length), or on an arc
+    around Q's last vertex beyond its end (many nearly equal distances)."""
+    kind = draw(st.sampled_from(["near", "far", "arc"]))
+    k = draw(st.integers(1, 60))
+    unit = hnp.arrays(float, k, elements=st.floats(0.0, 1.0))
+    if kind == "near":
+        seg = np.minimum((draw(unit) * (len(Q) - 1)).astype(int), len(Q) - 2)
+        t = draw(unit)[:, None]
+        jitter = draw(hnp.arrays(float, (k, 2), elements=st.floats(-1.0, 1.0)))
+        return Q[seg] + t * (Q[seg + 1] - Q[seg]) + 10.0 ** draw(st.integers(-8, 0)) * jitter
+    if kind == "far":
+        angle = 2.0 * math.pi * draw(unit)
+        ring = np.column_stack([np.cos(angle), np.sin(angle)])
+        return Q.mean(axis=0) + 10.0 ** draw(st.integers(3, 6)) * (1.0 + draw(unit))[:, None] * ring
+    out = Q[-1] - Q[-2]
+    angle = math.atan2(out[1], out[0]) + np.linspace(-1.5, 1.5, k)
+    return Q[-1] + draw(st.floats(1e-3, 1e3)) * np.column_stack([np.cos(angle), np.sin(angle)])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(polylines(), st.data(), st.sampled_from([profile1d.PAIR_BUDGET, 16, 3]))
+def test_seg_point_dist_matches_brute_force(Q, data, budget):
+    P = data.draw(point_sets(Q))
+    window = profile1d._window_d2
+
+    def bounded(pts, A, B, L2, first, width):
+        assert len(pts) * min(width, budget) <= budget
+        return window(pts, A, B, L2, first, width)
+
+    with mock.patch.object(profile1d, "PAIR_BUDGET", budget), \
+            mock.patch.object(profile1d, "_window_d2", bounded):
+        assert profile1d._seg_point_dist(P, Q) == directed_polyline_distance(P, Q)
+        if len(P) >= 2:  # the points as a polyline that turns back
+            assert profile1d._seg_point_dist(Q, P) == directed_polyline_distance(Q, P)
+
+
+def test_seg_point_dist_tiny_distances():
+    # Points 1e-10 to 1e-7 from the vertices of unit-size polylines: the
+    # segment formula's rounding, a few ulps of the segment length, is far
+    # above a relative 1e-9 of these distances, and the search must still
+    # not drop the point that sets the maximum.
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        Q = np.cumsum(rng.uniform(-1.0, 1.0, (rng.integers(2, 8), 2)), axis=0)
+        k = rng.integers(2, 40)
+        angle = rng.uniform(0.0, 2.0 * math.pi, k)
+        P = (Q[rng.integers(0, len(Q), k)]
+             + 10.0 ** rng.uniform(-10.0, -7.0) * np.column_stack([np.cos(angle), np.sin(angle)]))
+        assert profile1d._seg_point_dist(P, Q) == directed_polyline_distance(P, Q)
+
+
+def test_seg_point_dist_prunes_decoy_windows(monkeypatch):
+    # A thousand points lie 0.1-0.2 from a dense line.  Twenty more lie within
+    # 0.01 of Q's first segment, 100 long, but their nearest vertices are on
+    # a wiggle at the far end of Q, 2000 segments away.  With the box
+    # certificate and the early break the search evaluates fewer pairs than
+    # a full scan; without either one it evaluates two to three times more.
+    rng = np.random.default_rng(3)
+    line = np.column_stack([np.linspace(100.0, 0.0, 2000), np.full(2000, 10.0)])
+    xs = np.linspace(40.0, 60.0, 100)
+    Q = np.vstack([[[0.0, 0.0], [100.0, 0.0]], line,
+                   np.column_stack([xs, 1.0 + 0.05 * np.sin(7.0 * xs)])])
+    P = np.vstack([np.column_stack([rng.uniform(5.0, 95.0, 1000),
+                                    10.0 + rng.uniform(0.1, 0.2, 1000) * rng.choice([-1.0, 1.0], 1000)]),
+                   np.column_stack([rng.uniform(45.0, 55.0, 20), rng.uniform(-0.01, 0.01, 20)])])
+    pairs = []
+    window = profile1d._window_d2
+    monkeypatch.setattr(profile1d, "_window_d2",
+                        lambda pts, *rest: pairs.append(len(pts) * rest[-1]) or window(pts, *rest))
+    assert profile1d._seg_point_dist(P, Q) == directed_polyline_distance(P, Q)
+    assert sum(pairs) < len(P) * (len(Q) - 1)
 
 
 # ---------------------------------------------------------------------------
