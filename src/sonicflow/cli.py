@@ -334,9 +334,9 @@ def run_keldysh(cfg, aw: ArtifactWriter) -> None:
     probe = corner_probe(fld, **_given(cfg.get("corner", {}), schema["corner"]))
     bounds = verify_bounds(fld, coeffs)
     aw.write_json("diagnostics.json", {
-        "iterations": fld.metadata["iterations"],
-        "residual": fld.metadata["residual"],
-        "clamp_active": fld.metadata["clamp_active"],
+        **{key: fld.metadata[key] for key in (
+            "iterations", "factorizations", "lu_nnz", "update_history", "residual",
+            "clamp_active", "clamp_count", "clamp_columns")},
         "scan_limits": scan.limits,
         "scan_target": 1.0 / coeffs.a,
         "corner": {"tangential": probe.limit_tangential,

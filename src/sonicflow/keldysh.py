@@ -276,18 +276,32 @@ class _Stencil:
 
     Interior and eta = 0 rows are affine in the principal coefficient c1 at
     their own node, so M(c1) = M0 + diag(c1) P; on those rows psi_x = D w.
-    Entry k of the pattern (row rows[k], column given by indptr) holds
-    m0[k], p[k] and d[k], so any combination of the three is a refill of
-    values on the one pattern.
+    Entry k of the pattern holds m0[k], p[k] and d[k], so any combination of
+    the three is a refill of values on the one pattern.
+
+    The pattern numbers the nodes by position in `order`: first the m
+    unknown nodes in nested-dissection order, then the Dirichlet nodes.  A
+    Dirichlet row holds only its unit diagonal, so no unknown column has an
+    entry below row m, and the unknown-unknown block is the first m columns
+    of the pattern, a prefix of its arrays.  `factor` makes one LU of that
+    block alone.  Vectors given to and returned by the methods are in node
+    order, like w.ravel().
     """
 
-    def __init__(self, grid, a, O1, rows, cols, m0, p, d, rhs):
+    def __init__(self, grid, a, O1, order, m, rows, cols, m0, p, d, rhs):
         self.grid, self.a, self.O1 = grid, a, O1
         n = rhs.size
-        order = np.lexsort((rows, cols))
-        self.rows = rows[order]
+        self.order, self.m = order, m
+        # 32-bit indices, as SuperLU and the CSC matrices store them, so that
+        # no matrix built on the pattern copies them
+        self.position = np.empty(n, dtype=np.int32)
+        self.position[order] = np.arange(n)
+        rows, cols = self.position[rows], self.position[cols]
+        srt = np.lexsort((rows, cols))
+        self.rows = rows[srt]
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
-        self.m0, self.p, self.d = m0[order], p[order], d[order]
+        self.indptr = self.indptr.astype(np.int32)
+        self.m0, self.p, self.d = m0[srt], p[srt], d[srt]
         self.rhs = rhs
         self.M0 = self._csc(self.m0)
         self.P = self._csc(self.p)
@@ -296,12 +310,33 @@ class _Stencil:
         n = self.rhs.size
         return csc_matrix((vals, self.rows, self.indptr), shape=(n, n))
 
-    def matrix(self, c1, g=None):
-        """M0 + diag(c1) P + diag(g) D, with c1 and g given per node."""
-        vals = self.m0 + c1.ravel()[self.rows] * self.p
+    def _values(self, c1, g):
+        vals = self.m0 + c1.ravel()[self.order][self.rows] * self.p
         if g is not None:
-            vals += g.ravel()[self.rows] * self.d
-        return self._csc(vals)
+            vals += g.ravel()[self.order][self.rows] * self.d
+        return vals
+
+    def matrix(self, c1, g=None):
+        """M0 + diag(c1) P + diag(g) D in pattern order, with c1 and g given per node."""
+        return self._csc(self._values(c1, g))
+
+    def factor(self, c1, g):
+        """One LU of the unknown-unknown block A_II of matrix(c1, g), and the
+        exact solve of the whole system with it: x_D = b_D, then
+        A_II x_I = b_I - A_ID x_D.  Returns (lu, solve)."""
+        n, m = self.rhs.size, self.m
+        vals = self._values(c1, g)
+        k = self.indptr[m]
+        lu = splu(csc_matrix((vals[:k], self.rows[:k], self.indptr[:m + 1]), shape=(m, m)),
+                  permc_spec="NATURAL")
+        coupling = csc_matrix((vals[k:], self.rows[k:], self.indptr[m:] - k), shape=(n, n - m))
+
+        def solve(b):
+            x = b[self.order]
+            x[:m] = lu.solve(x[:m] - (coupling @ x[m:])[:m])
+            return x[self.position]
+
+        return lu, solve
 
     def evaluate(self, w):
         """F(w), the clamped c1(w), the mask of unclamped nodes, and P w.
@@ -312,8 +347,45 @@ class _Stencil:
         c1_raw = 2.0 * X - self.a * _psi_x_nodes(self.grid, w) + self.O1
         c1_floor = _CLAMP * 2.0 * X
         c1 = np.maximum(c1_raw, c1_floor)
-        pw = self.P @ w.ravel()
-        return self.M0 @ w.ravel() + c1.ravel() * pw - self.rhs, c1, c1_raw >= c1_floor, pw
+        wp = w.ravel()[self.order]
+        pw = (self.P @ wp)[self.position]
+        F = (self.M0 @ wp)[self.position] + c1.ravel() * pw - self.rhs
+        return F, c1, c1_raw >= c1_floor, pw
+
+
+# nested dissection stops cutting at boxes of at most this many nodes
+_LEAF = 64
+
+
+def _dissect(js, its, n_eta, out):
+    """Append the nodes (j, i) of the index box js x its to out in nested-
+    dissection order: cut the longer side at its middle line, order each half
+    the same way, and put the line last.  One line separates the halves for
+    the 9-point stencil and the top condition alike.  Leaves are row-major."""
+    if js.size * its.size <= _LEAF:
+        out.append((js[:, None] * n_eta + its).ravel())
+        return out
+    if js.size >= its.size:
+        h = js.size // 2
+        halves, line = ((js[:h], its), (js[h + 1:], its)), js[h] * n_eta + its
+    else:
+        h = its.size // 2
+        halves, line = ((js, its[:h]), (js, its[h + 1:])), js * n_eta + its[h]
+    for box in halves:
+        _dissect(*box, n_eta, out)
+    out.append(line)
+    return out
+
+
+def _node_order(nx, ny, top_mode):
+    """(order, m): the m unknown nodes in nested-dissection order, then the
+    Dirichlet nodes -- the x = 0 and x = eps0 columns, and the top row when
+    the top condition is a Dirichlet one."""
+    n_eta = ny + 1
+    top = ny + 1 if top_mode == "oblique" else ny
+    unknown = np.concatenate(_dissect(np.arange(1, nx), np.arange(top), n_eta, []))
+    dirichlet = np.setdiff1d(np.arange((nx + 1) * n_eta), unknown)
+    return np.concatenate((unknown, dirichlet)), unknown.size
 
 
 def _assemble(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
@@ -390,7 +462,7 @@ def _assemble(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
     put(node(nx, i), node(nx, i), 1.0)
     rhs[node(nx, i)] = [float(bc.right_data(y)) for y in grid.Y[nx, :]]
 
-    return _Stencil(grid, coeffs.a, O1, np.concatenate(rows),
+    return _Stencil(grid, coeffs.a, O1, *_node_order(nx, ny, bc.top_mode), np.concatenate(rows),
                     np.concatenate(cols), *(np.concatenate(v) for v in vals), rhs)
 
 
@@ -407,16 +479,23 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
 
     is exact off the clamp's switching set and shares the 9-point pattern of
     M, so each step refills values and makes one sparse LU factorization.
-    Steps are damped by Deuflhard's natural monotonicity test: the first of
+    It factors only the unknown-unknown block: the Dirichlet values are
+    known and move to the right-hand side, and the other nodes are taken in
+    a nested-dissection order built once per grid (see _Stencil), which
+    SuperLU keeps (permc_spec="NATURAL").  Steps are damped by Deuflhard's
+    natural monotonicity test: the first of
     t = 1, 1/2, 1/4, ... (down to 1e-8) with |J^-1 F(w + t dw)| <= (1 - t/4) |dw|
     (max norms, reusing the step's LU) is taken.  Iteration stops when the
     relative step max|dw| / max(1, max|w|) is at most tol.
 
     Raises KeldyshDivergenceError when the test fails at the smallest step
     factor, KeldyshConvergenceError when the step budget runs out.  The
-    returned metadata records the relative step history (one entry per
-    factorization), the final residual, and whether the clamp is active at
-    the final iterate (in which case the solution is flagged unreliable).
+    returned metadata records the relative step history `update_history`
+    (one entry per factorization), the `factorizations` count, the largest
+    LU fill `lu_nnz` (SuperLU's nnz), the final residual, and the clamp at
+    the final iterate beyond the first interior column: `clamp_count` nodes
+    in the columns `clamp_columns` (first and last, or None).  An active
+    clamp there flags the solution unreliable.
     """
     opts = opts or KeldyshOptions()
     bc = bc or KeldyshBC()
@@ -425,9 +504,11 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
     w = np.zeros(grid.X.shape)
     F, c1, free, pw = st.evaluate(w)
     history = []
+    lu_nnz = 0
     for _ in range(opts.max_iter):
-        lu = splu(st.matrix(c1, -coeffs.a * free.ravel() * pw))
-        dw = -lu.solve(F).reshape(w.shape)
+        lu, solve = st.factor(c1, -coeffs.a * free.ravel() * pw)
+        lu_nnz = max(lu_nnz, lu.nnz)
+        dw = -solve(F).reshape(w.shape)
         norm = float(np.max(np.abs(dw)))
         history.append(norm / max(1.0, float(np.max(np.abs(w)))))
         if history[-1] <= opts.tol:
@@ -438,7 +519,7 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
         while True:
             trial = w + t * dw
             state = st.evaluate(trial)
-            if float(np.max(np.abs(lu.solve(state[0])))) <= (1.0 - t / 4.0) * norm:
+            if float(np.max(np.abs(solve(state[0])))) <= (1.0 - t / 4.0) * norm:
                 break
             if t <= _MIN_STEP:
                 raise KeldyshDivergenceError(
@@ -447,7 +528,7 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
             t *= 0.5
         w = trial
         F, c1, free, pw = state
-        del lu  # free this factorization before the next one is made
+        del lu, solve  # free this factorization before the next one is made
     else:
         raise KeldyshConvergenceError(
             f"no convergence in {opts.max_iter} Newton steps (last step {history[-1]:.3e})")
@@ -455,13 +536,19 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
     resid = float(np.max(np.abs(F))) / max(1.0, float(np.max(np.abs(st.rhs))))
     # the first interior column routinely clamps (its discrete psi_x carries
     # O(1) relative noise on the graded mesh); only deeper activations mark
-    # the solution unreliable
-    clamp_final = bool(np.any(~free[2:grid.nx, :]))
+    # the solution unreliable, and only they are counted
+    clamped = ~free[2:grid.nx, :]
+    clamp_final = bool(np.any(clamped))
+    columns = np.nonzero(clamped.any(axis=1))[0] + 2
     meta = {
         "iterations": len(history),
+        "factorizations": len(history),
+        "lu_nnz": int(lu_nnz),
         "update_history": history,
         "residual": resid,
         "clamp_active": clamp_final,
+        "clamp_count": int(np.count_nonzero(clamped)),
+        "clamp_columns": [int(columns[0]), int(columns[-1])] if columns.size else None,
         "reliable": not clamp_final,
         "nx": opts.nx, "ny": opts.ny, "grading": opts.grading,
         "a": coeffs.a, "b": coeffs.b,

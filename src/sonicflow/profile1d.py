@@ -167,7 +167,12 @@ def _gauss_pieces(fn, x: float, a: float, b: float, n_seg: int, n: int = 32) -> 
 
 def _rhs(params: GasParams):
     """ODE right-hand side (u', E') in solve_ivp's (x, y) form.  Scalar math,
-    cancellation-free in the u' denominator; _du_from_state is its array form."""
+    cancellation-free in the u' denominator; _du_from_state is its array form.
+
+    A state with no finite slope (u <= 0, an overflow, or a non-finite u or
+    E) raises a ValueError that names it, so that a run which leaves the
+    physical range ends in one line rather than in a math domain error.
+    """
     g = params.gamma
     us = params.u_sonic
     usp = us ** (g + 1.0)
@@ -175,9 +180,15 @@ def _rhs(params: GasParams):
     ri = params.rho_ion
 
     def rhs(x, y):
-        u, E = y
-        den = usp * math.expm1((g + 1.0) * math.log1p((u - us) / us))
-        return (E * u ** g / den, J / u - ri)
+        u, E = float(y[0]), float(y[1])
+        try:
+            du = E * u ** g / (usp * math.expm1((g + 1.0) * math.log1p((u - us) / us)))
+        except (ValueError, OverflowError, ZeroDivisionError):
+            du = math.nan
+        if not math.isfinite(du):
+            raise ValueError(f"the profile state u={u:.6g}, E={E:.6g} at x1={x:.6g} "
+                             "has no finite slope u'")
+        return (du, J / u - ri)
 
     return rhs
 
@@ -275,8 +286,11 @@ def integrate_profile(params: GasParams, inlet: InletData, *,
         """RK45 from (x_here, y_here) toward x_cap; appends the segment, moves
         the state to its end and returns the index of the event hit, or None."""
         nonlocal x_here, y_here
-        sol = solve_ivp(rhs, (x_here, x_cap), y_here, method="RK45",
-                        rtol=rtol, atol=atol, dense_output=True, events=events)
+        # the integrator's own norms may overflow on a state far out of range;
+        # rhs then names that state
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve_ivp(rhs, (x_here, x_cap), y_here, method="RK45",
+                            rtol=rtol, atol=atol, dense_output=True, events=events)
         if sol.status == -1:
             raise IntegratorError(f"integrator failure: {sol.message} "
                                   f"(last x1={sol.t[-1]:.6g}, u={sol.y[0, -1]:.6g}, E={sol.y[1, -1]:.6g})")

@@ -99,6 +99,12 @@ def test_keldysh_subcommand(tmp_path):
     assert {"field.csv", "scan.csv", "diagnostics.json"} <= names
     diag = json.loads((out / "diagnostics.json").read_text())
     assert abs(diag["scan_limits"][0] - 0.25) < 0.03
+    # solver telemetry: one factorization per Newton step, the largest LU
+    # fill, and no clamp beyond the first interior column
+    assert diag["factorizations"] == diag["iterations"] == len(diag["update_history"]) > 0
+    assert diag["update_history"][-1] <= 1e-11 and diag["lu_nnz"] > 0
+    assert diag["clamp_active"] is False
+    assert diag["clamp_count"] == 0 and diag["clamp_columns"] is None
 
 
 def test_mixed_subcommand(tmp_path):
@@ -123,9 +129,9 @@ def test_failed_run_leaves_no_artifacts(tmp_path, capsys, monkeypatch):
     # channel has no sonic location
     solves = []
     for module, name in ((keldysh, "splu"), (mixed2d, "solve_banded")):
-        def counting(*args, real=getattr(module, name)):
+        def counting(*args, real=getattr(module, name), **kwargs):
             solves.append(args)
-            return real(*args)
+            return real(*args, **kwargs)
         monkeypatch.setattr(module, name, counting)
     runs = {
         "keldysh": base_cfg("keldysh-solve", tmp_path / "keldysh",
@@ -421,4 +427,20 @@ def test_extreme_finite_values_exit_1(tmp_path, capsys):
             assert main(["run", write_cfg(tmp_path, "c.json", cfg)]) == 1, cfg
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and err.count("\n") == 1, err
+        assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_profile_leaving_the_finite_range_exits_1(tmp_path, capsys):
+    # off-critical runs whose u overflows or crosses zero: one line naming the
+    # state that has no finite slope, not a math domain error
+    cases = [(GAS, {"u0": 0.9, "E0": 1e150}),
+             ({"gamma": 100.0, "S0": 0.01, "J": 1.0, "rho_ion": 0.5}, {"u0": 1.5, "E0": 1e6})]
+    for gas, inlet in cases:
+        cfg = base_cfg("profile", tmp_path / "out", gas=gas, inlet=inlet, stop={"x_max": 0.5})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", write_cfg(tmp_path, "c.json", cfg)]) == 1, inlet
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: the profile state u=") and err.count("\n") == 1, err
+        assert "has no finite slope" in err, err
         assert list((tmp_path / "out").iterdir()) == []

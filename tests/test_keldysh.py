@@ -6,9 +6,11 @@ from sonicflow import keldysh
 from sonicflow.field2d import Field2D, field_csv_text
 from sonicflow.keldysh import (InsufficientGradingError, KeldyshBC,
                                KeldyshCoefficients, KeldyshConvergenceError,
-                               KeldyshDomain, KeldyshOptions, corner_probe,
-                               solve_model, sonic_derivative_scan,
-                               reference_scenario, verify_bounds)
+                               KeldyshDivergenceError, KeldyshDomain,
+                               KeldyshOptions, corner_probe,
+                               manufactured_scenario, solve_model,
+                               sonic_derivative_scan, reference_scenario,
+                               verify_bounds)
 
 A = 4.0
 
@@ -122,26 +124,98 @@ def test_newton_matrix_is_the_jacobian():
     v = np.random.default_rng(0).standard_normal(w.shape)
     h = 1e-6
     fd = (st.evaluate(w + h * v)[0] - st.evaluate(w - h * v)[0]) / (2 * h)
-    assert np.max(np.abs(jac @ v.ravel() - fd)) <= 1e-8 * np.max(np.abs(fd))
+    # the matrix is in the pattern's node order; F covers every node,
+    # Dirichlet rows included
+    assert np.max(np.abs(jac @ v.ravel()[st.order] - fd[st.order])) <= 1e-8 * np.max(np.abs(fd))
 
 
 def test_one_factorization_per_step_and_fixed_point(monkeypatch):
     calls = []
 
-    def counting_splu(mat):
+    def counting_splu(mat, **kwargs):
         calls.append(mat.shape)
-        return splu(mat)
+        return splu(mat, **kwargs)
 
     monkeypatch.setattr(keldysh, "splu", counting_splu)
     dom, coeffs, bc = reference_scenario()
     opts = KeldyshOptions(nx=65, ny=65, tol=1e-11, max_iter=200)
     fld = solve_model(dom, coeffs, opts, bc)
-    assert len(calls) == fld.metadata["iterations"] <= 20
-    # the solution is the fixed point of the frozen-coefficient (Picard) map
+    assert len(calls) == fld.metadata["iterations"] == fld.metadata["factorizations"] == 12
+    # the solution is the fixed point of the frozen-coefficient (Picard) map,
+    # solved here on the whole system, Dirichlet rows included
     st = keldysh._assemble(dom, coeffs, opts, bc)
+    assert set(calls) == {(st.m, st.m)}
     _, c1, _, _ = st.evaluate(fld.values)
-    frozen = splu(st.matrix(c1)).solve(st.rhs).reshape(fld.values.shape)
+    frozen = splu(st.matrix(c1)).solve(st.rhs[st.order])[st.position].reshape(fld.values.shape)
     assert np.max(np.abs(frozen - fld.values)) <= 1e-9 * np.max(np.abs(fld.values))
+
+
+@pytest.mark.parametrize("top_mode", ["oblique", "dirichlet"])
+def test_node_order_puts_dirichlet_nodes_last(top_mode):
+    nx, ny = 40, 23
+    order, m = keldysh._node_order(nx, ny, top_mode)
+    n_eta = ny + 1
+    assert np.array_equal(np.sort(order), np.arange((nx + 1) * n_eta))
+    j, i = np.divmod(order, n_eta)
+    dirichlet = (j == 0) | (j == nx) | ((i == ny) if top_mode == "dirichlet" else False)
+    assert not dirichlet[:m].any() and dirichlet[m:].all()
+    top = ny + (top_mode == "oblique")
+    assert m == (nx - 1) * top
+    # the first cut is the middle x line of the unknown box, ordered last
+    assert np.all(j[m - top:m] == 20) and np.array_equal(i[m - top:m], np.arange(top))
+    # the first leaf: the box is cut until it holds at most 64 nodes, here
+    # 9 x-lines by 6 (oblique, 24 eta-lines) or 5 (Dirichlet, 23) eta-lines,
+    # row-major
+    J, I = np.meshgrid(np.arange(1, 10), np.arange(top // 4), indexing="ij")
+    assert np.array_equal(order[:J.size], (J * n_eta + I).ravel())
+
+
+@pytest.mark.parametrize("scenario", [reference_scenario, manufactured_scenario])
+def test_reduced_solve_matches_the_full_system(scenario):
+    """The Dirichlet rows hold only their unit diagonal, so the unknown block
+    is a prefix of the pattern; solving it alone gives the full solution."""
+    dom, coeffs, bc = scenario()
+    opts = KeldyshOptions(nx=65, ny=65, tol=1e-11, max_iter=200)
+    fld = solve_model(dom, coeffs, opts, bc)
+    st = keldysh._assemble(dom, coeffs, opts, bc)
+    _, c1, free, pw = st.evaluate(fld.values)
+    g = -coeffs.a * free.ravel() * pw
+    jac = st.matrix(c1, g)
+    m = st.m
+    assert st.rows[:st.indptr[m]].max() < m
+    assert jac[m:, :m].nnz == 0
+    assert np.array_equal(jac[m:, m:].toarray(), np.eye(jac.shape[0] - m))
+    # the reference: splu of the whole matrix in node order, one refinement step
+    full = jac[st.position][:, st.position]
+    b = np.random.default_rng(1).standard_normal(full.shape[0])
+    lu = splu(full)
+    ref = lu.solve(b)
+    ref += lu.solve(b - full @ ref)
+    _, solve = st.factor(c1, g)
+    assert np.max(np.abs(solve(b) - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_newton_counts_and_divergence_pinned(scenario_field):
+    fld, _ = scenario_field
+    assert fld.metadata["iterations"] == 12  # 97^2
+    dom, coeffs, bc = reference_scenario()
+    with pytest.raises(KeldyshDivergenceError, match="Newton step 12 "):
+        solve_model(dom, coeffs, KeldyshOptions(nx=81, ny=81, tol=1e-11, max_iter=200), bc)
+
+
+def test_solver_telemetry(scenario_field, manufactured_fields):
+    meta = scenario_field[0].metadata
+    assert meta["factorizations"] == meta["iterations"] == len(meta["update_history"])
+    assert meta["update_history"][-1] <= 1e-11
+    # fill of the reduced block in nested-dissection order; SuperLU's COLAMD
+    # on the whole 97^2 matrix gives about 1.0M
+    assert 0 < meta["lu_nnz"] < 900_000
+    # the reference scenario clamps next to the top-right corner only
+    assert meta["clamp_active"] and meta["clamp_count"] > 0
+    assert meta["clamp_columns"] == [96, 96]
+    meta = manufactured_fields[65].metadata
+    assert not meta["clamp_active"]
+    assert meta["clamp_count"] == 0 and meta["clamp_columns"] is None
 
 
 @pytest.mark.parametrize("eps0", [0.4, 0.6])
