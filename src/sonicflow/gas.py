@@ -174,14 +174,16 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _enthalpy_local(params: GasParams, u: float) -> float:
-    """H(u) near the sonic speed, without subtractive cancellation.
+def _enthalpy_local(params: GasParams, u: np.ndarray) -> np.ndarray:
+    """H at each velocity of the 1-D array u near the sonic speed, without
+    subtractive cancellation.
 
     The closed form computes H as a difference of O(1) antiderivative values,
     which loses relative accuracy when H ~ (u - u_sonic)^2 is tiny.  Here the
     integrand is rewritten with expm1/log1p so each Gauss-Legendre node
     contributes a value proportional to (t - u_sonic), keeping the relative
-    error at machine level arbitrarily close to the sonic speed.
+    error at machine level arbitrarily close to the sonic speed.  The 48 nodes
+    of every u form one (len(u), 48) array, summed by one matrix-vector product.
     """
     nodes, weights = _leggauss(48)
     g = params.gamma
@@ -189,11 +191,11 @@ def _enthalpy_local(params: GasParams, u: float) -> float:
     ub = params.u_bar
     mid = 0.5 * (u + us)
     half = 0.5 * (u - us)
-    t = mid + half * nodes
+    t = mid[:, None] + half[:, None] * nodes
     # 1 - (us/t)**(g+1) = -expm1(-(g+1)*log(t/us)), exact as t -> us
     core = -np.expm1(-(g + 1.0) * np.log1p((t - us) / us))
     vals = core * (ub - t)
-    return (params.J / ub) * half * float(np.dot(weights, vals))
+    return (params.J / ub) * half * (vals @ weights)
 
 
 def enthalpy_curvature_at_sonic(params: GasParams) -> float:

@@ -126,43 +126,63 @@ class Profile1D:
         return self.rho is not None
 
 
-def dx_du_critical(params: GasParams, u: float, branch: str) -> float:
+def dx_du_critical(params: GasParams, u, branch: str):
     """dx/du along a critical-branch trajectory; finite through u_sonic.
 
     Away from the sonic speed this is (u**(g+1) - us**(g+1)) / (E(u) u**g)
     with E the critical field.  Both factors vanish linearly at u_sonic;
-    the removable limit is sign * (gamma+1)/sqrt(H''(u_sonic)).  Numerator
-    and H are evaluated in cancellation-free form near the sonic speed so
-    the ratio stays accurate to machine precision arbitrarily close to it.
+    within 1e-12*u_sonic of it the value is the removable limit
+    sign * (gamma+1)/sqrt(H''(u_sonic)).  The numerator is evaluated with
+    expm1/log1p, and H by `_enthalpy_local` within 0.5*u_sonic of the sonic
+    speed and in closed form beyond, so the ratio stays accurate to machine
+    precision arbitrarily close to it.
+
+    Accepts a scalar, returning a float, or an array, evaluated in one pass.
+    A velocity that is not finite and > 0, or one off the sonic speed where
+    H(u) <= 0, raises a ValueError naming it.
     """
     s = _branch_sign(branch)
+    ua = np.asarray(u, dtype=float)
+    bad = ~(np.isfinite(ua) & (ua > 0.0))
+    if np.any(bad):
+        raise ValueError(f"dx_du_critical needs finite velocities u > 0, got u={float(ua[bad][0])}")
     g = params.gamma
     us = params.u_sonic
-    h = u - us
-    if abs(h) <= 1e-12 * us:
-        return s * (g + 1.0) / math.sqrt(enthalpy_curvature_at_sonic(params))
-    num = us ** (g + 1.0) * math.expm1((g + 1.0) * math.log1p(h / us)) / u ** g
-    if abs(h) <= 0.5 * us:
-        H = _enthalpy_local(params, u)
-    else:
-        H = float(enthalpy(params, u))
-    E = s * math.copysign(1.0, h) * math.sqrt(2.0 * max(H, 0.0))
-    return num / E
+    flat = ua.reshape(-1)
+    h = flat - us
+    out = np.full_like(flat, s * (g + 1.0) / math.sqrt(enthalpy_curvature_at_sonic(params)))
+    dist = np.abs(h)
+    off = dist > 1e-12 * us  # the sonic nodes keep the limit: there num = E = 0
+    local = off & (dist <= 0.5 * us)
+    far = dist > 0.5 * us
+    H = np.empty_like(flat)
+    H[local] = _enthalpy_local(params, flat[local])
+    H[far] = enthalpy(params, flat[far])
+    num = us ** (g + 1.0) * np.expm1((g + 1.0) * np.log1p(h[off] / us)) / flat[off] ** g
+    E = s * np.copysign(1.0, h[off]) * np.sqrt(2.0 * np.maximum(H[off], 0.0))
+    if np.any(E == 0.0):
+        raise ValueError(f"dx_du_critical: u={float(flat[off][E == 0.0][0])} is off the "
+                         "critical set (H(u) <= 0 away from the sonic speed)")
+    out[off] = num / E
+    return out.reshape(ua.shape) if ua.ndim else float(out[0])
 
 
-def _gauss_int(fn, a: float, b: float, n: int = 32) -> float:
+def _gauss_int(fn, x: float, edges: np.ndarray, n: int = 32) -> np.ndarray:
+    """x, then x plus the n-point Gauss integral of fn from edges[0] to each
+    later edge.  fn takes the nodes of every piece in one array; the piece
+    integrals are added one at a time from edges[0]."""
     nodes, weights = _leggauss(n)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(sum(w * fn(mid + half * t) for t, w in zip(nodes, weights)))
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    vals = fn((mid[:, None] + half[:, None] * nodes).ravel()).reshape(len(half), n)
+    return np.cumsum(np.concatenate(([x], half * (vals @ weights))))
 
 
 def _gauss_pieces(fn, x: float, a: float, b: float, n_seg: int, n: int = 32) -> float:
     """x plus the n-point Gauss integrals of fn over n_seg equal pieces of
-    [a, b], added one piece at a time from a."""
-    for k in range(n_seg):
-        x += _gauss_int(fn, a + (b - a) * k / n_seg, a + (b - a) * (k + 1) / n_seg, n)
-    return x
+    [a, b], with every node of every piece in one call of fn and the piece
+    integrals added one at a time from a."""
+    return float(_gauss_int(fn, x, a + (b - a) * np.arange(n_seg + 1) / n_seg, n)[-1])
 
 
 def _rhs(params: GasParams):
@@ -208,8 +228,7 @@ def _du_from_state(params: GasParams, u, E, branch: str):
     out = np.empty_like(ua)
     near = np.abs(ua - us) < SONIC_SWITCH_BAND * us
     if branch in (ACCELERATING, DECELERATING):
-        for i in np.nonzero(near)[0]:
-            out[i] = 1.0 / dx_du_critical(params, float(ua[i]), branch)
+        out[near] = 1.0 / dx_du_critical(params, ua[near], branch)
     else:
         near = np.zeros_like(near)
     idx = np.nonzero(~near)[0]
@@ -355,11 +374,7 @@ def integrate_profile(params: GasParams, inlet: InletData, *,
             u_nodes = np.concatenate([np.linspace(u_a, us, 17), np.linspace(us, u_b, 17)[1:]])
         else:
             u_nodes = np.linspace(u_a, u_b, 17)
-        x_nodes = np.empty_like(u_nodes)
-        x_nodes[0] = x_here
-        for i in range(1, len(u_nodes)):
-            x_nodes[i] = x_nodes[i - 1] + _gauss_int(
-                lambda t: dx_du_critical(params, t, branch), u_nodes[i - 1], u_nodes[i], 16)
+        x_nodes = _gauss_int(lambda t: dx_du_critical(params, t, branch), x_here, u_nodes, 16)
         if crosses:
             l_s = float(x_nodes[16])  # the node at us
         if x_max is not None and x_nodes[-1] > x_max:
@@ -529,7 +544,6 @@ def locate_lmax(params: GasParams, inlet: InletData, *,
 
     fn = lambda t: dx_du_critical(params, t, DECELERATING)
     floors = us * 2.0 ** (-np.arange(1, n_floors + 1, dtype=float))
-    xs = np.empty(n_floors)
     # down to the first floor, split around the (removable) sonic point
     pts = sorted({p for p in (floors[0], us * (1 - SONIC_SWITCH_BAND),
                               us * (1 + SONIC_SWITCH_BAND), inlet.u0)
@@ -537,9 +551,7 @@ def locate_lmax(params: GasParams, inlet: InletData, *,
     x = 0.0
     for a, b in zip(pts[:-1], pts[1:]):
         x = _gauss_pieces(fn, x, a, b, max(4, int(math.ceil(abs(b - a) / (0.1 * us)))))
-    xs[0] = x
-    for i in range(1, n_floors):
-        xs[i] = xs[i - 1] + _gauss_int(fn, floors[i - 1], floors[i], 32)
+    xs = _gauss_int(fn, x, floors, 32)
     inc = np.diff(xs)
     ratios = inc[1:] / inc[:-1]
     rbar = float(np.mean(ratios[-4:]))

@@ -1,16 +1,18 @@
 import dataclasses
 import math
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.integrate import quad
 
 from _oracles import directed_polyline_distance
 from conftest import gamma_family
 from sonicflow import profile1d
-from sonicflow.gas import critical_field, find_u_star
+from sonicflow.gas import critical_field, enthalpy_quadrature, find_u_star
 from sonicflow.profile1d import (InletData, NoSonicCrossingError, SonicBlowupError,
                                  bernoulli_defect, conservation_defect,
                                  critical_inlet, dx_du_critical, integrate_profile,
@@ -45,6 +47,84 @@ def test_dx_du_deep_in_band_is_smooth(canonical):
     for h in (1e-8, 1e-10, 1e-11):
         v = dx_du_critical(canonical, 1.0 + h, "accelerating")
         assert v == pytest.approx(TWO_SQRT2, abs=5.0 * h)
+
+
+def _dx_du_oracle(params, u, branch):
+    """dx/du = (u**(g+1) - us**(g+1)) / (E u**g) from the raw difference and
+    E from `enthalpy_quadrature`; loses accuracy as u nears u_sonic."""
+    g, us = params.gamma, params.u_sonic
+    sign = 1.0 if branch == "accelerating" else -1.0
+    E = sign * math.copysign(1.0, u - us) * math.sqrt(2.0 * enthalpy_quadrature(params, u))
+    return (u ** (g + 1.0) - us ** (g + 1.0)) / (E * u ** g)
+
+
+# relative offsets u/u_sonic - 1: at and within 1e-12 of the sonic speed, deep
+# in the band, on both sides of the 0.5 switch to the closed-form H, and far out
+SONIC_OFFSETS = (0.0, 5e-13, -5e-13, 1e-12, -1e-12, 3e-12, -3e-12, 1e-9, -1e-9, 1e-6, -1e-6,
+                 1e-3, -1e-3, 0.2, -0.2, 0.4999, -0.4999, 0.5001, -0.5001, 0.7, -0.7, -0.99)
+
+
+@pytest.mark.parametrize("branch", ["accelerating", "decelerating"])
+@pytest.mark.parametrize("gamma", [1.3, 2.0, 3.0])
+def test_dx_du_array_matches_elementwise(gamma, branch):
+    params = gamma_family(gamma)
+    u = params.u_sonic * (1.0 + np.array(SONIC_OFFSETS))
+    u = np.append(u, np.linspace(0.1, 0.95 * find_u_star(params), 38))
+    arr = dx_du_critical(params, u, branch)
+    one = [dx_du_critical(params, float(x), branch) for x in u]
+    assert all(type(v) is float for v in one)
+    assert np.all(np.isfinite(arr)) and np.all(np.sign(arr) == (1 if branch == "accelerating" else -1))
+    # the 48-node sum of H is one matrix-vector product, whose summation
+    # order may depend on the row count: a few ulp
+    np.testing.assert_allclose(arr, one, rtol=8 * np.finfo(float).eps, atol=0.0)
+    np.testing.assert_array_equal(dx_du_critical(params, u.reshape(2, -1), branch),
+                                  arr.reshape(2, -1))
+
+
+@pytest.mark.parametrize("branch", ["accelerating", "decelerating"])
+@pytest.mark.parametrize("gamma", [1.3, 2.0, 3.0])
+def test_dx_du_matches_quadrature_oracle(gamma, branch):
+    params = gamma_family(gamma)
+    us = params.u_sonic
+    offsets = (1e-4, -1e-4, 1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1, 0.3, -0.3,
+               0.49, -0.49, 0.51, -0.51, 0.7, -0.7, -0.9, -0.999)
+    for u in us * (1.0 + np.array(offsets)):
+        assert dx_du_critical(params, u, branch) == pytest.approx(
+            _dx_du_oracle(params, u, branch), rel=1e-11), f"u={u}"
+
+
+@pytest.mark.parametrize("bad, message", [
+    (0.0, "u=0.0"), (-0.5, "u=-0.5"), (math.nan, "u=nan"), (math.inf, "u=inf"),
+    (np.array([0.9, -1.0]), "u=-1.0"),
+    (np.array([0.9, 3.0]), "u=3.0 is off the critical set"),  # beyond u* = 2.774
+])
+def test_dx_du_rejects_bad_velocities(canonical, bad, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dx_du_critical(canonical, bad, "accelerating")
+
+
+@pytest.mark.parametrize("gamma", [1.3, 3.0])
+def test_extent_quadratures_match_quad(gamma):
+    """The composite Gauss extents against adaptive quadrature of the oracle
+    slope: x(u*) on the accelerating branch, x at every decelerating floor."""
+    params = gamma_family(gamma)
+    us = params.u_sonic
+    acc = lambda t: _dx_du_oracle(params, t, "accelerating")
+    u0 = 0.8 * us
+    ustar = find_u_star(params)
+    # past u_bar under u = u* - s**2, which removes the 1/sqrt(u* - u) end
+    tail = quad(lambda s: acc(ustar - s * s) * 2.0 * s, 0.0, math.sqrt(ustar - params.u_bar),
+                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    ref = sum(quad(acc, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+              for a, b in ((u0, us), (us, params.u_bar))) + tail
+    assert profile1d._x_extent_accelerating(params, u0) == pytest.approx(ref, rel=1e-10)
+
+    dec = lambda t: _dx_du_oracle(params, t, "decelerating")
+    rep = locate_lmax(params, critical_inlet(params, 1.2 * us, branch="decelerating"))
+    edges = np.concatenate(([1.2 * us, us], rep.u_floors))
+    pieces = [quad(dec, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+              for a, b in zip(edges[:-1], edges[1:])]
+    np.testing.assert_allclose(rep.x_at_floors, np.cumsum(pieces)[1:], rtol=1e-10, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
