@@ -18,9 +18,9 @@ from .profile1d import (InletData, KZReport, LemmaReport, LmaxReport, Profile1D,
                         bernoulli_defect, conservation_defect, critical_inlet,
                         dx_du_critical, integrate_profile, kz_check,
                         kz_coefficients, locate_lmax, locate_sonic,
-                        potential_ode_residual, profile_to_csv,
-                        reconstruct_fields, verify_lemma)
-from .field2d import Field2D, field_to_csv
+                        potential_ode_residual, reconstruct_fields,
+                        verify_lemma)
+from .field2d import Field2D
 from .keldysh import (KeldyshBC, KeldyshCoefficients, KeldyshDomain,
                       KeldyshOptions, corner_probe, manufactured_scenario, solve_model,
                       sonic_derivative_scan, reference_scenario, verify_bounds)

@@ -42,8 +42,3 @@ def csv_text(header: str, columns) -> str:
 
 def field_csv_text(fld: Field2D) -> str:
     return csv_text(CSV_HEADER, (fld.x.ravel(), fld.y.ravel(), fld.values.ravel()))
-
-
-def field_to_csv(fld: Field2D, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(field_csv_text(fld))

@@ -91,6 +91,12 @@ def _zero(x, y):
     return 0.0
 
 
+# KeldyshCoefficients.validate_bounds samples the bounds at _BOUNDS_NX
+# abscissas and _BOUNDS_NY heights per abscissa
+_BOUNDS_NX = 25
+_BOUNDS_NY = 9
+
+
 @dataclass(frozen=True)
 class KeldyshCoefficients:
     """Coefficients of the model equation and of the oblique top condition.
@@ -125,13 +131,13 @@ class KeldyshCoefficients:
         if self.beta2 is None:
             object.__setattr__(self, "beta2", lambda x, y: 0.0)
 
-    def validate_bounds(self, domain: KeldyshDomain, nx: int = 25, ny: int = 9) -> None:
+    def validate_bounds(self, domain: KeldyshDomain) -> None:
         """Sample the perturbation and obliqueness bounds; raise on violation."""
-        xs = np.linspace(domain.eps0 / nx, domain.eps0, nx)
+        xs = np.linspace(domain.eps0 / _BOUNDS_NX, domain.eps0, _BOUNDS_NX)
         tol = 1e-9
         for x in xs:
             fx = float(domain.f(x))
-            for y in np.linspace(0.0, fx, ny):
+            for y in np.linspace(0.0, fx, _BOUNDS_NY):
                 if abs(self.O1(x, y)) > self.N * x * x + tol:
                     raise ValueError(f"|O1({x:.3g},{y:.3g})| exceeds N*x^2")
                 for name, O in (("O2", self.O2), ("O3", self.O3),

@@ -32,7 +32,6 @@ from scipy.spatial import cKDTree
 from .field2d import csv_text
 from .gas import (
     ACCELERATING,
-    BOUNDARY,
     DECELERATING,
     OFF_CRITICAL,
     SONIC_BAND,
@@ -111,7 +110,7 @@ class Profile1D:
     du: np.ndarray
     l_s: float | None
     l_max: float | None
-    terminated: str  # turning_point | u_target | x_max | sonic_band
+    terminated: str  # turning_point | u_target | x_max | guard
     rho: np.ndarray | None = None
     p: np.ndarray | None = None
     Phi: np.ndarray | None = None
@@ -237,6 +236,22 @@ def _du_from_state(params: GasParams, u, E, branch: str):
     return out
 
 
+def _inlet_course(params: GasParams, inlet: InletData) -> tuple[str, bool]:
+    """Branch of an inlet, and whether u increases from it.
+
+    On the critical level set the inlet is accelerating, and u increases,
+    iff (u0 - u_sonic)*E0 > 0; otherwise it is decelerating, E0 = 0
+    included.  Off it the branch is OFF_CRITICAL and the direction is the
+    sign of u' from the ODE right-hand side, which raises on a state with no
+    finite slope.
+    """
+    u0, E0 = inlet.u0, inlet.E0
+    if classify_state(params, PhaseState(u0, E0), tol=1e-9).on_critical:
+        accelerating = (u0 - params.u_sonic) * E0 > 0.0
+        return (ACCELERATING if accelerating else DECELERATING), accelerating
+    return OFF_CRITICAL, _rhs(params)(0.0, (u0, E0))[0] > 0.0
+
+
 def integrate_profile(params: GasParams, inlet: InletData, *,
                       x_max: float | None = None,
                       u_target: float | None = None,
@@ -245,11 +260,17 @@ def integrate_profile(params: GasParams, inlet: InletData, *,
                       n_samples: int = 4001) -> Profile1D:
     """Integrate the profile from the inlet until a stop condition.
 
-    Critical-branch data is carried through the sonic point by switching to
-    the u-parametrized form within |u - u_sonic| < SONIC_SWITCH_BAND*u_sonic.
-    Stop conditions: x_max, u_target, or (accelerating) the turning point
-    where E returns to 0.  Off-critical data must stop before the sonic
-    speed; reaching it raises SonicBlowupError.
+    RK45 runs in x1 until an event: the run enters the sonic band
+    |u - u_sonic| < SONIC_SWITCH_BAND*u_sonic, reaches u_target, or, on the
+    accelerating branch, reaches the turning point where E returns to 0.
+    Critical-branch data crosses the band by quadrature of dx/du, after
+    which the next RK run starts; off-critical data entering the band raises
+    SonicBlowupError.  Decelerating data with no stop runs to u_sonic/20.
+
+    `terminated` names the stop: "turning_point", "u_target", "x_max", or
+    "guard" when off-critical data with no x_max runs out to x1 = 1e6
+    without reaching u_target.  Critical data with no x_max that does so
+    raises IntegratorError.
     """
     us = params.u_sonic
     u0, E0 = inlet.u0, inlet.E0
@@ -259,19 +280,11 @@ def integrate_profile(params: GasParams, inlet: InletData, *,
     if abs(u0 - us) <= SONIC_BAND * us:
         raise ValueError("degenerate inlet: exactly-sonic data is a fixed point "
                          "of the desingularized flow and is rejected")
-    cls = classify_state(params, PhaseState(u0, E0), tol=1e-9)
-    on_critical = cls.on_critical
-    if on_critical:
-        branch = DECELERATING if cls.branch == BOUNDARY else cls.branch
-    else:
-        branch = OFF_CRITICAL
-        if x_max is None and u_target is None:
-            raise ValueError("off-critical data needs an explicit x_max or u_target stop")
-
     if u_target is not None and u_target <= 0.0:
         raise ValueError("u_target must be > 0")
-    rhs = _rhs(params)
-    increasing = rhs(0.0, (u0, E0))[0] > 0.0
+    branch, increasing = _inlet_course(params, inlet)
+    if branch == OFF_CRITICAL and x_max is None and u_target is None:
+        raise ValueError("off-critical data needs an explicit x_max or u_target stop")
     ahead = 1.0 if increasing else -1.0  # event direction of a u level ahead of the run
     if u_target is not None:
         if increasing and u_target <= u0:
@@ -282,29 +295,59 @@ def integrate_profile(params: GasParams, inlet: InletData, *,
     if branch == DECELERATING and u_target is None and x_max is None:
         u_target = us / 20.0
 
+    rhs = _rhs(params)
     x_cap = x_max if x_max is not None else 1e6
     band_lo = us * (1.0 - SONIC_SWITCH_BAND)
     band_hi = us * (1.0 + SONIC_SWITCH_BAND)
 
+    # every RK run watches the same events; `meaning` names each one
+    events = [_event(lambda x, y: y[0] - band_lo, 1.0),   # band entered from below
+              _event(lambda x, y: y[0] - band_hi, -1.0)]  # band entered from above
+    meaning = ["band", "band"]
+    if branch == ACCELERATING:
+        events.append(_event(lambda x, y: y[1], -1.0))
+        meaning.append("turning_point")
+    if u_target is not None:
+        events.append(_event(lambda x, y: y[0] - u_target, ahead))
+        meaning.append("u_target")
+
     segments = []  # (x_from, x_to, kind, payload)
     l_s = None
-    l_max = None
-    terminated = "x_max"
-
-    def ev_u(value, direction):
-        return _event(lambda x, y: y[0] - value, direction)
-
-    def ev_E_zero():
-        return _event(lambda x, y: y[1], -1.0)
-
+    terminated = None
     x_here = 0.0
     y_here = (u0, E0)
-    done = False
+    # critical data heading toward the sonic speed from inside the band
+    # starts with the band quadrature
+    in_band = (branch != OFF_CRITICAL and increasing == (u0 < us)
+               and band_lo <= u0 <= band_hi)
+    while terminated is None:
+        if in_band:
+            # u-parametrized crossing of the sonic band, or up to u_target in it
+            in_band = False
+            u_a = y_here[0]
+            u_b = band_hi if increasing else band_lo
+            if u_target is not None and min(u_a, u_b) < u_target < max(u_a, u_b):
+                u_b = u_target
+                terminated = "u_target"
+            crosses = (u_a - us) * (u_b - us) < 0.0
+            if crosses:
+                u_nodes = np.concatenate([np.linspace(u_a, us, 17), np.linspace(us, u_b, 17)[1:]])
+            else:
+                u_nodes = np.linspace(u_a, u_b, 17)
+            x_nodes = _gauss_int(lambda t: dx_du_critical(params, t, branch), x_here, u_nodes, 16)
+            if crosses:
+                l_s = float(x_nodes[16])  # the node at us
+            if x_max is not None and x_nodes[-1] > x_max:
+                keep = x_nodes <= x_max
+                u_nodes, x_nodes = u_nodes[keep], x_nodes[keep]
+                terminated = "x_max"
+                if l_s is not None and l_s > x_nodes[-1]:
+                    l_s = None
+            segments.append((x_here, float(x_nodes[-1]), "band", (x_nodes.copy(), u_nodes.copy())))
+            x_here = float(x_nodes[-1])
+            y_here = (float(u_nodes[-1]), float(critical_field(params, u_nodes[-1], branch)))
+            continue
 
-    def run_rk(events):
-        """RK45 from (x_here, y_here) toward x_cap; appends the segment, moves
-        the state to its end and returns the index of the event hit, or None."""
-        nonlocal x_here, y_here
         # the integrator's own norms may overflow on a state far out of range;
         # rhs then names that state
         with np.errstate(over="ignore", invalid="ignore"):
@@ -317,94 +360,20 @@ def integrate_profile(params: GasParams, inlet: InletData, *,
         x_here = sol.t[-1]
         y_here = (sol.y[0, -1], sol.y[1, -1])
         if sol.status == 0:
-            return None
-        return next(k for k, te in enumerate(sol.t_events) if len(te))
-
-    # Critical data heading toward the sonic speed crosses it via phases
-    # A (x-parametrized approach), B (u-parametrized band) and C (beyond);
-    # critical data moving away from it integrates as phase C directly.
-    toward_sonic = on_critical and ((increasing and u0 < us) or
-                                    (not increasing and u0 > us))
-
-    # ---- phase A: x-parametrized run up to the sonic band (or a stop) ----
-    need_band = toward_sonic and ((increasing and u0 < band_lo) or
-                                  (not increasing and u0 > band_hi))
-    if branch == OFF_CRITICAL:
-        events = [ev_u(band_lo, +1.0), ev_u(band_hi, -1.0)]
-        if u_target is not None:
-            events.append(ev_u(u_target, ahead))
-        hit = run_rk(events)
-        done = True
-        if hit is None:
+            if x_max is None and branch != OFF_CRITICAL:
+                raise IntegratorError("integration guard exceeded without a stop condition")
             terminated = "x_max" if x_max is not None else "guard"
-        elif hit < 2:
+            continue
+        hit = meaning[next(k for k, te in enumerate(sol.t_events) if len(te))]
+        if hit != "band":
+            terminated = hit
+        elif branch == OFF_CRITICAL:
             raise SonicBlowupError(
                 "sonic blow-up: off-critical data cannot cross the sonic speed "
                 f"(reached u={y_here[0]:.9g} at x1={x_here:.9g} with E={y_here[1]:.6g})")
         else:
-            terminated = "u_target"
-    elif need_band:
-        pre_band_u = band_lo if increasing else band_hi
-        events = [ev_u(pre_band_u, ahead)]
-        between = (u0 < u_target < pre_band_u) if (u_target is not None and increasing) \
-            else (u_target is not None and pre_band_u < u_target < u0)
-        if between:
-            events.append(ev_u(u_target, ahead))
-        hit = run_rk(events)
-        if hit is None:
-            terminated = "x_max" if x_max is not None else "guard"
-            done = True
-        elif hit != 0:
-            terminated = "u_target"
-            done = True
-
-    # ---- phase B: u-parametrized crossing of the sonic band ----
-    if not done and toward_sonic:
-        u_a = y_here[0]
-        u_b = band_hi if increasing else band_lo
-        crosses = (u_a - us) * (u_b - us) < 0.0 or abs(u_a - us) <= SONIC_BAND * us
-        if u_target is not None:
-            inside = (min(u_a, u_b) < u_target < max(u_a, u_b))
-            if inside:
-                u_b = u_target
-                crosses = (u_a - us) * (u_b - us) < 0.0
-                terminated = "u_target"
-                done = True
-        if crosses:
-            u_nodes = np.concatenate([np.linspace(u_a, us, 17), np.linspace(us, u_b, 17)[1:]])
-        else:
-            u_nodes = np.linspace(u_a, u_b, 17)
-        x_nodes = _gauss_int(lambda t: dx_du_critical(params, t, branch), x_here, u_nodes, 16)
-        if crosses:
-            l_s = float(x_nodes[16])  # the node at us
-        if x_max is not None and x_nodes[-1] > x_max:
-            keep = x_nodes <= x_max
-            u_nodes, x_nodes = u_nodes[keep], x_nodes[keep]
-            terminated = "x_max"
-            done = True
-            if l_s is not None and l_s > x_nodes[-1]:
-                l_s = None
-        segments.append((x_here, float(x_nodes[-1]), "band", (x_nodes.copy(), u_nodes.copy())))
-        x_here = float(x_nodes[-1])
-        y_here = (float(u_nodes[-1]), float(critical_field(params, u_nodes[-1], branch)))
-
-    # ---- phase C: x-parametrized run beyond the band (or away-moving data) ----
-    if not done and on_critical:
-        events = []
-        if branch == ACCELERATING:
-            events.append(ev_E_zero())
-        if u_target is not None:
-            events.append(ev_u(u_target, ahead))
-        hit = run_rk(events)
-        if hit is None:
-            terminated = "x_max"
-            if x_max is None:
-                raise IntegratorError("integration guard exceeded without a stop condition")
-        elif branch == ACCELERATING and hit == 0:
-            terminated = "turning_point"
-            l_max = x_here
-        else:
-            terminated = "u_target"
+            in_band = True
+    l_max = x_here if terminated == "turning_point" else None
 
     # ---- sample assembly on a dense x grid ----
     x_end = x_here
@@ -513,8 +482,7 @@ LMAX_HORIZON = 1e3
 
 def locate_lmax(params: GasParams, inlet: InletData, *,
                 n_floors: int = 14,
-                ode_profile: Profile1D | None = None,
-                rtol: float = 1e-10, atol: float = 1e-12) -> LmaxReport:
+                ode_profile: Profile1D | None = None) -> LmaxReport:
     """Terminal location of a critical-branch profile.
 
     Accelerating: finite, equal to x(u*); computed from the u-parametrized
@@ -525,17 +493,17 @@ def locate_lmax(params: GasParams, inlet: InletData, *,
     mean increment ratio reaches 0.97 or x exceeds LMAX_HORIZON.
     This is an operational diagnosis, not a proof.
     """
-    cls = classify_state(params, PhaseState(inlet.u0, inlet.E0), tol=1e-9)
-    if not cls.on_critical:
+    branch, _ = _inlet_course(params, inlet)
+    if branch == OFF_CRITICAL:
         raise ValueError("locate_lmax requires inlet data on the critical level set")
     us = params.u_sonic
 
-    if cls.branch == ACCELERATING or (cls.branch == BOUNDARY and inlet.u0 < us):
+    if branch == ACCELERATING:
         quad_val = _x_extent_accelerating(params, inlet.u0)
         if ode_profile is not None and ode_profile.l_max is not None:
             ode_val = ode_profile.l_max
         else:
-            prof = integrate_profile(params, inlet, rtol=rtol, atol=atol, n_samples=301)
+            prof = integrate_profile(params, inlet, n_samples=301)
             ode_val = prof.l_max
         return LmaxReport(branch=ACCELERATING, finite=True, value=quad_val,
                           u_floors=None, x_at_floors=None, increment_ratios=None,
@@ -656,13 +624,17 @@ class KZReport:
     agreement_rel_max: float
 
 
-def kz_check(params: GasParams, profile: Profile1D, ms=(0, 1, 2, 3)) -> KZReport:
+#: Orders m of the weighted H^(m+1) estimates whose sign condition kz_check tests.
+KZ_ORDERS = (0, 1, 2, 3)
+
+
+def kz_check(params: GasParams, profile: Profile1D) -> KZReport:
     """Evaluate the sign condition on all samples via the closed representation."""
     u, E, du, x = profile.u, profile.E, profile.du, profile.x1
 
     per_m_min = {}
     q_reps = {}
-    for m in ms:
+    for m in KZ_ORDERS:
         q = _q_m_representation(params, u, du, m)
         q_reps[m] = q
         per_m_min[m] = float(np.min(q))
@@ -676,7 +648,7 @@ def kz_check(params: GasParams, profile: Profile1D, ms=(0, 1, 2, 3)) -> KZReport
               + alpha[1:-1] * (hr ** 2 - hl ** 2)) / (hl * hr * (hl + hr))
     agree = 0.0
     lo, hi = 5, len(x) - 5
-    for m in ms:
+    for m in KZ_ORDERS:
         direct = -2.0 * beta[1:-1] - (2 * m - 1) * dalpha
         rep = q_reps[m][1:-1]
         scale = np.max(np.abs(rep))
@@ -883,21 +855,17 @@ def verify_lemma(params: GasParams, inlet: InletData, *,
     inlet's quadrant over the visited u-range.
     """
     us = params.u_sonic
-    cls = classify_state(params, PhaseState(inlet.u0, inlet.E0), tol=1e-9)
+    branch, increasing = _inlet_course(params, inlet)
     claims = []
     lmax_report = None
 
-    if cls.on_critical and cls.branch == ACCELERATING:
-        branch = ACCELERATING
+    if branch == ACCELERATING:
         profile = integrate_profile(params, inlet, rtol=rtol, atol=atol)
-        lmax_report = locate_lmax(params, inlet, ode_profile=profile, rtol=rtol, atol=atol)
-    elif cls.on_critical and cls.branch == DECELERATING:
-        branch = DECELERATING
+        lmax_report = locate_lmax(params, inlet, ode_profile=profile)
+    elif branch == DECELERATING:
         profile = integrate_profile(params, inlet, u_target=us / 50.0, rtol=rtol, atol=atol)
-        lmax_report = locate_lmax(params, inlet, rtol=rtol, atol=atol)
+        lmax_report = locate_lmax(params, inlet)
     else:
-        branch = OFF_CRITICAL
-        increasing = _rhs(params)(0.0, (inlet.u0, inlet.E0))[0] > 0.0
         guard = us * (1.0 - 2 * SONIC_SWITCH_BAND) if inlet.u0 < us else us * (1.0 + 2 * SONIC_SWITCH_BAND)
         if increasing != (inlet.u0 < us):
             guard = None  # the run moves away from the sonic speed: no guard ahead of it
@@ -989,7 +957,3 @@ def profile_csv_text(profile: Profile1D) -> str:
     return csv_text(CSV_HEADER, (profile.x1, profile.u, profile.E, profile.rho, profile.p,
                                  profile.Phi, profile.phi_bar))
 
-
-def profile_to_csv(profile: Profile1D, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(profile_csv_text(profile))

@@ -70,6 +70,17 @@ def test_profile_off_critical_reports_failing_claims(tmp_path):
         assert {"coverage", "sonic_crossing"} <= failed
 
 
+def test_profile_near_sonic_inlet(tmp_path):
+    # 1e-5 above the sonic speed on the accelerating branch: the run goes on
+    # to the turning point
+    out = tmp_path / "out"
+    cfg = base_cfg("profile", out, gas=GAS, inlet={"u0": 1.00001, "branch": "accelerating"},
+                   emit={"svg": False})
+    assert main(["run", write_cfg(tmp_path, "c.json", cfg)]) == 0
+    check_manifest(out)
+    assert json.loads((out / "lemma_report.json").read_text())["branch"] == "accelerating"
+
+
 def test_phase_portrait_subcommand(tmp_path):
     out = tmp_path / "out"
     cfg = base_cfg("phase-portrait", out, gas=GAS, n=301)

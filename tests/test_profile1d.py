@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import time
 from unittest import mock
 
 import numpy as np
@@ -188,6 +189,23 @@ def test_u_target_direction_validation(canonical):
     with pytest.raises(ValueError, match="ahead"):
         integrate_profile(canonical, critical_inlet(canonical, 1.05, branch="decelerating"),
                           u_target=1.5)
+
+
+@pytest.mark.parametrize("branch", ["accelerating", "decelerating"])
+@pytest.mark.parametrize("u0", [0.99999, 1.00001])
+def test_near_sonic_inlet_keeps_its_branch(canonical, u0, branch):
+    # |E0| ~ 1.4e-5 lies inside classify_state's boundary band |E| <= 4.5e-5,
+    # yet the inlet is on one branch, and every entry point reports that one
+    inlet = critical_inlet(canonical, u0, branch)
+    results = []
+    for run in (lambda: integrate_profile(canonical, inlet),
+                lambda: locate_lmax(canonical, inlet),
+                lambda: verify_lemma(canonical, inlet)):
+        t0 = time.perf_counter()
+        results.append(run())
+        assert time.perf_counter() - t0 < 1.0
+    assert [r.branch for r in results] == [branch] * 3
+    assert results[0].terminated == ("turning_point" if branch == "accelerating" else "u_target")
 
 
 def test_c1_crossing(canonical, acc_profile):
