@@ -264,7 +264,8 @@ def integrate_profile(params: GasParams, inlet: InletData, *,
     |u - u_sonic| < SONIC_SWITCH_BAND*u_sonic, reaches u_target, or, on the
     accelerating branch, reaches the turning point where E returns to 0.
     Critical-branch data crosses the band by quadrature of dx/du, after
-    which the next RK run starts; off-critical data entering the band raises
+    which the next RK run starts; off-critical data entering the band, or
+    starting inside it and heading for the sonic speed, raises
     SonicBlowupError.  Decelerating data with no stop runs to u_sonic/20.
 
     `terminated` names the stop: "turning_point", "u_target", "x_max", or
@@ -316,10 +317,14 @@ def integrate_profile(params: GasParams, inlet: InletData, *,
     terminated = None
     x_here = 0.0
     y_here = (u0, E0)
-    # critical data heading toward the sonic speed from inside the band
-    # starts with the band quadrature
-    in_band = (branch != OFF_CRITICAL and increasing == (u0 < us)
-               and band_lo <= u0 <= band_hi)
+    # data heading toward the sonic speed from inside the band has already
+    # entered it: critical data starts with the band quadrature, off-critical
+    # data blows up
+    in_band = increasing == (u0 < us) and band_lo <= u0 <= band_hi
+    if in_band and branch == OFF_CRITICAL:
+        raise SonicBlowupError(
+            "sonic blow-up: off-critical data cannot cross the sonic speed "
+            f"(inlet u0={u0:.9g} with E0={E0:.6g} starts inside the sonic band heading for it)")
     while terminated is None:
         if in_band:
             # u-parametrized crossing of the sonic band, or up to u_target in it

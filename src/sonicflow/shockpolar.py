@@ -49,6 +49,11 @@ class UpstreamState:
                              f"< sound speed {self.sound_speed}")
         require_finite(lambda: self.B0, "Bernoulli constant B0 = q_inf**2/2 + "
                        "(rho_inf**(gamma-1) - 1)/(gamma-1)")
+        # the largest density on the Bernoulli level, reached by the normal
+        # shock's root search
+        g = self.gamma
+        require_finite(lambda: (1.0 + (g - 1.0) * self.B0) ** (1.0 / (g - 1.0)),
+                       "stagnation density (1 + (gamma-1)*B0)**(1/(gamma-1))")
 
     @property
     def sound_speed(self) -> float:
@@ -60,37 +65,62 @@ class UpstreamState:
         return 0.5 * self.q_inf ** 2 + (self.rho_inf ** (g - 1.0) - 1.0) / (g - 1.0)
 
 
-def bernoulli_density(state: UpstreamState, speed: float) -> float:
-    """Density at the given flow speed on the same Bernoulli level.
+def _sound_speed_sq(state: UpstreamState, speed):
+    """c**2 = rho**(gamma-1) = 1 + (gamma-1)*(B0 - speed**2/2) at a flow speed."""
+    return 1.0 + (state.gamma - 1.0) * (state.B0 - 0.5 * speed * speed)
+
+
+def bernoulli_density(state: UpstreamState, speed):
+    """Density at the given flow speed (or array of speeds) on the same
+    Bernoulli level.
 
     rho = (1 + (gamma-1)*(B0 - speed**2/2)) ** (1/(gamma-1)); raises on
     cavitation (speed beyond the stagnation-energy limit).
     """
     g = state.gamma
-    arg = 1.0 + (g - 1.0) * (state.B0 - 0.5 * speed * speed)
-    if arg <= 0.0:
-        raise ValueError(f"cavitation: speed {speed} exceeds the Bernoulli bound "
+    c2 = _sound_speed_sq(state, speed)
+    if np.any(c2 <= 0.0):
+        raise ValueError(f"cavitation: speed {float(np.max(speed))} exceeds the Bernoulli bound "
                          f"{math.sqrt(2.0 * (state.B0 + 1.0 / (g - 1.0))):.6g}")
-    return arg ** (1.0 / (g - 1.0))
+    return c2 ** (1.0 / (g - 1.0))
 
 
-def _normal_root(state: UpstreamState, u_n: float, v_t: float) -> float:
+def _normal_root(state: UpstreamState, u_n, v_t):
     """Downstream normal velocity from mass-flux continuity.
 
-    Solves rho(sqrt(w^2 + v_t^2)) * w = rho_inf * u_n for the root w < u_n
-    (the compressive, normal-subsonic branch).  The mass-flux function rises
-    to its maximum where the normal component is sonic and decreases past it,
-    so the bracket (0, u_n) contains exactly one root for a supersonic u_n.
+    Solves rho(sqrt(w^2 + v_t^2)) * w = rho_inf * u_n for the compressive,
+    normal-subsonic root w, elementwise over scalars or arrays.  The mass
+    flux g(w) = rho*w has g' = rho*(1 - w^2/c^2) and g'' < 0 while w <= c,
+    so it rises, concave, on (0, w*] to its maximum at the normal-sonic speed
+
+        w*^2 = 2*(1 + (gamma-1)*(B0 - v_t^2/2)) / (gamma+1)
+
+    and falls past it.  For u_n > w* the bracket (0, w*] holds exactly one
+    root (the trivial root w = u_n lies outside it), and Newton's method
+    from w = 0 climbs to it monotonically: on a concave rising function
+    every tangent step lands at or below the root.  An element stops once
+    its mass flux reaches m (within rounding) or a step no longer moves it
+    up.  For u_n <= w* the shock is vanishing and w = u_n.
     """
+    g = state.gamma
+    u_n, v_t = np.broadcast_arrays(np.asarray(u_n, dtype=float), np.asarray(v_t, dtype=float))
     m = state.rho_inf * u_n
-
-    def f(w):
-        return bernoulli_density(state, math.hypot(w, v_t)) * w - m
-
-    hi = u_n * (1.0 - 1e-13)
-    if f(hi) <= 0.0:  # vanishing-strength limit
-        return u_n
-    return float(brentq(f, 1e-13 * u_n, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps))
+    w_star = np.sqrt(2.0 * _sound_speed_sq(state, v_t) / (g + 1.0))
+    live = u_n > w_star
+    w = np.zeros_like(w_star)
+    # g' rounds to 0 or below only within rounding of a root at w*; the
+    # inf or NaN step it gives there is not taken
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            c2 = _sound_speed_sq(state, np.hypot(w, v_t))
+            rho = c2 ** (1.0 / (g - 1.0))
+            f = rho * w - m
+            w_next = np.minimum(w - f / (rho * (1.0 - w * w / c2)), w_star)
+            up = live & (f < 0.0) & (w_next > w)
+            if not up.any():
+                break
+            w = np.where(up, w_next, w)
+    return np.where(live, w, u_n)[()]
 
 
 def normal_shock(state: UpstreamState):
@@ -102,29 +132,31 @@ def normal_shock(state: UpstreamState):
     """
     if state.q_inf <= state.sound_speed * (1.0 + 1e-12):
         return state.q_inf, state.rho_inf
-    u = _normal_root(state, state.q_inf, 0.0)
+    u = float(_normal_root(state, state.q_inf, 0.0))
     return u, bernoulli_density(state, u)
 
 
-def _downstream(state: UpstreamState, sigma: float):
+def _downstream(state: UpstreamState, sigma):
     """Downstream velocity/density across a shock inclined at sigma.
 
-    sigma is the angle between the upstream flow and the shock front;
-    sigma = pi/2 is the normal shock.  Returns (u1, u2, rho, w_n).
+    sigma (a scalar or an array) is the angle between the upstream flow and
+    the shock front; sigma = pi/2 is the normal shock.  Returns
+    (u1, u2, rho, w_n), each of sigma's shape.
     """
     q = state.q_inf
-    u_n = q * math.sin(sigma)
-    v_t = q * math.cos(sigma)
+    sin_s, cos_s = np.sin(sigma), np.cos(sigma)
+    u_n = q * sin_s
+    v_t = q * cos_s
     w = _normal_root(state, u_n, v_t)
-    u1 = v_t * math.cos(sigma) + w * math.sin(sigma)
-    u2 = math.cos(sigma) * (u_n - w)
-    rho = bernoulli_density(state, math.hypot(w, v_t))
+    u1 = v_t * cos_s + w * sin_s
+    u2 = cos_s * (u_n - w)
+    rho = bernoulli_density(state, np.hypot(w, v_t))
     return u1, u2, rho, w
 
 
 def _deflection(state: UpstreamState, sigma: float) -> float:
     u1, u2, _, _ = _downstream(state, sigma)
-    return math.atan2(u2, u1)
+    return float(np.arctan2(u2, u1))
 
 
 @dataclass(frozen=True)
@@ -153,23 +185,24 @@ class ShockPolarCurve:
 def compute_polar(state: UpstreamState, n_samples: int = 2048) -> ShockPolarCurve:
     """Sweep shock inclinations and assemble the polar.
 
-    The detachment angle is located by dense sampling plus golden-section
+    All n_samples (at least 3) inclinations go through one array call of
+    the normal-root solver, which brackets the compressive root by (0, w*],
+    w* the normal-sonic speed where the mass flux peaks; a shock whose
+    normal upstream speed is at most w* is vanishing (w = u_n).  The
+    detachment angle is located by dense sampling plus golden-section
     refinement of the deflection; the sonic angle is the deflection at which
-    the downstream speed equals the downstream sound speed.
+    the downstream speed equals the downstream sound speed.  Both
+    refinements call the same solver one inclination at a time.
     """
     if state.q_inf <= state.sound_speed * (1.0 + 1e-12):
         raise ValueError("polar needs a strictly supersonic upstream")
+    if n_samples < 3:
+        raise ValueError(f"n_samples must be at least 3, got {n_samples}")
     g = state.gamma
     sigma_min = math.asin(state.sound_speed / state.q_inf)
     sigma = np.linspace(sigma_min, 0.5 * math.pi, n_samples)
-    u1 = np.empty(n_samples)
-    u2 = np.empty(n_samples)
-    rho = np.empty(n_samples)
-    res = np.empty(n_samples)
-    for i, s in enumerate(sigma):
-        a1, a2, r, w = _downstream(state, s)
-        u1[i], u2[i], rho[i] = a1, a2, r
-        res[i] = abs(r * w - state.rho_inf * state.q_inf * math.sin(s))
+    u1, u2, rho, w = _downstream(state, sigma)
+    res = np.abs(rho * w - state.rho_inf * state.q_inf * np.sin(sigma))
     theta = np.arctan2(u2, u1)
 
     i_max = int(np.argmax(theta))
@@ -238,7 +271,7 @@ def weak_state(curve: ShockPolarCurve, theta_w: float, branch: str = "weak"):
     else:
         s_hit = float(brentq(f, lo, hi, xtol=1e-14))
     a1, a2, rho, _ = _downstream(state, s_hit)
-    return np.array([a1, a2]), rho, s_hit
+    return np.array([a1, a2]), float(rho), s_hit
 
 
 @dataclass(frozen=True)

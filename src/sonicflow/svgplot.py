@@ -6,8 +6,6 @@ re-running a config reproduces identical files.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
@@ -19,13 +17,21 @@ def _fmt(v: float) -> str:
 _STOPS = [(68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98), (253, 231, 37)]
 
 
-def _color(t: float) -> str:
-    t = min(max(t, 0.0), 1.0)
-    pos = t * (len(_STOPS) - 1)
-    i = min(int(pos), len(_STOPS) - 2)
-    f = pos - i
-    c = [round((1 - f) * a + f * b) for a, b in zip(_STOPS[i], _STOPS[i + 1])]
-    return f"rgb({c[0]},{c[1]},{c[2]})"
+def _fmt_points(xs, ys) -> list[str]:
+    """Each point of two coordinate arrays as "x,y", each number as _fmt gives it."""
+    return [f"{x:.6g},{y:.6g}" for x, y in zip(xs.tolist(), ys.tolist())]
+
+
+def _color(t):
+    """RGB of the colormap at each t (clipped to [0, 1]) on a last axis of 3.
+
+    Channels round half to even (np.rint), as Python's round does.
+    """
+    stops = np.asarray(_STOPS, dtype=float)
+    pos = np.clip(t, 0.0, 1.0) * (len(_STOPS) - 1)
+    i = np.minimum(pos.astype(int), len(_STOPS) - 2)
+    f = (pos - i)[..., None]
+    return np.rint((1 - f) * stops[i] + f * stops[i + 1]).astype(int)
 
 
 class SvgCanvas:
@@ -41,7 +47,7 @@ class SvgCanvas:
             self.y1 = self.y0 + 1.0
         self.w, self.h, self.m = width, height, margin
         self.title, self.xlabel, self.ylabel = title, xlabel, ylabel
-        self.body: list[str] = []
+        self.body: list = []  # SVG lines, or functions that yield blocks of lines
 
     def sx(self, x: float) -> float:
         return self.m + (x - self.x0) / (self.x1 - self.x0) * (self.w - 2 * self.m)
@@ -50,8 +56,11 @@ class SvgCanvas:
         return self.h - self.m - (y - self.y0) / (self.y1 - self.y0) * (self.h - 2 * self.m)
 
     def polyline(self, xs, ys, color="#1f77b4", width=1.5, dash=None):
-        pts = " ".join(f"{_fmt(self.sx(float(x)))},{_fmt(self.sy(float(y)))}"
-                       for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y))
+        """Points with a non-finite coordinate are dropped."""
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        keep = np.isfinite(xs) & np.isfinite(ys)
+        pts = " ".join(_fmt_points(self.sx(xs[keep]), self.sy(ys[keep])))
         extra = f' stroke-dasharray="{dash}"' if dash else ""
         self.body.append(f'<polyline fill="none" stroke="{color}" stroke-width="{width}"{extra} points="{pts}"/>')
 
@@ -67,10 +76,6 @@ class SvgCanvas:
         self.body.append(f'<ellipse cx="{_fmt(self.sx(cx))}" cy="{_fmt(self.sy(cy))}" '
                          f'rx="{_fmt(rx)}" ry="{_fmt(ry)}" stroke="{color}" '
                          f'stroke-width="{width}" fill="{fill}"/>')
-
-    def quad(self, corners, fill):
-        pts = " ".join(f"{_fmt(self.sx(x))},{_fmt(self.sy(y))}" for x, y in corners)
-        self.body.append(f'<polygon points="{pts}" fill="{fill}" stroke="none"/>')
 
     def text(self, x, y, s, size=12, color="#000000", anchor="start"):
         self.body.append(f'<text x="{_fmt(self.sx(x))}" y="{_fmt(self.sy(y))}" '
@@ -103,15 +108,25 @@ class SvgCanvas:
                        f'font-family="sans-serif" transform="rotate(-90 14 {self.h / 2})">{self.ylabel}</text>')
         return out
 
+    def _lines(self):
+        yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.w}" height="{self.h}" '
+               f'viewBox="0 0 {self.w} {self.h}">')
+        yield f'<rect width="{self.w}" height="{self.h}" fill="#ffffff"/>'
+        yield from self._axes()
+        for entry in self.body:
+            if isinstance(entry, str):
+                yield entry
+            else:
+                yield from entry()
+        yield "</svg>"
+
     def render(self) -> str:
-        head = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.w}" height="{self.h}" '
-                f'viewBox="0 0 {self.w} {self.h}">',
-                f'<rect width="{self.w}" height="{self.h}" fill="#ffffff"/>']
-        return "\n".join(head + self._axes() + self.body + ["</svg>"]) + "\n"
+        return "".join(line + "\n" for line in self._lines())
 
     def write(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            fh.write(self.render())
+            for line in self._lines():
+                fh.write(line + "\n")
 
 
 def line_plot(path, series, title="", xlabel="", ylabel="", markers=()):
@@ -134,7 +149,13 @@ def line_plot(path, series, title="", xlabel="", ylabel="", markers=()):
 
 
 def heatmap(path, x, y, values, title="", xlabel="", ylabel=""):
-    """Cell-quad heatmap of node values on a structured (possibly mapped) grid."""
+    """Cell-quad heatmap of node values on a structured (possibly mapped) grid.
+
+    Screen coordinates, cell means and colours are computed on whole arrays;
+    each node's "x,y" is formatted once, and the file is streamed one grid
+    row of cells at a time.  The bytes are those of drawing each cell as its
+    own polygon with SvgCanvas.sx/sy, _fmt and _color.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -142,12 +163,24 @@ def heatmap(path, x, y, values, title="", xlabel="", ylabel=""):
     span = hi - lo if hi > lo else 1.0
     cv = SvgCanvas((x.min(), x.max()), (y.min(), y.max()),
                    title=title, xlabel=xlabel, ylabel=ylabel)
-    n1, n2 = v.shape
-    for j in range(n1 - 1):
-        for i in range(n2 - 1):
-            corners = [(x[j, i], y[j, i]), (x[j + 1, i], y[j + 1, i]),
-                       (x[j + 1, i + 1], y[j + 1, i + 1]), (x[j, i + 1], y[j, i + 1])]
-            cell = 0.25 * (v[j, i] + v[j + 1, i] + v[j + 1, i + 1] + v[j, i + 1])
-            cv.quad(corners, _color((cell - lo) / span))
+    px, py = cv.sx(x), cv.sy(y)
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN t is rejected below
+        cell = 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[1:, 1:] + v[:-1, 1:])
+        t = (cell - lo) / span
+    if np.isnan(t).any():
+        raise ValueError("heatmap values must be finite")
+    rgb = _color(t)
+
+    def rows():  # one block of polygons per grid row of cells
+        here = _fmt_points(px[0], py[0])
+        for j in range(t.shape[0]):
+            nxt = _fmt_points(px[j + 1], py[j + 1])
+            yield "\n".join(f'<polygon points="{p00} {p10} {p11} {p01}" fill="rgb({r},{g},{b})" stroke="none"/>'
+                            for p00, p10, p11, p01, (r, g, b)
+                            in zip(here, nxt, nxt[1:], here[1:], rgb[j].tolist()))
+            here = nxt
+
+    if t.size:
+        cv.body.append(rows)
     cv.text(cv.x0, cv.y1, f"min {lo:.4g}  max {hi:.4g}", size=10)
     cv.write(path)

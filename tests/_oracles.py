@@ -1,8 +1,11 @@
 """Independent oracles used across the tests.
 
 Each is a from-scratch route to a quantity the package computes some other
-way; none call the implementation under test.
+way; none call the implementation under test.  The SVG oracles are the writers
+as first written, kept to pin the bytes of the array-based ones.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, quad, solve_ivp
@@ -94,3 +97,139 @@ def directed_polyline_distance(P, Q):
         dy = wy - t * b[:, 1]
         best = max(best, float((dx * dx + dy * dy).min(axis=1).max()))
     return float(np.sqrt(best))
+
+
+class SvgCanvasOracle:
+    """The SVG canvas as first written: every coordinate through the scalar
+    sx/sy and _fmt, one string per element, the file joined in memory."""
+
+    STOPS = [(68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98), (253, 231, 37)]
+
+    def __init__(self, x_range, y_range, width=640, height=480, margin=50,
+                 title="", xlabel="", ylabel=""):
+        self.x0, self.x1 = map(float, x_range)
+        self.y0, self.y1 = map(float, y_range)
+        if self.x1 <= self.x0:
+            self.x1 = self.x0 + 1.0
+        if self.y1 <= self.y0:
+            self.y1 = self.y0 + 1.0
+        self.w, self.h, self.m = width, height, margin
+        self.title, self.xlabel, self.ylabel = title, xlabel, ylabel
+        self.body = []
+
+    @staticmethod
+    def fmt(v):
+        return f"{v:.6g}"
+
+    @classmethod
+    def color(cls, t):
+        t = min(max(t, 0.0), 1.0)
+        pos = t * (len(cls.STOPS) - 1)
+        i = min(int(pos), len(cls.STOPS) - 2)
+        f = pos - i
+        c = [round((1 - f) * a + f * b) for a, b in zip(cls.STOPS[i], cls.STOPS[i + 1])]
+        return f"rgb({c[0]},{c[1]},{c[2]})"
+
+    def sx(self, x):
+        return self.m + (x - self.x0) / (self.x1 - self.x0) * (self.w - 2 * self.m)
+
+    def sy(self, y):
+        return self.h - self.m - (y - self.y0) / (self.y1 - self.y0) * (self.h - 2 * self.m)
+
+    def polyline(self, xs, ys, color="#1f77b4", width=1.5):
+        fmt = self.fmt
+        pts = " ".join(f"{fmt(self.sx(float(x)))},{fmt(self.sy(float(y)))}"
+                       for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y))
+        self.body.append(f'<polyline fill="none" stroke="{color}" stroke-width="{width}" points="{pts}"/>')
+
+    def quad(self, corners, fill):
+        pts = " ".join(f"{self.fmt(self.sx(x))},{self.fmt(self.sy(y))}" for x, y in corners)
+        self.body.append(f'<polygon points="{pts}" fill="{fill}" stroke="none"/>')
+
+    def text(self, x, y, s, size=12):
+        self.body.append(f'<text x="{self.fmt(self.sx(x))}" y="{self.fmt(self.sy(y))}" '
+                         f'font-size="{size}" fill="#000000" text-anchor="start" '
+                         f'font-family="sans-serif">{s}</text>')
+
+    def marker(self, x, y, color="#d62728", r=3.0):
+        self.body.append(f'<circle cx="{self.fmt(self.sx(x))}" cy="{self.fmt(self.sy(y))}" '
+                         f'r="{r}" fill="{color}"/>')
+
+    def render(self):
+        fmt = self.fmt
+        out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.w}" height="{self.h}" '
+               f'viewBox="0 0 {self.w} {self.h}">',
+               f'<rect width="{self.w}" height="{self.h}" fill="#ffffff"/>',
+               f'<rect x="{self.m}" y="{self.m}" width="{self.w - 2 * self.m}" '
+               f'height="{self.h - 2 * self.m}" fill="none" stroke="#000" stroke-width="1"/>']
+        for i in range(5):
+            xv = self.x0 + i * (self.x1 - self.x0) / 4
+            yv = self.y0 + i * (self.y1 - self.y0) / 4
+            out.append(f'<text x="{fmt(self.sx(xv))}" y="{self.h - self.m + 16}" font-size="10" '
+                       f'text-anchor="middle" font-family="sans-serif">{fmt(xv)}</text>')
+            out.append(f'<text x="{self.m - 6}" y="{fmt(self.sy(yv) + 3)}" font-size="10" '
+                       f'text-anchor="end" font-family="sans-serif">{fmt(yv)}</text>')
+        if self.title:
+            out.append(f'<text x="{self.w / 2}" y="{self.m - 14}" font-size="14" text-anchor="middle" '
+                       f'font-family="sans-serif">{self.title}</text>')
+        if self.xlabel:
+            out.append(f'<text x="{self.w / 2}" y="{self.h - 10}" font-size="12" text-anchor="middle" '
+                       f'font-family="sans-serif">{self.xlabel}</text>')
+        if self.ylabel:
+            out.append(f'<text x="14" y="{self.h / 2}" font-size="12" text-anchor="middle" '
+                       f'font-family="sans-serif" transform="rotate(-90 14 {self.h / 2})">{self.ylabel}</text>')
+        return "\n".join(out + self.body + ["</svg>"]) + "\n"
+
+
+def heatmap_svg(x, y, values, title="", xlabel="", ylabel=""):
+    """SVG text of a cell-quad heatmap, one cell at a time."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    v = np.asarray(values, dtype=float)
+    lo, hi = float(v.min()), float(v.max())
+    span = hi - lo if hi > lo else 1.0
+    cv = SvgCanvasOracle((x.min(), x.max()), (y.min(), y.max()),
+                         title=title, xlabel=xlabel, ylabel=ylabel)
+    n1, n2 = v.shape
+    for j in range(n1 - 1):
+        for i in range(n2 - 1):
+            corners = [(x[j, i], y[j, i]), (x[j + 1, i], y[j + 1, i]),
+                       (x[j + 1, i + 1], y[j + 1, i + 1]), (x[j, i + 1], y[j, i + 1])]
+            cell = 0.25 * (v[j, i] + v[j + 1, i] + v[j + 1, i + 1] + v[j, i + 1])
+            cv.quad(corners, cv.color((cell - lo) / span))
+    cv.text(cv.x0, cv.y1, f"min {lo:.4g}  max {hi:.4g}", size=10)
+    return cv.render()
+
+
+def line_plot_svg(series, title="", xlabel="", ylabel="", markers=()):
+    """SVG text of (x, y, color) series on shared axes, one point at a time."""
+    xs = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
+    ys = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
+    finite = np.isfinite(xs) & np.isfinite(ys)
+    xs, ys = xs[finite], ys[finite]
+    pad = lambda lo, hi: (lo - 0.05 * (hi - lo + 1e-30), hi + 0.05 * (hi - lo + 1e-30))
+    cv = SvgCanvasOracle(pad(xs.min(), xs.max()), pad(ys.min(), ys.max()),
+                         title=title, xlabel=xlabel, ylabel=ylabel)
+    for x, y, color in series:
+        cv.polyline(x, y, color=color)
+    for mx, my, label in markers:
+        cv.marker(mx, my)
+        cv.text(mx, my, " " + label, size=10)
+    return cv.render()
+
+
+def oblique_shock_cubic_gamma2(rho_inf, q_inf, sigma):
+    """Downstream normal speed across a shock at inclination sigma, gamma=2.
+
+    With rho = 1 + B0 - (w**2 + v_t**2)/2, mass flux continuity is the cubic
+    w**3 - 2(1 + B0 - v_t**2/2) w + 2 rho_inf u_n = 0, whose roots are the
+    compressive one, the trivial one w = u_n and a negative one; the
+    compressive root is the smallest positive root.
+    """
+    B0 = 0.5 * q_inf ** 2 + (rho_inf - 1.0)
+    out = []
+    for s in np.atleast_1d(sigma):
+        u_n, v_t = q_inf * np.sin(s), q_inf * np.cos(s)
+        roots = np.roots([1.0, 0.0, -2.0 * (1.0 + B0 - 0.5 * v_t * v_t), 2.0 * rho_inf * u_n])
+        out.append(min(r.real for r in roots if r.real > 0))
+    return np.array(out)

@@ -349,6 +349,47 @@ def test_profile_needs_two_samples(tmp_path, capsys):
                    "validation error: n_samples must be at least 2, got 1"]
 
 
+def test_shock_polar_needs_three_samples(tmp_path, capsys):
+    for n in (0, 1, 2):
+        cfg = base_cfg("shock-polar", tmp_path / "out", upstream=UPSTREAM, n_samples=n)
+        assert main(["run", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        assert not (tmp_path / "out" / "polar.csv").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"validation error: n_samples must be at least 3, got {n}" for n in (0, 1, 2)]
+
+
+def test_profile_off_critical_inlet_inside_the_sonic_band_exits_2(tmp_path, capsys):
+    # 5e-4 below the sonic speed and heading for it: the run has already
+    # entered the band, where off-critical data blows up
+    cfg = base_cfg("profile", tmp_path / "out", gas=GAS, inlet={"u0": 0.9995, "E0": -0.001},
+                   stop={"x_max": 0.5})
+    assert main(["run", write_cfg(tmp_path, "c.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: sonic blow-up") and err.count("\n") == 1, err
+    assert "u0=0.9995" in err and "E0=-0.001" in err
+    assert not (tmp_path / "out").exists() or list((tmp_path / "out").iterdir()) == []
+
+
+def test_every_subcommand_reruns_to_identical_svg_and_json(tmp_path):
+    # the manifest records the wall time; every other SVG and JSON artifact
+    # is byte-reproducible
+    bodies = dict(FUZZ_BODIES, **{"mixed-solve": {
+        "gas": GAS, "inlet": {"u0": 0.95, "branch": "accelerating"},
+        "channel": {"L": 2.0, "n1": 33, "n2": 17},
+        "bc": {"inlet_mode": "dirichlet", "kind": "cos", "amplitude": 0.01}, "source": {"kind": "zero"}}})
+    for sub, body in bodies.items():
+        out = tmp_path / sub
+        path = write_cfg(tmp_path, f"{sub}.json",
+                         dict(body, schema_version=1, subcommand=sub, output_dir=str(out)))
+        runs = []
+        for _ in range(2):
+            assert main(["run", path]) == 0, sub
+            runs.append({p.name: sha(p) for p in out.iterdir()
+                         if p.suffix in (".svg", ".json") and p.name != "manifest.json"})
+        assert any(name.endswith(".svg") for name in runs[0]), sub
+        assert runs[0] == runs[1], sub
+
+
 # ---------------------------------------------------------------------------
 # config fuzzing: every config ends in exit 0, 1 or 2, never in a traceback
 # ---------------------------------------------------------------------------

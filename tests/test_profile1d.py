@@ -208,6 +208,25 @@ def test_near_sonic_inlet_keeps_its_branch(canonical, u0, branch):
     assert results[0].terminated == ("turning_point" if branch == "accelerating" else "u_target")
 
 
+@pytest.mark.parametrize("gamma", [3.0, 1.3, 1.5, 2.0])
+def test_off_critical_inlet_inside_the_band_blows_up_at_once(gamma):
+    # off-critical inlets 5e-4*u_sonic from the sonic speed, inside the band:
+    # heading for it they have already entered the band and raise at once;
+    # heading away they integrate as before
+    params = gamma_family(gamma)
+    for inlet, stop in (((0.9995, -0.001), {"x_max": 0.5}), ((0.9995, -0.001), {"u_target": 1.5}),
+                        ((1.0005, -0.001), {"x_max": 0.05}), ((1.0005, -0.001), {"u_target": 0.5})):
+        t0 = time.perf_counter()
+        with pytest.raises(SonicBlowupError, match=re.escape(f"u0={inlet[0]} with E0={inlet[1]}")):
+            integrate_profile(params, InletData(*inlet), **stop)
+        assert time.perf_counter() - t0 < 1.0
+    for inlet in ((0.9995, 0.001), (1.0005, 0.001)):
+        t0 = time.perf_counter()
+        prof = integrate_profile(params, InletData(*inlet), x_max=0.05)
+        assert time.perf_counter() - t0 < 1.0
+        assert prof.branch == "off-critical" and prof.terminated == "x_max"
+
+
 def test_c1_crossing(canonical, acc_profile):
     """One-sided difference quotients of u agree across l_s to O(h)."""
     ls = acc_profile.l_s

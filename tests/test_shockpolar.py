@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import normal_shock_cubic_gamma2
+from _oracles import normal_shock_cubic_gamma2, oblique_shock_cubic_gamma2
 from sonicflow.shockpolar import (DetachedShockError, SelfSimilarState,
                                   UpstreamState, bernoulli_density, compute_polar,
                                   normal_shock, pseudo_sonic_geometry, weak_state)
@@ -146,6 +146,46 @@ def test_polar_angles_generic(gamma, q_inf):
     curve = compute_polar(state, n_samples=512)
     assert curve.theta_sonic < curve.theta_d
     assert float(np.max(curve.residuals)) <= 1e-10
+
+
+@pytest.mark.parametrize("gamma, rho_inf, q_inf",
+                         [(2.0, 1.0, 2.0), (1.4, 1.0, 3.0), (5.0 / 3.0, 0.5, 1.2), (3.0, 1.0, 1.5)])
+def test_weak_side_near_the_acoustic_angle(gamma, rho_inf, q_inf):
+    # next to the acoustic angle the compressive root sits close to the
+    # trivial root w = u_n; a root search that can land on the trivial one
+    # returns the vanishing shock (u2 = 0) there and flattens the deflection
+    curve = compute_polar(UpstreamState(gamma=gamma, rho_inf=rho_inf, q_inf=q_inf),
+                          n_samples=20000)
+    i_d = int(np.argmax(curve.deflection))
+    assert np.all(np.diff(curve.deflection[1:i_d + 1]) > 0.0)
+    assert np.all(curve.u2[1:] > 0.0)
+    assert float(np.max(curve.residuals)) <= 1e-10
+
+
+@pytest.mark.parametrize("rho_inf, q_inf", [(1.0, 2.0), (0.5, 1.7), (2.0, 5.0)])
+def test_polar_matches_cubic_roots(rho_inf, q_inf):
+    """gamma = 2: every sample against the smallest positive cubic root."""
+    curve = compute_polar(UpstreamState(gamma=2.0, rho_inf=rho_inf, q_inf=q_inf), n_samples=1000)
+    w = oblique_shock_cubic_gamma2(rho_inf, q_inf, curve.sigma)
+    sin_s, cos_s = np.sin(curve.sigma), np.cos(curve.sigma)
+    u1 = q_inf * cos_s * cos_s + w * sin_s
+    u2 = cos_s * (q_inf * sin_s - w)
+    np.testing.assert_allclose(curve.u1, u1, rtol=1e-12)
+    np.testing.assert_allclose(curve.u2, u2, rtol=0.0, atol=1e-12 * q_inf)
+
+
+def test_polar_needs_three_samples(upstream):
+    for n in (0, 1, 2):
+        with pytest.raises(ValueError, match=f"n_samples must be at least 3, got {n}"):
+            compute_polar(upstream, n_samples=n)
+    curve = compute_polar(upstream, n_samples=3)
+    assert 0.0 < curve.theta_sonic < curve.theta_d
+
+
+def test_overflowing_stagnation_density_is_rejected():
+    # gamma 1.01 at q_inf 1000: the density at rest is 5001**100
+    with pytest.raises(ValueError, match="stagnation density"):
+        UpstreamState(gamma=1.01, rho_inf=1.0, q_inf=1000.0)
 
 
 # ---------------------------------------------------------------------------
