@@ -738,34 +738,59 @@ def _box_d2(P: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.einsum("pj,pj->p", gap, gap)
 
 
+def _sort_seed(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """For each point of P, the nearer of the two vertices of Q whose first
+    coordinates bracket the point's: one stable sort of Q, one binary search
+    per point."""
+    order = np.argsort(Q[:, 0], kind="stable")
+    j = np.searchsorted(Q[order, 0], P[:, 0])
+    below, above = order[np.maximum(j - 1, 0)], order[np.minimum(j, len(Q) - 1)]
+    gb, ga = P - Q[below], P - Q[above]
+    return np.where(np.einsum("pj,pj->p", ga, ga) < np.einsum("pj,pj->p", gb, gb), above, below)
+
+
 def _seg_point_dist(P: np.ndarray, Q: np.ndarray) -> float:
     """Directed Hausdorff distance from the points P to the polyline Q.
 
     Exact for any polyline, sorted or not, turning back, with repeated
-    vertices or with a single one (a point): the result is the square root of the largest, over P, of the
-    smallest squared distance to any segment of Q.  Each segment runs from
-    its lexicographically smaller end, so the traversal direction of Q does
-    not matter, and every point-segment distance comes from the one formula
-    in _window_d2, so the result equals a scan over all pairs bit for bit.
-    The search only skips pairs that cannot change it:
+    vertices or with a single one (a point): the result is the square root
+    of the largest, over P, of the smallest squared distance to any segment
+    of Q.  Each segment runs from its lexicographically smaller end, so the
+    traversal direction of Q does not matter, and every point-segment
+    distance comes from the one formula in _window_d2, so the result equals
+    a scan over all pairs bit for bit.  The search only skips pairs that
+    cannot change it:
 
-    - Bounds (Taha & Hanbury, IEEE TPAMI 37, 2015).  A point's upper bound
-      is its nearest vertex (k-d tree), later its smallest window distance.
-      The lower bound on the answer is an exact point minimum: each round
-      scans the live point with the largest upper bound over all segments.
-      A point whose upper bound is at or below the lower bound cannot set
-      the maximum and is dropped (early break).
-    - Certificate.  A point's window of segments starts at its nearest
-      vertex and doubles each round.  When the bounding boxes of all
-      vertices before and after the window lie farther away than the window
-      minimum, that minimum is the point's exact minimum: it may raise the
-      lower bound and the point is dropped.
+    - Certificate.  A point's window of segments starts at a seed vertex.
+      When the bounding boxes of all vertices before and after the window
+      lie farther away than the window minimum, that minimum is the point's
+      exact minimum: it may raise the lower bound and the point is dropped.
+    - Bounds (Taha & Hanbury, IEEE TPAMI 37, 2015).  The lower bound on the
+      answer is an exact point minimum.  A point's upper bound is its
+      nearest vertex (k-d tree) or its smallest window minimum so far.  A
+      point whose upper bound is at or below the lower bound cannot set the
+      maximum and is dropped (early break).
+
+    Stage 1 seeds every point from one stable sort of Q's first coordinate:
+    of the two vertices that bracket the point's first coordinate, the
+    nearer one.  The two segments around it are certified at once for most
+    points when both polylines are graphs over that coordinate, as the
+    lemma's (u, E) polylines are.  Stage 2 takes the points left over; each
+    round scans the live point with the largest upper bound over all
+    segments, applies the early break, and certifies windows around each
+    point's nearest vertex, found by a k-d tree on Q, doubling them until
+    no point is left.  A seed far along Q from the point (a vertical or
+    closed Q, many vertices with one first coordinate) costs only the
+    stage-2 rounds.  Any vertex is a valid seed, and a window minimum is a
+    value of the one formula, so the seed changes which pairs are
+    evaluated, never the result.
 
     The k-d tree and box distances are rounded differently from the segment
     formula, whose rounding error is absolute, a few ulps of the largest
     coordinate.  Comparisons with them therefore widen the distance by 16
     such ulps and the squared distance by the relative margin PRUNE_MARGIN,
-    in the direction that keeps a point.  No temporary holds more than
+    in the direction that keeps a point.  The bracketing-vertex distances
+    only choose a seed and need no widening.  No temporary holds more than
     PAIR_BUDGET point-segment pairs.
     """
     if len(Q) == 1:
@@ -787,10 +812,38 @@ def _seg_point_dist(P: np.ndarray, Q: np.ndarray) -> float:
     def widened(d2):
         return (np.sqrt(d2) + ulps) ** 2 * (1.0 + PRUNE_MARGIN)
 
-    vd, vertex = cKDTree(Q).query(P)
-    upper = widened(vd * vd)
-    lower = -math.inf
-    alive = np.arange(len(P))
+    def certify(pts, vertex, half):
+        """One round over the points pts: the minima over the 2 * half
+        segments around vertex[pts], in chunks of at most PAIR_BUDGET pairs.
+        Returns the largest minimum the certificate makes exact, and the
+        points it leaves with their minima."""
+        width = min(2 * half, m)
+        step = max(1, PAIR_BUDGET // width)
+        top = -math.inf
+        left, bound = [pts[:0]], [np.empty(0)]
+        for c in range(0, len(pts), step):
+            chunk = pts[c:c + step]
+            first = np.clip(vertex[chunk] - half, 0, m - width)
+            stop = first + width
+            wmin = _window_d2(P[chunk], A, B, L2, first, width)
+            box = np.minimum(
+                np.where(first > 0, _box_d2(P[chunk], pre_lo[first], pre_hi[first]), math.inf),
+                np.where(stop < m, _box_d2(P[chunk], suf_lo[stop], suf_hi[stop]), math.inf))
+            exact = box > widened(wmin)  # the certificate
+            if np.any(exact):
+                top = max(top, float(np.max(wmin[exact])))
+            left.append(chunk[~exact])
+            bound.append(wmin[~exact])
+        return top, np.concatenate(left), np.concatenate(bound)
+
+    # stage 1: a two-segment window around each point's sort seed
+    lower, alive, wmin = certify(np.arange(len(P)), _sort_seed(P, Q), 1)
+    # stage 2: the points left, from their nearest vertices
+    upper = np.empty(len(P))
+    vertex = np.empty(len(P), dtype=int)
+    if len(alive):
+        vd, vertex[alive] = cKDTree(Q).query(P[alive])
+        upper[alive] = np.minimum(widened(vd * vd), wmin)
     half = 1
     while len(alive):
         # scan the live point with the largest upper bound over all segments
@@ -799,23 +852,9 @@ def _seg_point_dist(P: np.ndarray, Q: np.ndarray) -> float:
         lower = max(lower, upper[k])
         alive = alive[upper[alive] > lower]  # the early break
 
-        width = min(2 * half, m)
-        step = max(1, PAIR_BUDGET // width)
-        keep = []
-        for c in range(0, len(alive), step):
-            pts = alive[c:c + step]
-            first = np.clip(vertex[pts] - half, 0, m - width)
-            stop = first + width
-            wmin = _window_d2(P[pts], A, B, L2, first, width)
-            box = np.minimum(
-                np.where(first > 0, _box_d2(P[pts], pre_lo[first], pre_hi[first]), math.inf),
-                np.where(stop < m, _box_d2(P[pts], suf_lo[stop], suf_hi[stop]), math.inf))
-            exact = box > widened(wmin)  # the certificate
-            if np.any(exact):
-                lower = max(lower, float(np.max(wmin[exact])))
-            upper[pts] = np.minimum(upper[pts], wmin)
-            keep.append(pts[~exact])
-        alive = np.concatenate(keep) if keep else alive
+        top, alive, wmin = certify(alive, vertex, half)
+        lower = max(lower, top)
+        upper[alive] = np.minimum(upper[alive], wmin)
         half *= 2
     return float(np.sqrt(lower))
 
@@ -871,9 +910,15 @@ def verify_lemma(params: GasParams, inlet: InletData, *,
         profile = integrate_profile(params, inlet, u_target=us / 50.0, rtol=rtol, atol=atol)
         lmax_report = locate_lmax(params, inlet)
     else:
-        guard = us * (1.0 - 2 * SONIC_SWITCH_BAND) if inlet.u0 < us else us * (1.0 + 2 * SONIC_SWITCH_BAND)
-        if increasing != (inlet.u0 < us):
-            guard = None  # the run moves away from the sonic speed: no guard ahead of it
+        below, above = us * (1.0 - 2 * SONIC_SWITCH_BAND), us * (1.0 + 2 * SONIC_SWITCH_BAND)
+        if increasing and inlet.u0 < below:
+            guard = below
+        elif not increasing and inlet.u0 > above:
+            guard = above
+        else:
+            # the run moves away from the sonic speed, or starts between the
+            # guard and it: no guard ahead of it
+            guard = None
         try:
             profile = integrate_profile(params, inlet, u_target=guard, x_max=20.0,
                                         rtol=rtol, atol=atol)

@@ -182,6 +182,11 @@ class ShockPolarCurve:
     residuals: np.ndarray = field(repr=False, default=None)
 
 
+def _polar_limit(state: UpstreamState, limit: str) -> ValueError:
+    return ValueError(f"shock polar of gamma={state.gamma:.9g}, rho_inf={state.rho_inf:.9g}, "
+                      f"q_inf={state.q_inf:.9g}: {limit}")
+
+
 def compute_polar(state: UpstreamState, n_samples: int = 2048) -> ShockPolarCurve:
     """Sweep shock inclinations and assemble the polar.
 
@@ -193,12 +198,21 @@ def compute_polar(state: UpstreamState, n_samples: int = 2048) -> ShockPolarCurv
     refinement of the deflection; the sonic angle is the deflection at which
     the downstream speed equals the downstream sound speed.  Both
     refinements call the same solver one inclination at a time.
+
+    Raises a ValueError naming the upstream state when a limit of double
+    precision is hit: the Bernoulli form of c**2 does not resolve the
+    upstream c**2 = rho_inf**(gamma-1) (sound speed at rounding level), or
+    the sampled deflection or sonic gap gives the refinement no bracket.
     """
     if state.q_inf <= state.sound_speed * (1.0 + 1e-12):
         raise ValueError("polar needs a strictly supersonic upstream")
     if n_samples < 3:
         raise ValueError(f"n_samples must be at least 3, got {n_samples}")
     g = state.gamma
+    c2_inf = state.rho_inf ** (g - 1.0)
+    if not _sound_speed_sq(state, state.q_inf) > 0.5 * c2_inf:
+        raise _polar_limit(state, f"sound speed at rounding level: c_inf**2 = rho_inf**(gamma-1) = "
+                                  f"{c2_inf:.3g} is lost in 1 + (gamma-1)*(B0 - q_inf**2/2)")
     sigma_min = math.asin(state.sound_speed / state.q_inf)
     sigma = np.linspace(sigma_min, 0.5 * math.pi, n_samples)
     u1, u2, rho, w = _downstream(state, sigma)
@@ -209,6 +223,11 @@ def compute_polar(state: UpstreamState, n_samples: int = 2048) -> ShockPolarCurv
     lo = sigma[max(0, i_max - 2)]
     mid = sigma[i_max]
     hi = sigma[min(n_samples - 1, i_max + 2)]
+    # the golden-section search needs a strict maximum inside its bracket
+    if not (lo < mid < hi and _deflection(state, lo) < _deflection(state, mid) > _deflection(state, hi)):
+        raise _polar_limit(state, f"no bracketable detachment maximum: the sampled deflection peaks "
+                                  f"at sample {i_max} of {n_samples} (sigma = {mid:.9g}, deflection "
+                                  f"{theta[i_max]:.3g}) with no strictly smaller value on both sides")
     opt = minimize_scalar(lambda s: -_deflection(state, s),
                           bracket=(lo, mid, hi), method="golden",
                           options={"xtol": 1e-13})
@@ -224,6 +243,9 @@ def compute_polar(state: UpstreamState, n_samples: int = 2048) -> ShockPolarCurv
     if len(idx) == 0:
         raise RuntimeError("no sonic crossing found on the polar")
     i = int(idx[0])
+    if np.sign(sonic_gap(sigma[i])) * np.sign(sonic_gap(sigma[i + 1])) > 0.0:  # as brentq checks
+        raise _polar_limit(state, f"no bracketable sonic crossing: the sonic gap has one sign at "
+                                  f"sigma = {sigma[i]:.9g} and {sigma[i + 1]:.9g}")
     sigma_sonic = float(brentq(sonic_gap, sigma[i], sigma[i + 1], xtol=1e-14))
     theta_sonic = _deflection(state, sigma_sonic)
 

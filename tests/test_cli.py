@@ -358,6 +358,23 @@ def test_shock_polar_needs_three_samples(tmp_path, capsys):
     assert err == [f"validation error: n_samples must be at least 3, got {n}" for n in (0, 1, 2)]
 
 
+def test_shock_polar_precision_limits_exit_1(tmp_path, capsys):
+    # upstream states given as (gamma, rho_inf, Mach); q_inf = Mach * rho_inf**((gamma-1)/2)
+    limits = [((1.4, 1e-6, 1.000001), "no bracketable detachment maximum"),
+              ((1.01, 1.0, 20.0), "no bracketable detachment maximum"),
+              ((10.0, 1e-6, 3.0), "sound speed at rounding level")]
+    for (gamma, rho_inf, mach), limit in limits:
+        upstream = {"gamma": gamma, "rho_inf": rho_inf,
+                    "q_inf": mach * rho_inf ** (0.5 * (gamma - 1.0))}
+        cfg = base_cfg("shock-polar", tmp_path / "out", upstream=upstream, n_samples=2000)
+        assert main(["run", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith(f"validation error: shock polar of gamma={gamma:.9g}, rho_inf={rho_inf:.9g}, "
+                              f"q_inf={upstream['q_inf']:.9g}: {limit}"), err
+        assert not (tmp_path / "out" / "polar.csv").exists()
+
+
 def test_profile_off_critical_inlet_inside_the_sonic_band_exits_2(tmp_path, capsys):
     # 5e-4 below the sonic speed and heading for it: the run has already
     # entered the band, where off-critical data blows up

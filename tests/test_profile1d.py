@@ -477,6 +477,25 @@ def test_verify_lemma_off_critical_coverage_is_exact(canonical, monkeypatch):
         assert margin == pytest.approx(value, rel=1e-9)
 
 
+@pytest.mark.parametrize("u0, E0", [(0.9985, -0.001), (0.9995, -0.001), (1.0005, -0.001),
+                                     (0.9985, -0.01)])
+def test_verify_lemma_inlet_between_guard_and_sonic_speed(canonical, u0, E0):
+    # verify_lemma stops off-critical runs at u_sonic*(1 -/+ 2e-3) before the
+    # sonic band; these inlets start between that guard and the sonic speed,
+    # heading for it, and are integrated without the guard
+    rep = verify_lemma(canonical, InletData(u0, E0))
+    assert rep.branch == "off-critical" and not rep.passed
+    if u0 == 0.9985 and E0 == -0.001:
+        # E turns positive at x ~ 0.002 and u turns back before the band:
+        # the same report as an inlet below the guard
+        below = verify_lemma(canonical, InletData(0.997, E0))
+        assert [(c.name, c.passed) for c in rep.claims] == [(c.name, c.passed) for c in below.claims]
+        assert rep.claim("coverage").margin == pytest.approx(below.claim("coverage").margin, rel=1e-3)
+    else:
+        assert rep.claim("monotonic").detail == "integration blew up at the sonic band"
+        assert not any(c.passed for c in rep.claims)
+
+
 def test_verify_lemma_equilibrium_inlet(canonical):
     # (u_bar, 0) is a fixed point: the run stays there, so the branch polyline
     # over its u-range is a single vertex and the margin is the distance to it
@@ -492,8 +511,9 @@ def test_verify_lemma_equilibrium_inlet(canonical):
 
 @st.composite
 def polylines(draw):
-    """u-monotone, turning back in u, or with repeated vertices (zero-length segments)."""
-    kind = draw(st.sampled_from(["monotone", "turning", "repeated"]))
+    """u-monotone, turning back in u, with repeated vertices (zero-length
+    segments), vertical (one u for all vertices) or a closed loop."""
+    kind = draw(st.sampled_from(["monotone", "turning", "repeated", "vertical", "closed loop"]))
     n = draw(st.integers(2, 60))
     du = st.floats(1e-3, 1.0) if kind == "monotone" else st.floats(-1.0, 1.0)
     # each step drawn on its own (no fill value), so that vertices are not on a lattice
@@ -504,6 +524,15 @@ def polylines(draw):
     Q = start + np.vstack([np.zeros(2), np.cumsum(steps, axis=0)])
     if kind == "repeated":
         Q = np.repeat(Q, draw(hnp.arrays(np.int64, n, elements=st.integers(1, 3))), axis=0)
+    elif kind == "vertical":
+        Q[:, 0] = start[0]
+    elif kind == "closed loop":
+        # once around start: angle steps from the first column, radii from the second
+        turn = np.concatenate([[0.0], np.cumsum(np.abs(steps[:, 0]) + 1e-3)])
+        angle = 2.0 * math.pi * turn / (turn[-1] * n / (n - 1))
+        radius = 1.0 + 0.5 * np.concatenate([[0.0], steps[:, 1]])
+        Q = start + radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+        Q = np.vstack([Q, Q[:1]])
     return Q
 
 
@@ -580,6 +609,56 @@ def test_seg_point_dist_prunes_decoy_windows(monkeypatch):
                         lambda pts, *rest: pairs.append(len(pts) * rest[-1]) or window(pts, *rest))
     assert profile1d._seg_point_dist(P, Q) == directed_polyline_distance(P, Q)
     assert sum(pairs) < len(P) * (len(Q) - 1)
+
+
+def _seed_worst_cases(n=2000):
+    t = np.linspace(0.0, 2.0 * math.pi, n)
+    return {"vertical": np.column_stack([np.full(n, 3.0), np.linspace(0.0, 10.0, n)]),
+            "circle": np.column_stack([np.cos(t), np.sin(t)]),
+            "repeated first coordinates": np.column_stack(
+                [np.repeat(np.arange(n // 50), 50).astype(float),
+                 np.random.default_rng(1).uniform(-1.0, 1.0, n)])}
+
+
+@pytest.mark.parametrize("shape", list(_seed_worst_cases()))
+def test_seg_point_dist_seed_worst_cases(shape, monkeypatch):
+    # Polylines on which the vertices bracketing a point's first coordinate
+    # can lie far from it: every vertex has the same one, the bracket sits
+    # on the wrong half of the circle, or fifty vertices share each one.  The
+    # k-d stage takes those points; a seed from the sort alone, with windows
+    # doubling from there, evaluates a large fraction of all pairs.
+    Q = _seed_worst_cases()[shape]
+    rng = np.random.default_rng(2)
+    seg = rng.integers(0, len(Q) - 1, len(Q))
+    P = (Q[seg] + rng.uniform(0.0, 1.0, (len(Q), 1)) * (Q[seg + 1] - Q[seg])
+         + 1e-3 * rng.normal(size=(len(Q), 2)))
+    pairs = []
+    window = profile1d._window_d2
+    monkeypatch.setattr(profile1d, "_window_d2",
+                        lambda pts, *rest: pairs.append(len(pts) * rest[-1]) or window(pts, *rest))
+    assert profile1d._seg_point_dist(P, Q) == directed_polyline_distance(P, Q)
+    assert sum(pairs) < 0.01 * len(P) * (len(Q) - 1)
+
+
+def test_verify_lemma_coverage_certifies_most_points_from_the_sort(canonical, monkeypatch):
+    # both polylines of a critical profile are graphs over u: the sort seed
+    # certifies all but a few points of each coverage distance
+    sent = []
+    tree = profile1d.cKDTree
+
+    class CountingTree:
+        def __init__(self, Q):
+            self.tree = tree(Q)
+
+        def query(self, P):
+            sent.append(len(P))
+            return self.tree.query(P)
+
+    monkeypatch.setattr(profile1d, "cKDTree", CountingTree)
+    for inlet in (critical_inlet(canonical, 0.95),
+                  critical_inlet(canonical, 1.05, branch="decelerating")):
+        assert verify_lemma(canonical, inlet).passed
+    assert max(sent, default=0) <= 10, sent
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,40 @@ def test_polar_needs_three_samples(upstream):
     assert 0.0 < curve.theta_sonic < curve.theta_d
 
 
+def _mach_state(gamma, rho_inf, mach):
+    return UpstreamState(gamma=gamma, rho_inf=rho_inf, q_inf=mach * rho_inf ** (0.5 * (gamma - 1.0)))
+
+
+# (gamma, rho_inf, Mach) where double precision runs out, and the limit hit:
+# a deflection of about 1e-9 with ties around its sampled peak, a deflection
+# that peaks at the normal shock, rho_inf**(gamma-1) = 1e-54 next to 1, and
+# a sonic gap that changes sign between two samples but not between the
+# refinement's evaluations at them
+POLAR_LIMITS = [((1.4, 1e-6, 1.000001), "no bracketable detachment maximum"),
+                ((1.01, 1.0, 20.0), "no bracketable detachment maximum"),
+                ((10.0, 1e-6, 3.0), "sound speed at rounding level"),
+                ((1.4, 1e-3, 1.000001), "no bracketable sonic crossing")]
+
+
+@pytest.mark.parametrize("gmr, limit", POLAR_LIMITS)
+def test_polar_names_the_precision_limit(gmr, limit):
+    state = _mach_state(*gmr)
+    with pytest.raises(ValueError) as info:
+        compute_polar(state, n_samples=2000)
+    message = str(info.value)
+    assert "\n" not in message
+    assert message.startswith(f"shock polar of gamma={state.gamma:.9g}, rho_inf={state.rho_inf:.9g}, "
+                              f"q_inf={state.q_inf:.9g}: {limit}"), message
+
+
+def test_polar_limit_checks_leave_nearby_states_alone():
+    # next to the limit states (another Mach number, or gamma 3 for 10) the polar computes
+    for gmr in ((1.4, 1e-6, 1.01), (1.01, 1.0, 3.0), (3.0, 1e-6, 3.0)):
+        curve = compute_polar(_mach_state(*gmr), n_samples=2000)
+        assert 0.0 < curve.theta_sonic < curve.theta_d
+        assert float(np.max(curve.residuals)) <= 1e-8 * curve.upstream.q_inf
+
+
 def test_overflowing_stagnation_density_is_rejected():
     # gamma 1.01 at q_inf 1000: the density at rest is 5001**100
     with pytest.raises(ValueError, match="stagnation density"):
