@@ -10,8 +10,7 @@ with its self-similar configuration geometry.
 
 __version__ = "0.1.0"
 
-from .gas import (ACCELERATING, DECELERATING, GasParams, PhaseState,
-                  TrajectoryClass, classify_state, critical_field, enthalpy,
+from .gas import (ACCELERATING, DECELERATING, GasParams, critical_field, enthalpy,
                   enthalpy_quadrature, find_u_star)
 from .profile1d import (InletData, KZReport, LemmaReport, LmaxReport, Profile1D,
                         ProfileError, SonicBlowupError, NoSonicCrossingError,

@@ -21,6 +21,7 @@ import os
 import sys
 import time
 import traceback
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,119 +50,128 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config schema
+# config table
 # ---------------------------------------------------------------------------
 
-_GAS = {"gamma": float, "S0": float, "J": float, "rho_ion": float}
-_INLET = {"u0": float, "E0": float, "branch": str}
-_STOP = {"x_max": float, "u_target": float}
-_INTEG = {"rtol": float, "atol": float, "n_samples": int}
-_BC = {"inlet_mode": str, "kind": str, "amplitude": float, "mode_k": int,
-       "anchor": float, "outlet_zero": bool}
-_EMIT = {"svg": bool}
+REQUIRED, LIBRARY = object(), object()
 
-SCHEMAS = {
-    "phase-portrait": {"gas": _GAS, "u_min": float, "u_max": float, "n": int},
-    "profile": {"gas": _GAS, "inlet": _INLET, "stop": _STOP, "integrator": _INTEG},
-    "kz-check": {"gas": _GAS, "inlet": _INLET, "stop": _STOP, "integrator": _INTEG},
+
+class Key(NamedTuple):
+    """A config key's type; its default: REQUIRED, the CLI's own or LIBRARY
+    (absent unless set: the library's default applies, or one the handler
+    works out); and, for CLI-only keys, its allowed strings or (predicate, description)."""
+
+    type: type
+    default: object = LIBRARY
+    allowed: tuple = ()
+
+
+_SCENARIOS = {"reference": reference_scenario, "manufactured": manufactured_scenario}
+_GAS = {key: Key(float, REQUIRED) for key in ("gamma", "S0", "J", "rho_ion")}
+_INLET = {"u0": Key(float, REQUIRED), "E0": Key(float), "branch": Key(str)}
+_INTEG = {"rtol": Key(float), "atol": Key(float), "n_samples": Key(int)}
+_PROFILE = {"gas": _GAS, "inlet": _INLET,
+            "stop": {"x_max": Key(float), "u_target": Key(float)}, "integrator": _INTEG}
+_UPSTREAM = {key: Key(float, REQUIRED) for key in ("gamma", "rho_inf", "q_inf")}
+
+#: Every key a config may set, per subcommand; a dict value is a block.
+CONFIG_KEYS = {
+    "phase-portrait": {"gas": _GAS, "u_min": Key(float), "u_max": Key(float),
+                       "n": Key(int, 1001, (lambda n: n >= 2, "at least 2 samples"))},
+    "profile": _PROFILE,
+    "kz-check": _PROFILE,
     "keldysh-solve": {
-        "scenario": str,  # reference | manufactured
-        "a": float, "b": float, "eps0": float, "o_scale": float,
-        "grid": {"nx": int, "ny": int, "grading": float},
-        "solver": {"max_iter": int, "tol": float},
-        "scan": {"y_fractions": list},
-        "corner": {"c": float},
+        "scenario": Key(str, "reference", tuple(_SCENARIOS)),
+        "a": Key(float), "b": Key(float), "eps0": Key(float), "o_scale": Key(float),
+        "grid": {"nx": Key(int), "ny": Key(int), "grading": Key(float)},
+        "solver": {"max_iter": Key(int), "tol": Key(float)},
+        "scan": {"y_fractions": Key(list, (0.25, 0.5), (
+            lambda v: bool(v) and all(type(fr) in (int, float) and 0.0 <= fr <= 1.0 for fr in v),
+            "a non-empty list of numbers in [0, 1]"))},
+        "corner": {"c": Key(float)},
     },
     "mixed-solve": {
         "gas": _GAS, "inlet": _INLET,
-        "channel": {"L": float, "n1": int, "n2": int},
-        "bc": _BC,
-        "source": {"kind": str, "amplitude": float, "wavenumber": float},
+        "channel": {"L": Key(float, 2.0), "n1": Key(int), "n2": Key(int)},
+        "bc": {"inlet_mode": Key(str), "kind": Key(str, "cos", ("cos", "zero")),
+               "amplitude": Key(float, 0.01), "mode_k": Key(int, 1), "anchor": Key(float),
+               "outlet_zero": Key(bool, False)},
+        "source": {"kind": Key(str, "zero", ("zero", "sin")), "amplitude": Key(float, 0.02),
+                   "wavenumber": Key(float, 2.0)},
         "integrator": _INTEG,
     },
-    "shock-polar": {"upstream": {"gamma": float, "rho_inf": float, "q_inf": float},
-                    "n_samples": int},
-    "geometry": {"upstream": {"gamma": float, "rho_inf": float, "q_inf": float},
-                 "theta_w": float, "configuration": str, "k": float},
+    "shock-polar": {"upstream": _UPSTREAM, "n_samples": Key(int)},
+    "geometry": {"upstream": _UPSTREAM, "theta_w": Key(float, 0.15),
+                 "configuration": Key(str, "wedge-flow"), "k": Key(float)},
 }
-_COMMON = {"schema_version": int, "subcommand": str, "output_dir": str, "emit": _EMIT}
+_COMMON = {"schema_version": Key(int, REQUIRED), "subcommand": Key(str, REQUIRED),
+           "output_dir": Key(str), "emit": {"svg": Key(bool, True)}}
+_NOUNS = {float: "a number", int: "an integer", bool: "a boolean", str: "a string",
+          list: "a list"}
 
 
-def _check_keys(block, schema, path):
-    if not isinstance(block, dict):
+def _typed(val, key: Key, path: str):
+    """val as the key's type (JSON integers as floats), if it is allowed."""
+    if (not isinstance(val, (int, float) if key.type is float else key.type)
+            or key.type in (int, float) and isinstance(val, bool)):
+        raise ConfigError(f"{path} must be {_NOUNS[key.type]}")
+    if key.type is float:
+        if not abs(val) <= sys.float_info.max:  # json reads NaN and Infinity
+            raise ConfigError(f"{path} must be a finite number, got {val}")
+        val = float(val)
+    if key.allowed:
+        test, what = key.allowed if callable(key.allowed[0]) else \
+            (key.allowed.__contains__, " or ".join(map(repr, key.allowed)))
+        if not test(val):
+            raise ConfigError(f"{path} must be {what}, got {val!r}")
+    return val
+
+
+def _resolve(blk, keys: dict, path: str) -> dict:
+    """Block `blk` checked against `keys`: the keys it sets, typed, and the
+    CLI's defaults of those it leaves out."""
+    if not isinstance(blk, dict):
         raise ConfigError(f"{path or 'config'} must be an object")
-    for key, val in block.items():
-        if key not in schema:
-            raise ConfigError(f"unknown key {path + key!r}")
-        want = schema[key]
-        if isinstance(want, dict):
-            _check_keys(val, want, path + key + ".")
-        elif want is float:
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
-                raise ConfigError(f"{path + key} must be a number")
-            if not abs(val) <= sys.float_info.max:  # json reads NaN and Infinity
-                raise ConfigError(f"{path + key} must be a finite number, got {val}")
-        elif want is int:
-            if not isinstance(val, int) or isinstance(val, bool):
-                raise ConfigError(f"{path + key} must be an integer")
-        elif want is bool:
-            if not isinstance(val, bool):
-                raise ConfigError(f"{path + key} must be a boolean")
-        elif want is str:
-            if not isinstance(val, str):
-                raise ConfigError(f"{path + key} must be a string")
-        elif want is list:
-            if not isinstance(val, list):
-                raise ConfigError(f"{path + key} must be a list")
+    for name in blk:
+        if name not in keys:
+            raise ConfigError(f"unknown key {path + name!r}")
+    out = {}
+    for name, key in keys.items():
+        if isinstance(key, dict):
+            if name not in blk and any(k.default is REQUIRED for k in key.values()):
+                raise ConfigError(f"missing {name!r} block")
+            out[name] = _resolve(blk.get(name, {}), key, path + name + ".")
+        elif name in blk:
+            out[name] = _typed(blk[name], key, path + name)
+        elif key.default is REQUIRED:
+            raise ConfigError(f"{path[:-1]} block missing {name!r}")
+        elif key.default is not LIBRARY:
+            out[name] = key.default
+    return out
 
 
-def validate_config(cfg: dict) -> str:
+def validate_config(cfg: dict) -> dict:
+    """The resolved config: the keys `cfg` sets, converted to their types,
+    and the CLI's defaults; keys with a library default stay absent."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be an object")
     if cfg.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
     sub = cfg.get("subcommand")
-    if sub not in SCHEMAS:
-        raise ConfigError(f"unknown subcommand {sub!r}; expected one of {sorted(SCHEMAS)}")
-    merged = dict(_COMMON)
-    merged.update(SCHEMAS[sub])
-    _check_keys(cfg, merged, "")
-    return sub
+    if sub not in CONFIG_KEYS:
+        raise ConfigError(f"unknown subcommand {sub!r}; expected one of {sorted(CONFIG_KEYS)}")
+    return _resolve(cfg, {**_COMMON, **CONFIG_KEYS[sub]}, "")
 
 
-def _required(cfg, name, keys) -> dict:
-    """The keys of block `name` as floats, in order; a missing block or key is
-    a ConfigError naming it."""
-    blk = cfg.get(name)
-    if blk is None:
-        raise ConfigError(f"missing {name!r} block")
-    try:
-        return {key: float(blk[key]) for key in keys}
-    except KeyError as exc:
-        raise ConfigError(f"{name} block missing {exc}") from exc
+def _pick(blk: dict, *names) -> dict:
+    """The keys among `names` that `blk` sets, for a library call's kwargs."""
+    return {name: blk[name] for name in names if name in blk}
 
 
-def _gas_from(cfg) -> GasParams:
-    return GasParams(**_required(cfg, "gas", ("gamma", "S0", "J", "rho_ion")))
-
-
-def _given(blk, schema, keys=None) -> dict:
-    """The keys (default: all of `schema`) that block `blk` sets, converted to
-    their schema types.  Absent keys are left out, so that the library
-    function they are passed to supplies its own default."""
-    return {key: schema[key](blk[key]) for key in keys or schema if key in blk}
-
-
-def _inlet_from(cfg, params: GasParams) -> InletData:
-    u0 = _required(cfg, "inlet", ("u0",))["u0"]
-    blk = cfg["inlet"]
+def _inlet_from(blk: dict, params: GasParams) -> InletData:
     if "E0" in blk:
-        return InletData(u0=u0, E0=float(blk["E0"]))
-    return critical_inlet(params, u0, **_given(blk, _INLET, ("branch",)))
-
-
-def _upstream_from(cfg) -> UpstreamState:
-    return UpstreamState(**_required(cfg, "upstream", ("gamma", "rho_inf", "q_inf")))
+        return InletData(u0=blk["u0"], E0=blk["E0"])
+    return critical_inlet(params, blk["u0"], **_pick(blk, "branch"))
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +199,6 @@ class ArtifactWriter:
         self.write_text(name, json.dumps(obj, indent=2, sort_keys=True,
                                          default=_json_default) + "\n")
 
-    def discard(self) -> None:
-        """Remove what this writer wrote and any manifest left by an earlier
-        run, so that a failed run leaves nothing that looks like a result."""
-        for name in self.files + ["manifest.json"]:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(self.outdir, name))
-
 
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
@@ -219,24 +222,17 @@ def _digest(path: str) -> dict:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _svg_on(cfg) -> bool:
-    return cfg.get("emit", {}).get("svg", True)
-
-
 def run_phase_portrait(cfg, aw: ArtifactWriter) -> None:
-    params = _gas_from(cfg)
-    n = int(cfg.get("n", 1001))
-    if n < 2:
-        raise ConfigError(f"n must be at least 2 samples, got {n}")
+    params = GasParams(**cfg["gas"])
     ustar = find_u_star(params)
-    u_min = float(cfg.get("u_min", 0.3 * params.u_sonic))
-    u_max = min(float(cfg.get("u_max", ustar)), ustar)  # critical set ends at u*
-    u = np.linspace(u_min, u_max, n)
+    u_min = cfg.get("u_min", 0.3 * params.u_sonic)
+    u_max = min(cfg.get("u_max", ustar), ustar)  # critical set ends at u*
+    u = np.linspace(u_min, u_max, cfg["n"])
     e_acc = np.asarray(critical_field(params, u, "accelerating"))
     e_dec = np.asarray(critical_field(params, u, "decelerating"))
     aw.write_text("portrait.csv", csv_text("u,E_accelerating,E_decelerating",
                                            [u, e_acc, e_dec]))
-    if _svg_on(cfg):
+    if cfg["emit"]["svg"]:
         line_plot(aw.path("portrait.svg"),
                   [(u, e_acc, "#1f77b4"), (u, e_dec, "#d62728")],
                   title="critical trajectories", xlabel="u", ylabel="E",
@@ -245,11 +241,8 @@ def run_phase_portrait(cfg, aw: ArtifactWriter) -> None:
 
 
 def _profile_from(cfg, params):
-    inlet = _inlet_from(cfg, params)
-    stop = cfg.get("stop", {})
-    return integrate_profile(params, inlet, x_max=stop.get("x_max"),
-                             u_target=stop.get("u_target"),
-                             **_given(cfg.get("integrator", {}), _INTEG)), inlet
+    inlet = _inlet_from(cfg["inlet"], params)
+    return integrate_profile(params, inlet, **cfg["stop"], **cfg["integrator"]), inlet
 
 
 def _lemma_json(report):
@@ -270,13 +263,13 @@ def _lemma_json(report):
 
 
 def run_profile(cfg, aw: ArtifactWriter) -> None:
-    params = _gas_from(cfg)
+    params = GasParams(**cfg["gas"])
     profile, inlet = _profile_from(cfg, params)
     profile = reconstruct_fields(params, profile)
     aw.write_text("profile.csv", profile_csv_text(profile))
     report = verify_lemma(params, inlet)
     aw.write_json("lemma_report.json", _lemma_json(report))
-    if _svg_on(cfg):
+    if cfg["emit"]["svg"]:
         line_plot(aw.path("profile.svg"),
                   [(profile.x1, profile.u, "#1f77b4"), (profile.x1, profile.E, "#d62728")],
                   title="profile: u (blue), E (red)", xlabel="x1", ylabel="value",
@@ -284,7 +277,7 @@ def run_profile(cfg, aw: ArtifactWriter) -> None:
 
 
 def run_kz_check(cfg, aw: ArtifactWriter) -> None:
-    params = _gas_from(cfg)
+    params = GasParams(**cfg["gas"])
     profile, _ = _profile_from(cfg, params)
     profile = reconstruct_fields(params, profile)
     report = kz_check(params, profile)
@@ -298,32 +291,22 @@ def run_kz_check(cfg, aw: ArtifactWriter) -> None:
         "agreement_rel_max": report.agreement_rel_max,
         "branch": profile.branch,
     })
-    if _svg_on(cfg):
+    if cfg["emit"]["svg"]:
         line_plot(aw.path("coefficients.svg"),
                   [(profile.x1, alpha, "#1f77b4"), (profile.x1, beta, "#d62728")],
                   title="alpha11 (blue), beta1 (red)", xlabel="x1", ylabel="value")
 
 
-_SCENARIOS = {"reference": reference_scenario, "manufactured": manufactured_scenario}
-
-
 def run_keldysh(cfg, aw: ArtifactWriter) -> None:
-    schema = SCHEMAS["keldysh-solve"]
-    opts = KeldyshOptions(**_given(cfg.get("grid", {}), schema["grid"]),
-                          **_given(cfg.get("solver", {}), schema["solver"]))
-    scenario = cfg.get("scenario", "reference")
-    if scenario not in _SCENARIOS:
-        raise ConfigError(f"unknown keldysh scenario {scenario!r}")
+    opts = KeldyshOptions(**cfg["grid"], **cfg["solver"])
+    scenario = cfg["scenario"]
     if scenario != "reference" and "o_scale" in cfg:
         raise ConfigError(f"o_scale applies to the reference scenario only, not {scenario!r}")
-    dom, coeffs, bc = _SCENARIOS[scenario](**_given(cfg, schema, ("eps0", "a", "b", "o_scale")))
+    dom, coeffs, bc = _SCENARIOS[scenario](**_pick(cfg, "eps0", "a", "b", "o_scale"))
     coeffs.validate_bounds(dom)
     # the scan abscissas depend on the grid alone: reject a coarse grid unsolved
     _scan_abscissas(_Grid(dom, opts.nx, opts.ny, opts.grading).x)
-    fractions = cfg.get("scan", {}).get("y_fractions", [0.25, 0.5])
-    if not fractions or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                                and 0.0 <= v <= 1.0 for v in fractions):
-        raise ConfigError("scan.y_fractions must be a non-empty list of numbers in [0, 1]")
+    fractions = cfg["scan"]["y_fractions"]
     fld = solve_model(dom, coeffs, opts, bc)
     aw.write_text("field.csv", field_csv_text(fld))
     f0 = float(fld.y[0, -1])
@@ -331,7 +314,7 @@ def run_keldysh(cfg, aw: ArtifactWriter) -> None:
     cols = [scan.x_k] + [scan.table[i] for i in range(len(scan.y_values))]
     hdr = "x," + ",".join(f"psi_xx_y{fr:g}" for fr in fractions)
     aw.write_text("scan.csv", csv_text(hdr, cols))
-    probe = corner_probe(fld, **_given(cfg.get("corner", {}), schema["corner"]))
+    probe = corner_probe(fld, **cfg["corner"])
     bounds = verify_bounds(fld, coeffs)
     aw.write_json("diagnostics.json", {
         **{key: fld.metadata[key] for key in (
@@ -344,7 +327,7 @@ def run_keldysh(cfg, aw: ArtifactWriter) -> None:
         "bounds": {"psi_min": bounds.psi_min, "psi_nonneg": bounds.psi_nonneg,
                    "L": bounds.quadratic_L, "mu": bounds.mu, "delta": bounds.delta},
     })
-    if _svg_on(cfg):
+    if cfg["emit"]["svg"]:
         heatmap(aw.path("field.svg"), fld.x, fld.y, fld.values,
                 title="degenerate-model solution", xlabel="x", ylabel="y")
         series = [(scan.x_k, scan.table[i], color)
@@ -355,41 +338,28 @@ def run_keldysh(cfg, aw: ArtifactWriter) -> None:
 
 
 def run_mixed(cfg, aw: ArtifactWriter) -> None:
-    params = _gas_from(cfg)
-    inlet = _inlet_from(cfg, params)
-    chan = cfg.get("channel", {})
-    L = float(chan.get("L", 2.0))
-    dom = ChannelDomain(L=L, **_given(chan, SCHEMAS["mixed-solve"]["channel"], ("n1", "n2")))
-    profile = integrate_profile(params, inlet, x_max=1.02 * L,
-                                **_given(cfg.get("integrator", {}), _INTEG))
+    params = GasParams(**cfg["gas"])
+    inlet = _inlet_from(cfg["inlet"], params)
+    L = cfg["channel"]["L"]
+    dom = ChannelDomain(**cfg["channel"])
+    profile = integrate_profile(params, inlet, x_max=1.02 * L, **cfg["integrator"])
     if profile.x1[-1] < L:
         raise ConfigError(f"profile terminates at x1={profile.x1[-1]:.6g} < L={L}; "
                           "shorten the channel")
     spec = build_operator(profile, dom)
     _sonic_side_columns(spec)  # the smoothness diagnostic's columns, before solving
-    bc_blk = cfg.get("bc", {})
-    kind = bc_blk.get("kind", "cos")
-    amp = float(bc_blk.get("amplitude", 0.01))
-    k = int(bc_blk.get("mode_k", 1))
-    if kind == "cos":
+    bc_blk = cfg["bc"]
+    amp, k = bc_blk["amplitude"], bc_blk["mode_k"]
+    if bc_blk["kind"] == "cos":
         data = lambda x2: amp * math.cos(math.pi * k * x2)
-    elif kind == "zero":
+    else:
         data = lambda x2: 0.0
-    else:
-        raise ConfigError(f"unknown inlet data kind {kind!r}")
-    outlet = (lambda x2: 0.0) if bc_blk.get("outlet_zero") else None
+    outlet = (lambda x2: 0.0) if bc_blk["outlet_zero"] else None
     bc = BoundaryData2D(inlet_data=data, outlet_data=outlet,
-                        **_given(bc_blk, _BC, ("inlet_mode", "anchor")))
-    src = cfg.get("source", {})
-    s_kind = src.get("kind", "zero")
-    if s_kind == "zero":
-        f = None
-    elif s_kind == "sin":
-        s_amp = float(src.get("amplitude", 0.02))
-        s_k = float(src.get("wavenumber", 2.0))
-        f = lambda X1, X2: s_amp * np.sin(s_k * X1) * np.ones_like(X2)
-    else:
-        raise ConfigError(f"unknown source kind {s_kind!r}")
+                        **_pick(bc_blk, "inlet_mode", "anchor"))
+    src = cfg["source"]
+    f = None if src["kind"] == "zero" else \
+        lambda X1, X2: src["amplitude"] * np.sin(src["wavenumber"] * X1) * np.ones_like(X2)
     fld = solve_linear(spec, f, bc)
     aw.write_text("solution.csv", field_csv_text(fld))
     aw.write_text("coefficients.csv", csv_text("x1,alpha11,beta1",
@@ -400,14 +370,14 @@ def run_mixed(cfg, aw: ArtifactWriter) -> None:
         "d2w_jump": diag.d2w_jump, "kz_holds": spec.kz_holds,
         "residual": fld.metadata["residual"], "modes": fld.metadata["n2"],
     })
-    if _svg_on(cfg):
+    if cfg["emit"]["svg"]:
         heatmap(aw.path("solution.svg"), fld.x, fld.y, fld.values,
                 title="mixed-type channel solution", xlabel="x1", ylabel="x2")
 
 
 def run_shock_polar(cfg, aw: ArtifactWriter) -> None:
-    state = _upstream_from(cfg)
-    curve = compute_polar(state, **_given(cfg, SCHEMAS["shock-polar"], ("n_samples",)))
+    state = UpstreamState(**cfg["upstream"])
+    curve = compute_polar(state, **_pick(cfg, "n_samples"))
     aw.write_text("polar.csv", csv_text("sigma,u1,u2,rho,deflection",
                                         [curve.sigma, curve.u1, curve.u2,
                                          curve.rho, curve.deflection]))
@@ -417,7 +387,7 @@ def run_shock_polar(cfg, aw: ArtifactWriter) -> None:
         "normal_state": {"u": curve.normal_state[0], "rho": curve.normal_state[1]},
         "max_rh_residual": float(np.max(curve.residuals)),
     })
-    if _svg_on(cfg):
+    if cfg["emit"]["svg"]:
         u1 = np.concatenate([curve.u1, curve.u1[::-1]])
         u2 = np.concatenate([curve.u2, -curve.u2[::-1]])
         wk, _, _ = weak_state(curve, curve.theta_sonic)
@@ -429,13 +399,12 @@ def run_shock_polar(cfg, aw: ArtifactWriter) -> None:
 
 
 def run_geometry(cfg, aw: ArtifactWriter) -> None:
-    state = _upstream_from(cfg)
-    theta_w = float(cfg.get("theta_w", 0.15))
-    configuration = cfg.get("configuration", "wedge-flow")
+    state = UpstreamState(**cfg["upstream"])
+    theta_w, configuration = cfg["theta_w"], cfg["configuration"]
     curve = compute_polar(state)
     u_vec, rho0, sigma = weak_state(curve, theta_w)
     ss = SelfSimilarState(gamma=state.gamma, u0_vec=(float(u_vec[0]), float(u_vec[1])),
-                         rho0=rho0, **_given(cfg, SCHEMAS["geometry"], ("k",)))
+                         rho0=rho0, **_pick(cfg, "k"))
     geo = pseudo_sonic_geometry(ss, theta_w, configuration)
     u_ns, rho_ns = normal_shock(state)
     aw.write_json("states.json", {
@@ -449,7 +418,7 @@ def run_geometry(cfg, aw: ArtifactWriter) -> None:
     })
     arc = geo.arc_points(0.0, 2.0 * math.pi, 361)
     aw.write_text("sonic_arc.csv", csv_text("xi1,xi2", [arc[:, 0], arc[:, 1]]))
-    if _svg_on(cfg):
+    if cfg["emit"]["svg"]:
         r = ss.sonic_radius
         span = max(state.q_inf, abs(ss.u0_vec[0]) + r) * 1.2
         cv = SvgCanvas((-0.2 * span, span), (-0.7 * span, 0.7 * span),
@@ -485,11 +454,12 @@ HANDLERS = {
 # driver
 # ---------------------------------------------------------------------------
 
-def _resolve_outdir(cfg, config_path: str) -> str:
-    outdir = cfg.get("output_dir")
-    if outdir is None:
-        base = os.path.splitext(os.path.basename(config_path))[0]
-        outdir = f"runs/{base}"
+def _resolve_outdir(cfg, config_path: str) -> str | None:
+    """The output directory a config names (runs/<config name> by default), or None."""
+    base = os.path.splitext(os.path.basename(config_path))[0]
+    outdir = cfg.get("output_dir", f"runs/{base}") if isinstance(cfg, dict) else None
+    if not isinstance(outdir, str):
+        return None
     root = os.environ.get(ENV_OUTPUT_ROOT)
     if root and not os.path.isabs(outdir):
         outdir = os.path.join(root, outdir)
@@ -519,12 +489,13 @@ def run_config(config_path: str) -> int:
     except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read config {config_path}: {exc}", file=sys.stderr)
         return 1
+    outdir = _resolve_outdir(cfg, config_path)
     aw = None
     try:
-        sub = validate_config(cfg)
-        aw = ArtifactWriter(_resolve_outdir(cfg, config_path))
-        HANDLERS[sub](cfg, aw)
-        _write_manifest(aw, sub, cfg, t0)
+        resolved = validate_config(cfg)
+        aw = ArtifactWriter(outdir)
+        HANDLERS[resolved["subcommand"]](resolved, aw)
+        _write_manifest(aw, resolved["subcommand"], cfg, t0)
     except (ConfigError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         code = 1
@@ -540,8 +511,12 @@ def run_config(config_path: str) -> int:
         code = 2
     else:
         return 0
-    if aw is not None:
-        aw.discard()
+    # a failed run leaves nothing that looks like a result: not what it
+    # wrote, nor a manifest left by an earlier run
+    if outdir is not None and os.path.isdir(outdir):
+        for name in (aw.files if aw else []) + ["manifest.json"]:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(outdir, name))
     return code
 
 

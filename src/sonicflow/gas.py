@@ -3,8 +3,8 @@
 The velocity/field pair (u, E) of a one-dimensional steady flow with
 self-generated electric field moves along level sets of the first integral
 (1/2)E^2 - H(u).  This module provides the gas-parameter container, the
-closed-form potential H, the critical level set E = E(u), the second zero
-u* of H, and state classification.  All quantities are nondimensional.
+closed-form potential H, the critical level set E = E(u) and the second
+zero u* of H.  All quantities are nondimensional.
 """
 
 from __future__ import annotations
@@ -20,13 +20,8 @@ from scipy.optimize import brentq
 ACCELERATING = "accelerating"
 DECELERATING = "decelerating"
 OFF_CRITICAL = "off-critical"
-BOUNDARY = "boundary"
 
-SUBSONIC = "subsonic"
-SONIC = "sonic"
-SUPERSONIC = "supersonic"
-
-#: Relative half-width of the velocity band classified as "sonic".
+#: Relative half-width of the velocity band of exactly-sonic inlets.
 SONIC_BAND = 1e-9
 
 
@@ -96,28 +91,6 @@ class GasParams:
     def zeta0(self) -> float:
         """Background-to-sonic velocity ratio; > 1 for the transonic regime."""
         return self.u_bar / self.u_sonic
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """A point (u, E) in the velocity/field phase plane."""
-
-    u: float
-    E: float
-
-    def __post_init__(self):
-        if not self.u > 0.0:
-            raise ValueError(f"u must be > 0, got {self.u}")
-
-
-@dataclass(frozen=True)
-class TrajectoryClass:
-    """Classification of a phase state relative to the critical level set."""
-
-    on_critical: bool
-    branch: str  # accelerating | decelerating | boundary | off-critical
-    regime: str  # subsonic | sonic | supersonic
-    deviation: float  # (1/2)E^2 - H(u)
 
 
 def _check_u(u) -> np.ndarray:
@@ -230,13 +203,12 @@ def critical_field(params: GasParams, u, branch: str = ACCELERATING):
     return out if out.ndim else float(out)
 
 
-def find_u_star(params: GasParams, method: str = "brent") -> float:
+def find_u_star(params: GasParams) -> float:
     """Second zero u* > u_bar of H; endpoint of the accelerating branch.
 
     H rises from 0 at u_sonic, peaks at u_bar and decreases afterwards, so
     for zeta0 > 1 there is exactly one root beyond u_bar.  Found by
-    bracketing plus either Brent's method or plain bisection, each to an
-    absolute tolerance of 1e-13.
+    bracketing plus Brent's method to an absolute tolerance of 1e-13.
     """
     if not params.zeta0 > 1.0:
         raise ValueError(f"find_u_star requires zeta0 > 1, got {params.zeta0}")
@@ -245,8 +217,7 @@ def find_u_star(params: GasParams, method: str = "brent") -> float:
     lo = ub * (1.0 + 1e-9)
     hi = 2.0 * ub
     f = lambda x: float(enthalpy(params, x))
-    flo = f(lo)
-    if flo <= 0.0:
+    if f(lo) <= 0.0:
         raise RuntimeError("configuration error: H(u_bar+) not positive")
     for _ in range(60):
         if f(hi) < 0.0:
@@ -254,52 +225,4 @@ def find_u_star(params: GasParams, method: str = "brent") -> float:
         hi *= 2.0
     else:
         raise RuntimeError("configuration error: no sign change of H beyond u_bar")
-
-    if method == "brent":
-        return float(brentq(f, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps))
-    if method == "bisect":
-        a, b, fa = lo, hi, flo
-        while b - a > tol:
-            m = 0.5 * (a + b)
-            fm = f(m)
-            if fm == 0.0:
-                return m
-            if fa * fm > 0.0:
-                a, fa = m, fm
-            else:
-                b = m
-        return 0.5 * (a + b)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def classify_state(params: GasParams, state: PhaseState, tol: float = 1e-9) -> TrajectoryClass:
-    """Classify a phase-plane point against the critical level set.
-
-    A state is on-critical when |(1/2)E^2 - H(u)| <= tol.  The flow regime
-    uses a sonic band of relative width SONIC_BAND around u_sonic to avoid
-    sign flapping at the degenerate point.  On the critical set the branch
-    is decided by the sign of (u - u_sonic)*E; states where either factor
-    vanishes belong to both branches and are labelled "boundary".
-    """
-    u, E = state.u, state.E
-    us = params.u_sonic
-    dev = 0.5 * E * E - float(enthalpy(params, u))
-    on_crit = abs(dev) <= tol
-
-    if abs(u - us) <= SONIC_BAND * us:
-        regime = SONIC
-    elif u > us:
-        regime = SUPERSONIC
-    else:
-        regime = SUBSONIC
-
-    if not on_crit:
-        branch = OFF_CRITICAL
-    elif regime == SONIC or abs(E) <= math.sqrt(2.0 * tol):
-        branch = BOUNDARY
-    elif (u - us) * E > 0.0:
-        branch = ACCELERATING
-    else:
-        branch = DECELERATING
-
-    return TrajectoryClass(on_critical=on_crit, branch=branch, regime=regime, deviation=dev)
+    return float(brentq(f, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps))

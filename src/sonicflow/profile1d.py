@@ -36,8 +36,6 @@ from .gas import (
     OFF_CRITICAL,
     SONIC_BAND,
     GasParams,
-    PhaseState,
-    classify_state,
     critical_field,
     enthalpy,
     enthalpy_curvature_at_sonic,
@@ -246,7 +244,7 @@ def _inlet_course(params: GasParams, inlet: InletData) -> tuple[str, bool]:
     finite slope.
     """
     u0, E0 = inlet.u0, inlet.E0
-    if classify_state(params, PhaseState(u0, E0), tol=1e-9).on_critical:
+    if abs(0.5 * E0 * E0 - enthalpy(params, u0)) <= 1e-9:
         accelerating = (u0 - params.u_sonic) * E0 > 0.0
         return (ACCELERATING if accelerating else DECELERATING), accelerating
     return OFF_CRITICAL, _rhs(params)(0.0, (u0, E0))[0] > 0.0

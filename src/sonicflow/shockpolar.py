@@ -239,7 +239,7 @@ def compute_polar(state: UpstreamState, n_samples: int = 2048) -> ShockPolarCurv
         return a1 * a1 + a2 * a2 - r ** (g - 1.0)
 
     gaps = u1 ** 2 + u2 ** 2 - rho ** (g - 1.0)
-    idx = np.nonzero(gaps[:-1] * gaps[1:] < 0.0)[0]
+    idx = np.nonzero(np.sign(gaps[:-1]) * np.sign(gaps[1:]) < 0.0)[0]
     if len(idx) == 0:
         raise RuntimeError("no sonic crossing found on the polar")
     i = int(idx[0])

@@ -23,6 +23,22 @@ def h_quadrature(gamma, S0, J, rho_ion, u):
     return (J / ub) * val
 
 
+def bisect_root(f, a, b, tol=1e-13):
+    """A root of f in [a, b], where f(a) and f(b) differ in sign, by plain
+    bisection to an absolute tolerance of tol; the cross-check for brentq."""
+    fa = f(a)
+    while b - a > tol:
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if fa * fm > 0.0:
+            a, fa = m, fm
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
 def normal_shock_cubic_gamma2(rho_inf, q_inf):
     """Downstream normal-shock speed for gamma=2 from the cubic's roots.
 

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import os
+import re
 import tempfile
 import warnings
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -133,18 +136,30 @@ def test_mixed_subcommand(tmp_path):
 
 
 def test_failed_run_leaves_no_artifacts(tmp_path, capsys, monkeypatch):
-    # all are rejected before any solve: the 3x3 scan has too few abscissas,
-    # grid sizes must be at least 1 and a 1-cell x column has too few nodes,
-    # the scan heights must be a non-empty list of numbers in [0, 1], the
-    # manufactured scenario takes no o_scale, and the short accelerating
-    # channel has no sonic location
+    # all are rejected before any solve: an unknown key, a wrong type and a
+    # missing required key, an unknown scenario, bc.kind or source.kind, the
+    # 3x3 scan has too few abscissas, grid sizes must be at least 1 and a
+    # 1-cell x column has too few nodes, the scan heights must be a non-empty
+    # list of numbers in [0, 1], the manufactured scenario takes no o_scale,
+    # and the short accelerating channel has no sonic location
     solves = []
     for module, name in ((keldysh, "splu"), (mixed2d, "solve_banded")):
         def counting(*args, real=getattr(module, name), **kwargs):
             solves.append(args)
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, counting)
+    channel = dict(gas=GAS, inlet={"u0": 1.05, "branch": "decelerating"},
+                   channel={"L": 0.5, "n1": 9, "n2": 5})
     runs = {
+        "unknown_key": base_cfg("phase-portrait", tmp_path / "unknown_key", gas=GAS, nn=11),
+        "wrong_type": base_cfg("phase-portrait", tmp_path / "wrong_type", gas=GAS, n="x"),
+        "missing_key": base_cfg("shock-polar", tmp_path / "missing_key",
+                                upstream={"gamma": 2.0, "q_inf": 2.0}),
+        "scenario": base_cfg("keldysh-solve", tmp_path / "scenario", scenario="exact",
+                             grid={"nx": 17, "ny": 17}),
+        "bc_kind": base_cfg("mixed-solve", tmp_path / "bc_kind", bc={"kind": "sin"}, **channel),
+        "source_kind": base_cfg("mixed-solve", tmp_path / "source_kind",
+                                source={"kind": "cos"}, **channel),
         "keldysh": base_cfg("keldysh-solve", tmp_path / "keldysh",
                             grid={"nx": 3, "ny": 3}),
         **{f"grid{i}": base_cfg("keldysh-solve", tmp_path / f"grid{i}", grid=grid)
@@ -161,14 +176,43 @@ def test_failed_run_leaves_no_artifacts(tmp_path, capsys, monkeypatch):
                           channel={"L": 0.8, "n1": 65, "n2": 33},
                           bc={"kind": "cos", "amplitude": 0.01, "outlet_zero": True}),
     }
+    errors = {}
     for name, cfg in runs.items():
         out = tmp_path / name
         out.mkdir()
         (out / "manifest.json").write_text("{}")  # left by an earlier run
-        assert main(["run", write_cfg(tmp_path, name + ".json", cfg)]) == 1
-        assert list(out.iterdir()) == []
-    assert capsys.readouterr().err.count("validation error") == 9
+        assert main(["run", write_cfg(tmp_path, name + ".json", cfg)]) == 1, name
+        assert list(out.iterdir()) == [], name
+        errors[name] = capsys.readouterr().err
+        assert errors[name].startswith("validation error: ") and errors[name].count("\n") == 1
     assert len(solves) == 0
+    assert [errors[name] for name in ("wrong_type", "scenario", "bc_kind", "source_kind")] == [
+        "validation error: n must be an integer\n",
+        "validation error: scenario must be 'reference' or 'manufactured', got 'exact'\n",
+        "validation error: bc.kind must be 'cos' or 'zero', got 'sin'\n",
+        "validation error: source.kind must be 'zero' or 'sin', got 'cos'\n"]
+
+
+def test_readme_lists_the_config_table():
+    # README's subcommand table names each subcommand's top-level keys, and its
+    # value lists are the ones the config table (or, for bc.inlet_mode, the
+    # library) accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*?) \|", readme, re.M)
+    listed = {sub: re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", keys)) for sub, keys in rows}
+    assert listed == {sub: list(keys) for sub, keys in cli.CONFIG_KEYS.items()}
+    keldysh_keys, mixed_keys = cli.CONFIG_KEYS["keldysh-solve"], cli.CONFIG_KEYS["mixed-solve"]
+    assert re.search(r"`scenario` \(`(\w+)`/`(\w+)`\)", readme).groups() == \
+        keldysh_keys["scenario"].allowed
+    bc = re.search(r"`bc`:\s+`\{inlet_mode:\s+([\w|]+),\s+kind:\s+([\w|]+),", readme)
+    source = re.search(r"`source`:\s+`\{kind:\s+([\w|]+),", readme)
+    assert tuple(bc.group(2).split("|")) == mixed_keys["bc"]["kind"].allowed
+    assert tuple(source.group(1).split("|")) == mixed_keys["source"]["kind"].allowed
+    modes = bc.group(1).split("|")
+    for mode in modes:
+        mixed2d.BoundaryData2D(inlet_mode=mode)
+    with pytest.raises(ValueError, match=re.escape(f"inlet_mode must be {'/'.join(modes)},")):
+        mixed2d.BoundaryData2D(inlet_mode="d3")
 
 
 def test_shock_polar_subcommand(tmp_path):

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracles import h_quadrature
-from sonicflow.gas import (ACCELERATING, BOUNDARY, DECELERATING, OFF_CRITICAL,
-                           GasParams, PhaseState, classify_state, critical_field,
-                           enthalpy, enthalpy_curvature_at_sonic,
+from _oracles import bisect_root, h_quadrature
+from sonicflow.gas import (ACCELERATING, DECELERATING, OFF_CRITICAL, GasParams,
+                           critical_field, enthalpy, enthalpy_curvature_at_sonic,
                            enthalpy_quadrature, find_u_star)
+from sonicflow.profile1d import InletData, _inlet_course
 
 prop = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -71,8 +71,9 @@ def test_critical_field_values(canonical):
 
 
 def test_find_u_star(canonical):
-    us1 = find_u_star(canonical, method="brent")
-    us2 = find_u_star(canonical, method="bisect")
+    us1 = find_u_star(canonical)
+    us2 = bisect_root(lambda u: h_quadrature(3.0, 1 / 3, 1.0, 0.5, u),
+                      canonical.u_bar, 2.0 * canonical.u_bar)
     assert abs(us1 - us2) < 1e-10
     assert us1 == pytest.approx(2.774065663490481, abs=1e-9)
     assert abs(float(enthalpy(canonical, us1))) < 1e-12
@@ -90,16 +91,16 @@ def test_curvature_at_sonic(canonical):
 
 
 def test_classify_examples(canonical):
-    c = classify_state(canonical, PhaseState(1.0, 0.0))
-    assert c.on_critical and c.regime == "sonic" and c.branch == BOUNDARY
-
+    # an inlet's branch and whether u increases from it: on the critical set
+    # (|E0**2/2 - H(u0)| <= 1e-9) the sign of (u0 - u_sonic)*E0 decides, and
+    # E0 = 0 at the sonic speed counts as decelerating
+    assert _inlet_course(canonical, InletData(1.0, 0.0)) == (DECELERATING, False)
     e2 = critical_field(canonical, 2.0)
-    c = classify_state(canonical, PhaseState(2.0, e2))
-    assert c.on_critical and c.regime == "supersonic" and c.branch == ACCELERATING
-
-    c = classify_state(canonical, PhaseState(2.0, 0.0))
-    assert not c.on_critical and c.branch == OFF_CRITICAL
-    assert c.deviation == pytest.approx(-7.0 / 48.0, rel=1e-12)
+    assert _inlet_course(canonical, InletData(2.0, e2)) == (ACCELERATING, True)
+    assert _inlet_course(canonical, InletData(2.0, -e2)) == (DECELERATING, False)
+    # E0**2/2 - H(2) = -7/48: off the critical set, and u' = 0 there
+    assert _inlet_course(canonical, InletData(2.0, 0.0)) == (OFF_CRITICAL, False)
+    assert _inlet_course(canonical, InletData(2.0, e2 + 1e-6))[0] == OFF_CRITICAL
 
 
 @prop
@@ -108,8 +109,7 @@ def test_critical_field_squared_is_2H(canonical, u, branch):
     assume(abs(u - 2.774065663490481) > 1e-3)
     e = critical_field(canonical, u, branch)
     assert e * e == pytest.approx(2.0 * float(enthalpy(canonical, u)), rel=1e-12, abs=1e-15)
-    cls = classify_state(canonical, PhaseState(u, e), tol=1e-9)
-    assert cls.on_critical
+    assert _inlet_course(canonical, InletData(u, e))[0] != OFF_CRITICAL
 
 
 @prop

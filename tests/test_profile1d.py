@@ -194,8 +194,9 @@ def test_u_target_direction_validation(canonical):
 @pytest.mark.parametrize("branch", ["accelerating", "decelerating"])
 @pytest.mark.parametrize("u0", [0.99999, 1.00001])
 def test_near_sonic_inlet_keeps_its_branch(canonical, u0, branch):
-    # |E0| ~ 1.4e-5 lies inside classify_state's boundary band |E| <= 4.5e-5,
-    # yet the inlet is on one branch, and every entry point reports that one
+    # |E0| ~ 1.4e-5 lies below sqrt(2e-9) ~ 4.5e-5, where E0**2/2 is within the
+    # on-critical tolerance of 0, yet the inlet is on one branch, and every
+    # entry point reports that one
     inlet = critical_inlet(canonical, u0, branch)
     results = []
     for run in (lambda: integrate_profile(canonical, inlet),

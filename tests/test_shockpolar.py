@@ -209,8 +209,10 @@ def test_polar_names_the_precision_limit(gmr, limit):
 
 
 def test_polar_limit_checks_leave_nearby_states_alone():
-    # next to the limit states (another Mach number, or gamma 3 for 10) the polar computes
-    for gmr in ((1.4, 1e-6, 1.01), (1.01, 1.0, 3.0), (3.0, 1e-6, 3.0)):
+    # next to the limit states (another Mach number, or gamma 3 for 10) the polar computes;
+    # so does gamma 100 with rho_inf 1e3, whose sonic gaps (~1e297) must not be
+    # multiplied together
+    for gmr in ((1.4, 1e-6, 1.01), (1.01, 1.0, 3.0), (3.0, 1e-6, 3.0), (100.0, 1e3, 2.0)):
         curve = compute_polar(_mach_state(*gmr), n_samples=2000)
         assert 0.0 < curve.theta_sonic < curve.theta_d
         assert float(np.max(curve.residuals)) <= 1e-8 * curve.upstream.q_inf
