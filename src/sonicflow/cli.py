@@ -37,8 +37,8 @@ from .mixed2d import BoundaryData2D, ChannelDomain, build_operator, solve_linear
 from .profile1d import (InletData, ProfileError, critical_inlet, integrate_profile,
                         kz_check, profile_csv_text, reconstruct_fields, verify_lemma,
                         _kz_alpha_beta)
-from .shockpolar import (SelfSimilarState, UpstreamState, compute_polar,
-                         normal_shock, pseudo_sonic_geometry, weak_state)
+from .shockpolar import (CONFIGURATIONS, SelfSimilarState, UpstreamState, compute_polar,
+                         pseudo_sonic_geometry, weak_state)
 from .svgplot import SvgCanvas, heatmap, line_plot
 
 SCHEMA_VERSION = 1
@@ -59,7 +59,7 @@ REQUIRED, LIBRARY = object(), object()
 class Key(NamedTuple):
     """A config key's type; its default: REQUIRED, the CLI's own or LIBRARY
     (absent unless set: the library's default applies, or one the handler
-    works out); and, for CLI-only keys, its allowed strings or (predicate, description)."""
+    works out); and the allowed strings or (predicate, description) the CLI checks."""
 
     type: type
     default: object = LIBRARY
@@ -102,7 +102,7 @@ CONFIG_KEYS = {
     },
     "shock-polar": {"upstream": _UPSTREAM, "n_samples": Key(int)},
     "geometry": {"upstream": _UPSTREAM, "theta_w": Key(float, 0.15),
-                 "configuration": Key(str, "wedge-flow"), "k": Key(float)},
+                 "configuration": Key(str, "wedge-flow", CONFIGURATIONS), "k": Key(float)},
 }
 _COMMON = {"schema_version": Key(int, REQUIRED), "subcommand": Key(str, REQUIRED),
            "output_dir": Key(str), "emit": {"svg": Key(bool, True)}}
@@ -158,7 +158,7 @@ def validate_config(cfg: dict) -> dict:
     if cfg.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
     sub = cfg.get("subcommand")
-    if sub not in CONFIG_KEYS:
+    if not isinstance(sub, str) or sub not in CONFIG_KEYS:
         raise ConfigError(f"unknown subcommand {sub!r}; expected one of {sorted(CONFIG_KEYS)}")
     return _resolve(cfg, {**_COMMON, **CONFIG_KEYS[sub]}, "")
 
@@ -406,7 +406,7 @@ def run_geometry(cfg, aw: ArtifactWriter) -> None:
     ss = SelfSimilarState(gamma=state.gamma, u0_vec=(float(u_vec[0]), float(u_vec[1])),
                          rho0=rho0, **_pick(cfg, "k"))
     geo = pseudo_sonic_geometry(ss, theta_w, configuration)
-    u_ns, rho_ns = normal_shock(state)
+    u_ns, rho_ns = curve.normal_state
     aw.write_json("states.json", {
         "weak_state": {"u1": float(u_vec[0]), "u2": float(u_vec[1]), "rho": rho0,
                        "sigma": sigma},

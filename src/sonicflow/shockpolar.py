@@ -8,7 +8,7 @@ mass flux is continuous, and the Bernoulli relation
 holds on both sides.  For a fixed supersonic upstream state these reduce to
 one scalar equation per shock inclination; sweeping the inclination traces
 the polar of attainable downstream velocities, whose extreme deflection is
-the detachment angle and whose sonic crossing marks the sonic angle.
+the detachment angle and whose sonic point gives the sonic angle.
 
 Also provides the uniform-state pseudo-potential of the self-similar plane,
 its pseudo-sonic circle, and the stretched coordinates used near that arc.
@@ -17,12 +17,16 @@ its pseudo-sonic circle, and the stretched coordinates used near that arc.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .gas import require_finite
+
+#: The self-similar configurations whose local chart `pseudo_sonic_geometry` builds.
+CONFIGURATIONS = ("reflection", "wedge-flow")
 
 
 class DetachedShockError(ValueError):
@@ -42,6 +46,11 @@ class UpstreamState:
             raise ValueError(f"gamma must be > 1, got {self.gamma}")
         if not self.rho_inf > 0.0:
             raise ValueError(f"rho_inf must be > 0, got {self.rho_inf}")
+        # every polar quantity is measured from c_inf**2: it may not overflow or underflow
+        c2_inf = require_finite(lambda: self.rho_inf ** (self.gamma - 1.0), "c_inf**2 = rho_inf**(gamma-1)")
+        if c2_inf < sys.float_info.min:
+            raise ValueError(f"c_inf**2 = rho_inf**(gamma-1) must be >= {sys.float_info.min:.6g}, "
+                             f"got {c2_inf:.6g}")
         if not self.q_inf > 0.0:
             raise ValueError(f"q_inf must be > 0, got {self.q_inf}")
         if self.q_inf < self.sound_speed * (1.0 - 1e-12):
@@ -51,9 +60,8 @@ class UpstreamState:
                        "(rho_inf**(gamma-1) - 1)/(gamma-1)")
         # the largest density on the Bernoulli level, reached by the normal
         # shock's root search
-        g = self.gamma
-        require_finite(lambda: (1.0 + (g - 1.0) * self.B0) ** (1.0 / (g - 1.0)),
-                       "stagnation density (1 + (gamma-1)*B0)**(1/(gamma-1))")
+        require_finite(lambda: _sound_speed_sq(self, 0.0) ** (1.0 / (self.gamma - 1.0)),
+                       "stagnation density (c_inf**2 + (gamma-1)*q_inf**2/2)**(1/(gamma-1))")
 
     @property
     def sound_speed(self) -> float:
@@ -66,34 +74,36 @@ class UpstreamState:
 
 
 def _sound_speed_sq(state: UpstreamState, speed):
-    """c**2 = rho**(gamma-1) = 1 + (gamma-1)*(B0 - speed**2/2) at a flow speed."""
-    return 1.0 + (state.gamma - 1.0) * (state.B0 - 0.5 * speed * speed)
+    """c**2 = rho**(gamma-1) = c_inf**2 + (gamma-1)*(q_inf**2 - speed**2)/2 at a flow
+    speed: Bernoulli from the upstream state, with no O(1) term to lose c_inf**2 next to."""
+    g = state.gamma
+    return state.rho_inf ** (g - 1.0) + 0.5 * (g - 1.0) * (state.q_inf * state.q_inf - speed * speed)
 
 
 def bernoulli_density(state: UpstreamState, speed):
     """Density at the given flow speed (or array of speeds) on the same
     Bernoulli level.
 
-    rho = (1 + (gamma-1)*(B0 - speed**2/2)) ** (1/(gamma-1)); raises on
-    cavitation (speed beyond the stagnation-energy limit).
+    rho = _sound_speed_sq(speed) ** (1/(gamma-1)); raises on cavitation
+    (speed beyond the stagnation-energy limit).
     """
     g = state.gamma
     c2 = _sound_speed_sq(state, speed)
     if np.any(c2 <= 0.0):
         raise ValueError(f"cavitation: speed {float(np.max(speed))} exceeds the Bernoulli bound "
-                         f"{math.sqrt(2.0 * (state.B0 + 1.0 / (g - 1.0))):.6g}")
+                         f"{math.sqrt(2.0 * _sound_speed_sq(state, 0.0) / (g - 1.0)):.6g}")
     return c2 ** (1.0 / (g - 1.0))
 
 
-def _normal_root(state: UpstreamState, u_n, v_t):
+def _normal_root(state: UpstreamState, u_n, v_t) -> np.ndarray:
     """Downstream normal velocity from mass-flux continuity.
 
     Solves rho(sqrt(w^2 + v_t^2)) * w = rho_inf * u_n for the compressive,
-    normal-subsonic root w, elementwise over scalars or arrays.  The mass
-    flux g(w) = rho*w has g' = rho*(1 - w^2/c^2) and g'' < 0 while w <= c,
+    normal-subsonic root w elementwise, a scalar as a 1-element array.  The
+    mass flux g(w) = rho*w has g' = rho*(1 - w^2/c^2) and g'' < 0 while w <= c,
     so it rises, concave, on (0, w*] to its maximum at the normal-sonic speed
 
-        w*^2 = 2*(1 + (gamma-1)*(B0 - v_t^2/2)) / (gamma+1)
+        w*^2 = 2*c^2(v_t) / (gamma+1)
 
     and falls past it.  For u_n > w* the bracket (0, w*] holds exactly one
     root (the trivial root w = u_n lies outside it), and Newton's method
@@ -103,7 +113,7 @@ def _normal_root(state: UpstreamState, u_n, v_t):
     up.  For u_n <= w* the shock is vanishing and w = u_n.
     """
     g = state.gamma
-    u_n, v_t = np.broadcast_arrays(np.asarray(u_n, dtype=float), np.asarray(v_t, dtype=float))
+    u_n, v_t = np.broadcast_arrays(np.atleast_1d(u_n), np.atleast_1d(v_t))
     m = state.rho_inf * u_n
     w_star = np.sqrt(2.0 * _sound_speed_sq(state, v_t) / (g + 1.0))
     live = u_n > w_star
@@ -120,7 +130,7 @@ def _normal_root(state: UpstreamState, u_n, v_t):
             if not up.any():
                 break
             w = np.where(up, w_next, w)
-    return np.where(live, w, u_n)[()]
+    return np.where(live, w, u_n)
 
 
 def normal_shock(state: UpstreamState):
@@ -132,7 +142,7 @@ def normal_shock(state: UpstreamState):
     """
     if state.q_inf <= state.sound_speed * (1.0 + 1e-12):
         return state.q_inf, state.rho_inf
-    u = float(_normal_root(state, state.q_inf, 0.0))
+    u = float(_normal_root(state, state.q_inf, 0.0)[0])
     return u, bernoulli_density(state, u)
 
 
@@ -141,9 +151,10 @@ def _downstream(state: UpstreamState, sigma):
 
     sigma (a scalar or an array) is the angle between the upstream flow and
     the shock front; sigma = pi/2 is the normal shock.  Returns
-    (u1, u2, rho, w_n), each of sigma's shape.
+    (u1, u2, rho, w_n), 1-d arrays of sigma's size.
     """
     q = state.q_inf
+    sigma = np.atleast_1d(sigma)
     sin_s, cos_s = np.sin(sigma), np.cos(sigma)
     u_n = q * sin_s
     v_t = q * cos_s
@@ -156,7 +167,7 @@ def _downstream(state: UpstreamState, sigma):
 
 def _deflection(state: UpstreamState, sigma: float) -> float:
     u1, u2, _, _ = _downstream(state, sigma)
-    return float(np.arctan2(u2, u1))
+    return float(np.arctan2(u2, u1)[0])
 
 
 @dataclass(frozen=True)
@@ -190,29 +201,25 @@ def _polar_limit(state: UpstreamState, limit: str) -> ValueError:
 def compute_polar(state: UpstreamState, n_samples: int = 2048) -> ShockPolarCurve:
     """Sweep shock inclinations and assemble the polar.
 
-    All n_samples (at least 3) inclinations go through one array call of
-    the normal-root solver, which brackets the compressive root by (0, w*],
-    w* the normal-sonic speed where the mass flux peaks; a shock whose
-    normal upstream speed is at most w* is vanishing (w = u_n).  The
-    detachment angle is located by dense sampling plus golden-section
-    refinement of the deflection; the sonic angle is the deflection at which
-    the downstream speed equals the downstream sound speed.  Both
-    refinements call the same solver one inclination at a time.
+    Every evaluation goes through one array kernel, `_downstream`: the
+    n_samples (at least 3) inclinations in one call, and the golden-section
+    refinement of the sampled deflection maximum (the detachment angle) on
+    one-element arrays.  The sonic angle is in closed form.  The downstream
+    state is sonic iff its speed is the critical speed q_*, with
+    q_*^2 = (2*c_inf^2 + (gamma-1)*q_inf^2)/(gamma+1), so mass-flux
+    continuity fixes sin(sigma_s)^2 = 2*d / ((gamma+1)*(1+d)*(1 - 1/R)),
+    d = M^2 - 1, R = (rho_*/rho_inf)^2 = (1 + (gamma-1)*d/(gamma+1))^(2/(gamma-1));
+    1 - 1/R comes from expm1 and log1p.  The angles depend only on (gamma, Mach).
 
-    Raises a ValueError naming the upstream state when a limit of double
-    precision is hit: the Bernoulli form of c**2 does not resolve the
-    upstream c**2 = rho_inf**(gamma-1) (sound speed at rounding level), or
-    the sampled deflection or sonic gap gives the refinement no bracket.
+    Raises a ValueError naming the upstream state when double precision
+    runs out: the sampled deflection gives the golden-section search no
+    bracket, or the sonic angle is not below the detachment angle.
     """
     if state.q_inf <= state.sound_speed * (1.0 + 1e-12):
         raise ValueError("polar needs a strictly supersonic upstream")
     if n_samples < 3:
         raise ValueError(f"n_samples must be at least 3, got {n_samples}")
     g = state.gamma
-    c2_inf = state.rho_inf ** (g - 1.0)
-    if not _sound_speed_sq(state, state.q_inf) > 0.5 * c2_inf:
-        raise _polar_limit(state, f"sound speed at rounding level: c_inf**2 = rho_inf**(gamma-1) = "
-                                  f"{c2_inf:.3g} is lost in 1 + (gamma-1)*(B0 - q_inf**2/2)")
     sigma_min = math.asin(state.sound_speed / state.q_inf)
     sigma = np.linspace(sigma_min, 0.5 * math.pi, n_samples)
     u1, u2, rho, w = _downstream(state, sigma)
@@ -234,26 +241,19 @@ def compute_polar(state: UpstreamState, n_samples: int = 2048) -> ShockPolarCurv
     sigma_d = float(opt.x)
     theta_d = _deflection(state, sigma_d)
 
-    def sonic_gap(s):
-        a1, a2, r, _ = _downstream(state, s)
-        return a1 * a1 + a2 * a2 - r ** (g - 1.0)
-
-    gaps = u1 ** 2 + u2 ** 2 - rho ** (g - 1.0)
-    idx = np.nonzero(np.sign(gaps[:-1]) * np.sign(gaps[1:]) < 0.0)[0]
-    if len(idx) == 0:
-        raise RuntimeError("no sonic crossing found on the polar")
-    i = int(idx[0])
-    if np.sign(sonic_gap(sigma[i])) * np.sign(sonic_gap(sigma[i + 1])) > 0.0:  # as brentq checks
-        raise _polar_limit(state, f"no bracketable sonic crossing: the sonic gap has one sign at "
-                                  f"sigma = {sigma[i]:.9g} and {sigma[i + 1]:.9g}")
-    sigma_sonic = float(brentq(sonic_gap, sigma[i], sigma[i + 1], xtol=1e-14))
+    c2_inf = state.rho_inf ** (g - 1.0)
+    d = (state.q_inf * state.q_inf - c2_inf) / c2_inf
+    log_r = 2.0 / (g - 1.0) * math.log1p((g - 1.0) * d / (g + 1.0))
+    sigma_sonic = math.asin(math.sqrt(2.0 * d / ((g + 1.0) * (1.0 + d) * -math.expm1(-log_r))))
     theta_sonic = _deflection(state, sigma_sonic)
+    if not theta_sonic < theta_d:
+        raise _polar_limit(state, f"sonic angle {theta_sonic:.3g} not below the detachment angle "
+                                  f"{theta_d:.3g}")
 
-    u_ns, rho_ns = normal_shock(state)
     return ShockPolarCurve(upstream=state, sigma=sigma, u1=u1, u2=u2, rho=rho,
                            deflection=theta, theta_d=theta_d, sigma_detach=sigma_d,
                            theta_sonic=theta_sonic, sigma_sonic=sigma_sonic,
-                           normal_state=(u_ns, rho_ns), residuals=res)
+                           normal_state=normal_shock(state), residuals=res)
 
 
 def weak_state(curve: ShockPolarCurve, theta_w: float, branch: str = "weak"):
@@ -293,7 +293,7 @@ def weak_state(curve: ShockPolarCurve, theta_w: float, branch: str = "weak"):
     else:
         s_hit = float(brentq(f, lo, hi, xtol=1e-14))
     a1, a2, rho, _ = _downstream(state, s_hit)
-    return np.array([a1, a2]), float(rho), s_hit
+    return np.array([a1[0], a2[0]]), float(rho[0]), s_hit
 
 
 @dataclass(frozen=True)
@@ -373,6 +373,6 @@ class PseudoSonicGeometry:
 def pseudo_sonic_geometry(state: SelfSimilarState, theta_w: float,
                           configuration: str = "reflection") -> PseudoSonicGeometry:
     """Build the pseudo-sonic arc geometry and the local chart for a state."""
-    if configuration not in ("reflection", "wedge-flow"):
-        raise ValueError(f"configuration must be 'reflection' or 'wedge-flow', got {configuration!r}")
+    if configuration not in CONFIGURATIONS:
+        raise ValueError(f"configuration must be {' or '.join(map(repr, CONFIGURATIONS))}, got {configuration!r}")
     return PseudoSonicGeometry(state=state, theta_w=theta_w, configuration=configuration)

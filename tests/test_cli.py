@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -141,9 +143,10 @@ def test_failed_run_leaves_no_artifacts(tmp_path, capsys, monkeypatch):
     # 3x3 scan has too few abscissas, grid sizes must be at least 1 and a
     # 1-cell x column has too few nodes, the scan heights must be a non-empty
     # list of numbers in [0, 1], the manufactured scenario takes no o_scale,
-    # and the short accelerating channel has no sonic location
+    # the short accelerating channel has no sonic location, and the geometry
+    # configuration is neither of the two the chart knows
     solves = []
-    for module, name in ((keldysh, "splu"), (mixed2d, "solve_banded")):
+    for module, name in ((keldysh, "splu"), (mixed2d, "solve_banded"), (cli, "compute_polar")):
         def counting(*args, real=getattr(module, name), **kwargs):
             solves.append(args)
             return real(*args, **kwargs)
@@ -175,6 +178,8 @@ def test_failed_run_leaves_no_artifacts(tmp_path, capsys, monkeypatch):
                           inlet={"u0": 0.7, "branch": "accelerating"},
                           channel={"L": 0.8, "n1": 65, "n2": 33},
                           bc={"kind": "cos", "amplitude": 0.01, "outlet_zero": True}),
+        "configuration": base_cfg("geometry", tmp_path / "configuration", upstream=UPSTREAM,
+                                  configuration="x"),
     }
     errors = {}
     for name, cfg in runs.items():
@@ -186,11 +191,13 @@ def test_failed_run_leaves_no_artifacts(tmp_path, capsys, monkeypatch):
         errors[name] = capsys.readouterr().err
         assert errors[name].startswith("validation error: ") and errors[name].count("\n") == 1
     assert len(solves) == 0
-    assert [errors[name] for name in ("wrong_type", "scenario", "bc_kind", "source_kind")] == [
+    assert [errors[name] for name in ("wrong_type", "scenario", "bc_kind", "source_kind",
+                                      "configuration")] == [
         "validation error: n must be an integer\n",
         "validation error: scenario must be 'reference' or 'manufactured', got 'exact'\n",
         "validation error: bc.kind must be 'cos' or 'zero', got 'sin'\n",
-        "validation error: source.kind must be 'zero' or 'sin', got 'cos'\n"]
+        "validation error: source.kind must be 'zero' or 'sin', got 'cos'\n",
+        "validation error: configuration must be 'reflection' or 'wedge-flow', got 'x'\n"]
 
 
 def test_readme_lists_the_config_table():
@@ -208,6 +215,9 @@ def test_readme_lists_the_config_table():
     source = re.search(r"`source`:\s+`\{kind:\s+([\w|]+),", readme)
     assert tuple(bc.group(2).split("|")) == mixed_keys["bc"]["kind"].allowed
     assert tuple(source.group(1).split("|")) == mixed_keys["source"]["kind"].allowed
+    configuration = re.search(r"`configuration` \(geometry\):\s+`([\w|-]+)`", readme)
+    assert tuple(configuration.group(1).split("|")) == \
+        cli.CONFIG_KEYS["geometry"]["configuration"].allowed
     modes = bc.group(1).split("|")
     for mode in modes:
         mixed2d.BoundaryData2D(inlet_mode=mode)
@@ -276,9 +286,15 @@ def test_bad_schema_version_exit_1(tmp_path, capsys):
     assert main(["run", write_cfg(tmp_path, "c.json", cfg)]) == 1
     # a config that is not an object at all
     assert main(["run", write_cfg(tmp_path, "list.json", [cfg])]) == 1
+    # a subcommand that is not a string, so not a key of the config table
+    for sub in (["profile"], {"k": 1}):
+        assert main(["run", write_cfg(tmp_path, "c.json", dict(cfg, schema_version=1, subcommand=sub))]) == 1
     err = capsys.readouterr().err.splitlines()
+    expected = sorted(cli.CONFIG_KEYS)
     assert err == ["validation error: schema_version must be 1",
-                   "validation error: config must be an object"]
+                   "validation error: config must be an object",
+                   f"validation error: unknown subcommand ['profile']; expected one of {expected}",
+                   f"validation error: unknown subcommand {{'k': 1}}; expected one of {expected}"]
 
 
 def test_solver_failure_exit_2(tmp_path, capsys):
@@ -404,9 +420,8 @@ def test_shock_polar_needs_three_samples(tmp_path, capsys):
 
 def test_shock_polar_precision_limits_exit_1(tmp_path, capsys):
     # upstream states given as (gamma, rho_inf, Mach); q_inf = Mach * rho_inf**((gamma-1)/2)
-    limits = [((1.4, 1e-6, 1.000001), "no bracketable detachment maximum"),
-              ((1.01, 1.0, 20.0), "no bracketable detachment maximum"),
-              ((10.0, 1e-6, 3.0), "sound speed at rounding level")]
+    limits = [((1.01, 1.0, 20.0), "no bracketable detachment maximum"),
+              ((1.0001, 1.0, 1.000001), "sonic angle 1.62e-09 not below the detachment angle")]
     for (gamma, rho_inf, mach), limit in limits:
         upstream = {"gamma": gamma, "rho_inf": rho_inf,
                     "q_inf": mach * rho_inf ** (0.5 * (gamma - 1.0))}
@@ -511,7 +526,11 @@ def test_fuzzed_configs_exit_cleanly(cfg, outdir_is_file):
         path = os.path.join(tmp, "c.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
-        assert main(["run", path]) in (0, 1, 2)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["run", path]) in (0, 1, 2)
+        assert not any(line.startswith("internal error") for line in err.getvalue().splitlines()), \
+            err.getvalue()
 
 
 def test_extreme_finite_values_exit_1(tmp_path, capsys):
@@ -530,6 +549,9 @@ def test_extreme_finite_values_exit_1(tmp_path, capsys):
     for sub, blk, key, value in cases:
         cfgs.append(body(sub))
         cfgs[-1][blk][key] = value
+    # c_inf**2 = rho_inf**(gamma-1) overflows: a float power that raises
+    cfgs += [dict(body(sub), upstream=dict(UPSTREAM, gamma=gamma, rho_inf=rho_inf))
+             for sub in ("shock-polar", "geometry") for gamma, rho_inf in ((100.0, 1e300), (1e308, 2.0))]
     # (u_bar/u_sonic)**1001 = 2**1001 is finite, but the accelerating run goes
     # on to u* of about 3, and 3**1001 overflows
     cfgs.append(dict(body("profile"), gas={"gamma": 1000.0, "S0": 1e-3, "J": 1.0, "rho_ion": 0.5},

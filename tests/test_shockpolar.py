@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,14 @@ def test_upstream_validation():
         UpstreamState(gamma=2.0, rho_inf=1.0, q_inf=0.5)
     with pytest.raises(ValueError, match="gamma"):
         UpstreamState(gamma=1.0, rho_inf=1.0, q_inf=2.0)
+    # c_inf**2 = rho_inf**(gamma-1) overflows (a float power raises), or
+    # underflows to 1e-594, which leaves the polar nothing to measure from
+    for gamma, rho_inf in ((100.0, 1e300), (1e308, 2.0)):
+        with pytest.raises(ValueError, match=re.escape("c_inf**2 = rho_inf**(gamma-1) must be finite")):
+            UpstreamState(gamma=gamma, rho_inf=rho_inf, q_inf=2.0)
+    with pytest.raises(ValueError, match=re.escape("c_inf**2 = rho_inf**(gamma-1) must be >= 2.22507e-308, "
+                                                   "got 0")):
+        UpstreamState(gamma=100.0, rho_inf=1e-6, q_inf=2.0)
 
 
 def test_bernoulli_density(upstream):
@@ -187,14 +196,11 @@ def _mach_state(gamma, rho_inf, mach):
 
 
 # (gamma, rho_inf, Mach) where double precision runs out, and the limit hit:
-# a deflection of about 1e-9 with ties around its sampled peak, a deflection
-# that peaks at the normal shock, rho_inf**(gamma-1) = 1e-54 next to 1, and
-# a sonic gap that changes sign between two samples but not between the
-# refinement's evaluations at them
-POLAR_LIMITS = [((1.4, 1e-6, 1.000001), "no bracketable detachment maximum"),
-                ((1.01, 1.0, 20.0), "no bracketable detachment maximum"),
-                ((10.0, 1e-6, 3.0), "sound speed at rounding level"),
-                ((1.4, 1e-3, 1.000001), "no bracketable sonic crossing")]
+# a polar whose angles are about 1.6e-9, where the computed sonic angle
+# (1.62e-9) is not below the detachment angle (1.59e-9), and a deflection
+# that peaks at the normal shock
+POLAR_LIMITS = [((1.0001, 1.0, 1.000001), "sonic angle 1.62e-09 not below the detachment angle 1.59e-09"),
+                ((1.01, 1.0, 20.0), "no bracketable detachment maximum")]
 
 
 @pytest.mark.parametrize("gmr, limit", POLAR_LIMITS)
@@ -209,13 +215,52 @@ def test_polar_names_the_precision_limit(gmr, limit):
 
 
 def test_polar_limit_checks_leave_nearby_states_alone():
-    # next to the limit states (another Mach number, or gamma 3 for 10) the polar computes;
-    # so does gamma 100 with rho_inf 1e3, whose sonic gaps (~1e297) must not be
-    # multiplied together
-    for gmr in ((1.4, 1e-6, 1.01), (1.01, 1.0, 3.0), (3.0, 1e-6, 3.0), (100.0, 1e3, 2.0)):
+    # next to the limit states (another Mach number or gamma) the polar computes;
+    # so do gamma 100 with rho_inf 1e3, where c**2 is about 1e297, and three
+    # states that used to hit a limit: c_inf**2 = 1e-54, lost next to the 1 of
+    # c**2 = 1 + (gamma-1)*(B0 - q**2/2), and Mach 1.000001 at rho_inf 1e-6 and
+    # 1e-3, whose sampled deflection tied at its peak or whose sonic gap changed
+    # sign between the array sweep and a scalar refinement
+    for gmr in ((1.4, 1e-6, 1.01), (1.01, 1.0, 3.0), (3.0, 1e-6, 3.0), (100.0, 1e3, 2.0),
+                (1.0001, 1.0, 1.001), (10.0, 1e-6, 3.0), (1.4, 1e-6, 1.000001),
+                (1.4, 1e-3, 1.000001)):
         curve = compute_polar(_mach_state(*gmr), n_samples=2000)
         assert 0.0 < curve.theta_sonic < curve.theta_d
         assert float(np.max(curve.residuals)) <= 1e-8 * curve.upstream.q_inf
+
+
+def test_angles_match_a_60_digit_evaluation():
+    # reference values computed with mpmath at 60 digits from the same
+    # double-precision state: the compressive mass-flux root by findroot at
+    # each inclination, theta_d by a golden-section maximization of the
+    # deflection, sigma_s from the closed form and theta_s the deflection
+    # there.  The old c**2 = 1 + (gamma-1)*(B0 - q**2/2) lost c_inf**2 = 1e-12
+    # and gave 3.367e-5, 3.200e-5 and 1.5316
+    curve = compute_polar(_mach_state(3.0, 1e-6, 1.001), n_samples=2000)
+    assert curve.theta_d == pytest.approx(1.7197492460535717e-5, rel=1e-8)
+    assert curve.theta_sonic == pytest.approx(1.579558925646183e-5, rel=1e-8)
+    assert curve.sigma_sonic == pytest.approx(1.5391919835805599, rel=1e-12)
+
+
+def test_sonic_inclination_in_closed_form():
+    # gamma 2, Mach 2: d = 3, R = 4, so sin(sigma_s)**2 = 2/3 exactly
+    curve = compute_polar(UpstreamState(gamma=2.0, rho_inf=1.0, q_inf=2.0))
+    exact = math.asin(math.sqrt(2.0 / 3.0))
+    assert abs(curve.sigma_sonic - exact) <= math.ulp(exact)
+
+
+@pytest.mark.parametrize("gamma", [1.4, 3.0, 10.0, 100.0])
+def test_angles_depend_only_on_gamma_and_mach(gamma):
+    # c_inf**2 = rho_inf**(gamma-1) spans 1e-297 to 1e297 here; gamma 100 with
+    # rho_inf 1e-6 is left out, since its c_inf**2 underflows and is rejected
+    rhos = (1e-3, 1.0, 1e3) if gamma == 100.0 else (1e-6, 1e-3, 1.0, 1e3)
+    for mach in (1.001, 1.1, 2.0, 3.0, 20.0, 100.0, 1000.0):
+        curves = [compute_polar(_mach_state(gamma, rho, mach), n_samples=2000) for rho in rhos]
+        ref = curves[2]
+        for curve in curves:
+            assert curve.theta_d == pytest.approx(ref.theta_d, rel=1e-6), (mach, curve.upstream)
+            assert curve.theta_sonic == pytest.approx(ref.theta_sonic, rel=1e-6), (mach, curve.upstream)
+            assert curve.sigma_sonic == pytest.approx(ref.sigma_sonic, rel=1e-12), (mach, curve.upstream)
 
 
 def test_overflowing_stagnation_density_is_rejected():
