@@ -24,6 +24,7 @@ import traceback
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .field2d import csv_text, field_csv_text
@@ -473,6 +474,8 @@ def _write_manifest(aw: ArtifactWriter, sub: str, cfg: dict, t0: float) -> None:
         "tool_version": __version__,
         "config": cfg,
         "wall_time_s": time.perf_counter() - t0,
+        "env": {"python": sys.version.split()[0], "numpy": np.__version__,
+                "scipy": scipy.__version__, "cpu_count": os.cpu_count()},
         "outputs": [{"name": name, **_digest(os.path.join(aw.outdir, name))}
                     for name in aw.files],
     }

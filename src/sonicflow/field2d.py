@@ -1,4 +1,4 @@
-"""Shared gridded-field container and the package's one CSV formatter.
+"""Shared gridded-field container, and format_rows: the one row formatter for CSVs and SVGs.
 
 Used by both 2D solvers; coordinates are stored per node so the container
 handles mapped (non-rectangular) grids as well as tensor-product ones.
@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 CSV_HEADER = "x,y,psi"
+FORMAT_BLOCK_ROWS = 4096  # rows per % operation in format_rows; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -33,11 +34,19 @@ class Field2D:
         return self.values.shape
 
 
+def format_rows(template: str, table) -> str:
+    """Each row of a 2-D array through one %-template: one % per block of rows, on Python values."""
+    blocks = (table[i:i + FORMAT_BLOCK_ROWS] for i in range(0, len(table), FORMAT_BLOCK_ROWS))
+    return "".join(template * len(block) % tuple(block.ravel().tolist()) for block in blocks)
+
+
 def csv_text(header: str, columns) -> str:
     """One row per index of the equal-length columns, each value written as
     repr(float): full double precision, locale-independent."""
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    return "\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n"
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    if header.count(",") + 1 != len(cols) or len({len(c) for c in cols}) > 1:
+        raise ValueError(f"CSV header {header!r} does not fit columns of lengths {[len(c) for c in cols]}")
+    return header + "\n" + format_rows(",".join(["%r"] * len(cols)) + "\n", np.column_stack(cols))
 
 
 def field_csv_text(fld: Field2D) -> str:

@@ -1,12 +1,14 @@
 """Minimal deterministic SVG emission: line plots, heatmaps, sketches.
 
-No external plotting dependency; output bytes depend only on the data, so
-re-running a config reproduces identical files.
+No external plotting dependency; point lists and heatmap cells go through
+field2d.format_rows.  Output bytes depend only on the data, so reruns match.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .field2d import format_rows
 
 
 def _fmt(v: float) -> str:
@@ -17,9 +19,9 @@ def _fmt(v: float) -> str:
 _STOPS = [(68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98), (253, 231, 37)]
 
 
-def _fmt_points(xs, ys) -> list[str]:
-    """Each point of two coordinate arrays as "x,y", each number as _fmt gives it."""
-    return [f"{x:.6g},{y:.6g}" for x, y in zip(xs.tolist(), ys.tolist())]
+def _fmt_points(xs, ys) -> str:
+    """Each point as "x,y ", each number as _fmt gives it; no .6g form holds a space."""
+    return format_rows("%.6g,%.6g ", np.column_stack((xs, ys)))
 
 
 def _color(t):
@@ -60,7 +62,7 @@ class SvgCanvas:
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         keep = np.isfinite(xs) & np.isfinite(ys)
-        pts = " ".join(_fmt_points(self.sx(xs[keep]), self.sy(ys[keep])))
+        pts = _fmt_points(self.sx(xs[keep]), self.sy(ys[keep]))[:-1]
         extra = f' stroke-dasharray="{dash}"' if dash else ""
         self.body.append(f'<polyline fill="none" stroke="{color}" stroke-width="{width}"{extra} points="{pts}"/>')
 
@@ -153,8 +155,8 @@ def heatmap(path, x, y, values, title="", xlabel="", ylabel=""):
 
     Screen coordinates, cell means and colours are computed on whole arrays;
     each node's "x,y" is formatted once, and the file is streamed one grid
-    row of cells at a time.  The bytes are those of drawing each cell as its
-    own polygon with SvgCanvas.sx/sy, _fmt and _color.
+    row of cells at a time, one format_rows call per row.  The bytes are those
+    of drawing each cell as its own polygon with SvgCanvas.sx/sy, _fmt and _color.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -172,12 +174,13 @@ def heatmap(path, x, y, values, title="", xlabel="", ylabel=""):
     rgb = _color(t)
 
     def rows():  # one block of polygons per grid row of cells
-        here = _fmt_points(px[0], py[0])
+        cells = np.empty((t.shape[1], 7), dtype=object)
+        here = _fmt_points(px[0], py[0]).split()
         for j in range(t.shape[0]):
-            nxt = _fmt_points(px[j + 1], py[j + 1])
-            yield "\n".join(f'<polygon points="{p00} {p10} {p11} {p01}" fill="rgb({r},{g},{b})" stroke="none"/>'
-                            for p00, p10, p11, p01, (r, g, b)
-                            in zip(here, nxt, nxt[1:], here[1:], rgb[j].tolist()))
+            nxt = _fmt_points(px[j + 1], py[j + 1]).split()
+            cells[:, 0], cells[:, 1], cells[:, 2], cells[:, 3] = here[:-1], nxt[:-1], nxt[1:], here[1:]
+            cells[:, 4:] = rgb[j]
+            yield format_rows('<polygon points="%s %s %s %s" fill="rgb(%d,%d,%d)" stroke="none"/>\n', cells)[:-1]
             here = nxt
 
     if t.size:

@@ -1,8 +1,8 @@
 """Independent oracles used across the tests.
 
 Each is a from-scratch route to a quantity the package computes some other
-way; none call the implementation under test.  The SVG oracles are the writers
-as first written, kept to pin the bytes of the array-based ones.
+way; none call the implementation under test.  The CSV and SVG oracles are
+the writers as first written, kept to pin the bytes of the array-based ones.
 """
 
 import math
@@ -113,6 +113,13 @@ def directed_polyline_distance(P, Q):
         dy = wy - t * b[:, 1]
         best = max(best, float((dx * dx + dy * dy).min(axis=1).max()))
     return float(np.sqrt(best))
+
+
+def csv_text_rows(header, columns):
+    """CSV text one row at a time, each value through repr: the writer as
+    first written, kept to pin the bytes of the block-formatted one."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return "\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n"
 
 
 class SvgCanvasOracle:

@@ -3,12 +3,15 @@ import hashlib
 import io
 import json
 import os
+import platform
 import re
 import tempfile
 import warnings
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,6 +62,18 @@ def test_profile_subcommand(tmp_path):
     assert report["passed"] is True
     header = (out / "profile.csv").read_text().split("\n", 1)[0]
     assert header == "x1,u,E,rho,p,Phi,phi_bar"
+
+
+def test_manifest_records_the_environment(tmp_path):
+    # the last digits of polar.csv may depend on the numpy build, so a digest
+    # that differs between hosts is explained from the manifest alone
+    out = tmp_path / "out"
+    cfg = base_cfg("shock-polar", out, upstream={"gamma": 2.0, "rho_inf": 1.0, "q_inf": 2.0},
+                   n_samples=50, emit={"svg": False})
+    assert main(["run", write_cfg(tmp_path, "c.json", cfg)]) == 0
+    assert check_manifest(out)["env"] == {
+        "python": platform.python_version(), "numpy": numpy.__version__,
+        "scipy": scipy.__version__, "cpu_count": os.cpu_count()}
 
 
 def test_profile_off_critical_reports_failing_claims(tmp_path):

@@ -10,13 +10,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _oracles import SvgCanvasOracle, heatmap_svg, line_plot_svg
-from sonicflow.svgplot import _color, heatmap, line_plot
+from sonicflow.svgplot import SvgCanvas, _color, heatmap, line_plot
 
 prop = settings(derandomize=True, max_examples=80, deadline=None)
 
 MAGNITUDE = st.floats(1e-12, 1e7)
 VALUE = st.one_of(st.just(0.0), st.just(-0.0), MAGNITUDE, MAGNITUDE.map(lambda v: -v))
-COORD = st.floats(-1e3, 1e3)
+# grid coordinates: signed zero, and scales whose .6g labels are exponential
+COORD = st.one_of(st.just(-0.0), st.floats(-1e3, 1e3), st.floats(1e-9, 1e-5), st.floats(1e6, 1e12))
 
 
 def written(write, *args, **kwargs):
@@ -110,3 +111,21 @@ def test_line_plot_bytes_match_the_per_point_oracle(series, marks):
     markers = [(mx, my, f"m{k}") for k, (mx, my) in enumerate(marks)]
     got = written(line_plot, series, title="t", xlabel="x", ylabel="y", markers=markers)
     assert got == line_plot_svg(series, title="t", xlabel="x", ylabel="y", markers=markers).encode()
+
+
+# screen coordinates whose .6g form is exponential: on the x range (0, 540),
+# sx(x) = 50 + x, so x in [-50, -49.99999] lands in [0, 1e-5], and a far
+# point lands at 1e6 or more
+SCREEN = st.one_of(VALUE, st.floats(-50.0, -49.99999),
+                   st.floats(1e6, 1e300), st.floats(-1e300, -1e6))
+
+
+@prop
+@given(st.lists(st.tuples(SCREEN, SCREEN), max_size=30))
+def test_polyline_bytes_match_the_per_point_oracle_off_the_axes(points):
+    xs = np.array([p[0] for p in points])
+    ys = np.array([p[1] for p in points])
+    got, want = SvgCanvas((0.0, 540.0), (0.0, 380.0)), SvgCanvasOracle((0.0, 540.0), (0.0, 380.0))
+    got.polyline(xs, ys)
+    want.polyline(xs, ys)
+    assert got.render() == want.render()
