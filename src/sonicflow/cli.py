@@ -319,8 +319,8 @@ def run_keldysh(cfg, aw: ArtifactWriter) -> None:
     bounds = verify_bounds(fld, coeffs)
     aw.write_json("diagnostics.json", {
         **{key: fld.metadata[key] for key in (
-            "iterations", "factorizations", "lu_nnz", "update_history", "residual",
-            "clamp_active", "clamp_count", "clamp_columns")},
+            "iterations", "factorizations", "lu_nnz", "update_history", "step_factors",
+            "residual", "clamp_active", "clamp_count", "clamp_columns")},
         "scan_limits": scan.limits,
         "scan_target": 1.0 / coeffs.a,
         "corner": {"tangential": probe.limit_tangential,

@@ -254,11 +254,9 @@ def _psi_x_nodes(grid: _Grid, w: np.ndarray) -> np.ndarray:
 
 
 def _sample(fn, X, Y):
-    out = np.empty_like(X)
-    flat = out.ravel()
-    for k, (x, y) in enumerate(zip(X.ravel(), Y.ravel())):
-        flat[k] = float(fn(x, y))
-    return out
+    """fn(x, y) at every node, one scalar call each, so that callables
+    written with math.* work."""
+    return np.frompyfunc(fn, 2, 1)(X, Y).astype(float)
 
 
 def _nine_point(hs, he, Css, Cse, Cee, Cs_up, Cs_c, Ce):
@@ -334,7 +332,7 @@ class _Stencil:
         vals = self._values(c1, g)
         k = self.indptr[m]
         lu = splu(csc_matrix((vals[:k], self.rows[:k], self.indptr[:m + 1]), shape=(m, m)),
-                  permc_spec="NATURAL")
+                  permc_spec="NATURAL", diag_pivot_thresh=_PIVOT_THRESH)
         coupling = csc_matrix((vals[k:], self.rows[k:], self.indptr[m:] - k), shape=(n, n - m))
 
         def solve(b):
@@ -360,7 +358,11 @@ class _Stencil:
 
 
 # nested dissection stops cutting at boxes of at most this many nodes
-_LEAF = 64
+_LEAF = 16
+
+# SuperLU keeps the diagonal pivot unless it is below this fraction of its
+# column's largest entry, so that row swaps rarely undo the dissection order
+_PIVOT_THRESH = 0.01
 
 
 def _dissect(js, its, n_eta, out):
@@ -487,9 +489,12 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
     M, so each step refills values and makes one sparse LU factorization.
     It factors only the unknown-unknown block: the Dirichlet values are
     known and move to the right-hand side, and the other nodes are taken in
-    a nested-dissection order built once per grid (see _Stencil), which
-    SuperLU keeps (permc_spec="NATURAL").  Steps are damped by Deuflhard's
-    natural monotonicity test: the first of
+    a nested-dissection order with leaves of at most 16 nodes, built once
+    per grid (see _Stencil).  SuperLU keeps that column order
+    (permc_spec="NATURAL") and, with a diagonal pivot threshold of 0.01,
+    swaps rows only where a diagonal pivot is below 1% of its column's
+    largest entry.  Steps are damped by Deuflhard's natural monotonicity
+    test: the first of
     t = 1, 1/2, 1/4, ... (down to 1e-8) with |J^-1 F(w + t dw)| <= (1 - t/4) |dw|
     (max norms, reusing the step's LU) is taken.  Iteration stops when the
     relative step max|dw| / max(1, max|w|) is at most tol.
@@ -497,8 +502,10 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
     Raises KeldyshDivergenceError when the test fails at the smallest step
     factor, KeldyshConvergenceError when the step budget runs out.  The
     returned metadata records the relative step history `update_history`
-    (one entry per factorization), the `factorizations` count, the largest
-    LU fill `lu_nnz` (SuperLU's nnz), the final residual, and the clamp at
+    and the step factor t taken at each step, `step_factors` (one entry
+    each per factorization; the last, converged step is a full one), the
+    `factorizations` count, the largest LU fill `lu_nnz` (SuperLU's nnz),
+    the final residual, and the clamp at
     the final iterate beyond the first interior column: `clamp_count` nodes
     in the columns `clamp_columns` (first and last, or None).  An active
     clamp there flags the solution unreliable.
@@ -509,7 +516,7 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
     grid = st.grid
     w = np.zeros(grid.X.shape)
     F, c1, free, pw = st.evaluate(w)
-    history = []
+    history, factors = [], []
     lu_nnz = 0
     for _ in range(opts.max_iter):
         lu, solve = st.factor(c1, -coeffs.a * free.ravel() * pw)
@@ -518,6 +525,7 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
         norm = float(np.max(np.abs(dw)))
         history.append(norm / max(1.0, float(np.max(np.abs(w)))))
         if history[-1] <= opts.tol:
+            factors.append(1.0)
             w = w + dw
             F, c1, free, _ = st.evaluate(w)
             break
@@ -532,6 +540,7 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
                     f"Newton step {len(history)} fails the monotonicity test down to "
                     f"t = {t:.3g} (relative step {history[-1]:.3e})")
             t *= 0.5
+        factors.append(t)
         w = trial
         F, c1, free, pw = state
         del lu, solve  # free this factorization before the next one is made
@@ -551,6 +560,7 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
         "factorizations": len(history),
         "lu_nnz": int(lu_nnz),
         "update_history": history,
+        "step_factors": factors,
         "residual": resid,
         "clamp_active": clamp_final,
         "clamp_count": int(np.count_nonzero(clamped)),

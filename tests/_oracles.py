@@ -115,6 +115,16 @@ def directed_polyline_distance(P, Q):
     return float(np.sqrt(best))
 
 
+def sample_per_node(fn, X, Y):
+    """float(fn(x, y)) at every node in a Python loop: the Keldysh
+    coefficient sampler as first written."""
+    out = np.empty_like(X)
+    flat = out.ravel()
+    for k, (x, y) in enumerate(zip(X.ravel(), Y.ravel())):
+        flat[k] = float(fn(x, y))
+    return out
+
+
 def csv_text_rows(header, columns):
     """CSV text one row at a time, each value through repr: the writer as
     first written, kept to pin the bytes of the block-formatted one."""

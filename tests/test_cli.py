@@ -133,6 +133,7 @@ def test_keldysh_subcommand(tmp_path):
     # solver telemetry: one factorization per Newton step, the largest LU
     # fill, and no clamp beyond the first interior column
     assert diag["factorizations"] == diag["iterations"] == len(diag["update_history"]) > 0
+    assert len(diag["step_factors"]) == diag["iterations"]
     assert diag["update_history"][-1] <= 1e-11 and diag["lu_nnz"] > 0
     assert diag["clamp_active"] is False
     assert diag["clamp_count"] == 0 and diag["clamp_columns"] is None

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
+from _oracles import sample_per_node
 from sonicflow import keldysh
 from sonicflow.field2d import Field2D, field_csv_text
 from sonicflow.keldysh import (InsufficientGradingError, KeldyshBC,
@@ -113,6 +114,18 @@ def test_convergence_error(domain, plain_coeffs):
         KeldyshOptions(max_iter=0)
 
 
+def test_sample_matches_the_per_node_loop():
+    """One scalar call per node, so the coefficients are bit-identical and
+    callables written with math.* work."""
+    dom, coeffs, _ = reference_scenario()
+    grid = keldysh._Grid(dom, 33, 17, 2.0)
+    for fn in (coeffs.O1, coeffs.O2, coeffs.O3, coeffs.O4, coeffs.O5, keldysh._zero,
+               lambda x, y: np.float32(x) + 1):
+        got = keldysh._sample(fn, grid.X, grid.Y)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, sample_per_node(fn, grid.X, grid.Y))
+
+
 def test_newton_matrix_is_the_jacobian():
     """Off the clamp's switching set, M0 + diag(c1) P - a diag(P w) D is dF/dw."""
     dom, coeffs, bc = reference_scenario()
@@ -163,11 +176,19 @@ def test_node_order_puts_dirichlet_nodes_last(top_mode):
     assert m == (nx - 1) * top
     # the first cut is the middle x line of the unknown box, ordered last
     assert np.all(j[m - top:m] == 20) and np.array_equal(i[m - top:m], np.arange(top))
-    # the first leaf: the box is cut until it holds at most 64 nodes, here
-    # 9 x-lines by 6 (oblique, 24 eta-lines) or 5 (Dirichlet, 23) eta-lines,
-    # row-major
-    J, I = np.meshgrid(np.arange(1, 10), np.arange(top // 4), indexing="ij")
+    # the first leaf: the lower half of the longer side is kept until the box
+    # holds at most _LEAF nodes (with 16, 4 x-lines by 3 eta-lines when
+    # oblique, 4 by 2 when Dirichlet), row-major
+    lines, heights = nx - 1, top
+    while lines * heights > keldysh._LEAF:
+        if lines >= heights:
+            lines //= 2
+        else:
+            heights //= 2
+    J, I = np.meshgrid(np.arange(1, lines + 1), np.arange(heights), indexing="ij")
     assert np.array_equal(order[:J.size], (J * n_eta + I).ravel())
+    # the leaf ends where the box is cut: the node after it is not in it
+    assert not (1 <= j[J.size] <= lines and i[J.size] < heights)
 
 
 @pytest.mark.parametrize("scenario", [reference_scenario, manufactured_scenario])
@@ -203,13 +224,28 @@ def test_newton_counts_and_divergence_pinned(scenario_field):
         solve_model(dom, coeffs, KeldyshOptions(nx=81, ny=81, tol=1e-11, max_iter=200), bc)
 
 
+def test_hard_draw_takes_tiny_damped_steps():
+    """The draw _MIN_STEP's comment names: one step passes the monotonicity
+    test only at t ~ 2e-6, the draw most sensitive to the LU's pivoting."""
+    dom, coeffs, bc = reference_scenario(a=4.05, o_scale=0.055, eps0=0.495)
+    fld = solve_model(dom, coeffs, KeldyshOptions(nx=97, ny=97, tol=1e-11, max_iter=160), bc)
+    meta = fld.metadata
+    assert meta["iterations"] == 14
+    assert len(meta["step_factors"]) == meta["iterations"]
+    assert min(meta["step_factors"]) < 1e-4
+    assert meta["step_factors"][-1] == 1.0
+
+
 def test_solver_telemetry(scenario_field, manufactured_fields):
     meta = scenario_field[0].metadata
     assert meta["factorizations"] == meta["iterations"] == len(meta["update_history"])
     assert meta["update_history"][-1] <= 1e-11
-    # fill of the reduced block in nested-dissection order; SuperLU's COLAMD
-    # on the whole 97^2 matrix gives about 1.0M
-    assert 0 < meta["lu_nnz"] < 900_000
+    # fill of the reduced block in nested-dissection order with 16-node
+    # leaves and a 0.01 diagonal pivot threshold: 580,909.  64-node leaves
+    # give 697,301, SuperLU's default threshold of 1 gives 661,935, both
+    # together 805,470, and SuperLU's COLAMD on the whole matrix about 1.0M
+    assert 0 < meta["lu_nnz"] < 650_000
+    assert meta["step_factors"] == [1.0] * meta["iterations"]
     # the reference scenario clamps next to the top-right corner only
     assert meta["clamp_active"] and meta["clamp_count"] > 0
     assert meta["clamp_columns"] == [96, 96]
