@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dct
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dgbsv
 from scipy.sparse import coo_matrix
 
 from .field2d import Field2D
@@ -141,14 +141,14 @@ class BoundaryData2D:
         if self.inlet_data is None:
             object.__setattr__(self, "inlet_data", lambda x2: 0.0)
 
-    def validate_compatibility(self, x2: np.ndarray) -> None:
-        """Odd x2-derivatives of the inlet data must vanish at the walls.
+    def validate_compatibility(self, x2: np.ndarray, g: np.ndarray) -> None:
+        """Odd x2-derivatives of the inlet data g, sampled on x2, must vanish
+        at the walls.
 
         A sampled check: the one-sided wall slope must be at most 0.1 times
         the interior slope scale (gross violations are caught; finite-
         difference truncation on smooth compatible data is not).
         """
-        g = np.array([float(self.inlet_data(v)) for v in x2])
         h = x2[1] - x2[0]
         scale = max(float(np.max(np.abs(g))), 1e-300)
         if self.inlet_mode == "d2":
@@ -162,9 +162,18 @@ class BoundaryData2D:
             raise ValueError("inlet data has nonvanishing odd derivative at the walls")
 
 
-def _inlet_values(bc: BoundaryData2D, x2: np.ndarray) -> np.ndarray:
-    """Right-hand side of the entrance rows: w for dirichlet/d2, d1 w for d1."""
-    g = np.array([float(bc.inlet_data(v)) for v in x2])
+def _sampled(fn, x2: np.ndarray, what: str) -> np.ndarray:
+    """fn at each x2 node; ValueError naming `what` on a non-finite sample."""
+    g = np.array([float(fn(v)) for v in x2])
+    bad = np.flatnonzero(~np.isfinite(g))
+    if bad.size:
+        raise ValueError(f"{what} is not finite at x2 = {x2[bad[0]]:.6g}")
+    return g
+
+
+def _inlet_values(bc: BoundaryData2D, x2: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Right-hand side of the entrance rows from the inlet samples g: w for
+    dirichlet/d2, d1 w for d1."""
     if bc.inlet_mode != "d2":
         return g
     # d2: cumulative trapezoid from the bottom wall, anchored there
@@ -189,7 +198,9 @@ def _assemble(spec: MixedOperatorSpec, f, bc: BoundaryData2D):
     c = A11 + B1 (n1 x n1, CSR) with the whole entrance row (identity, or the
     one-sided d1 stencil) and, at a subsonic exit, the outlet identity row;
     pde is the 0/1 mask of PDE columns and rhs is (n1, n2).  Raises
-    ValueError on inconsistent boundary data or source shape.
+    ValueError on inconsistent boundary data, a source of the wrong shape, or
+    a non-finite value in the source on a PDE column or in the sampled inlet
+    or outlet data.
     """
     dom = spec.domain
     n1, n2 = dom.n1, dom.n2
@@ -202,7 +213,8 @@ def _assemble(spec: MixedOperatorSpec, f, bc: BoundaryData2D):
     if exit_supersonic and bc.outlet_data is not None:
         raise ValueError("supersonic exit takes no outlet condition")
 
-    bc.validate_compatibility(x2)
+    g = _sampled(bc.inlet_data, x2, "inlet data")
+    bc.validate_compatibility(x2, g)
 
     if callable(f):
         X1, X2 = np.meshgrid(x1, x2, indexing="ij")
@@ -213,8 +225,13 @@ def _assemble(spec: MixedOperatorSpec, f, bc: BoundaryData2D):
         F = np.asarray(f, dtype=float)
         if F.shape != (n1, n2):
             raise ValueError(f"source shape {F.shape} != grid {(n1, n2)}")
+    outlet = None if exit_supersonic else _sampled(bc.outlet_data, x2, "outlet data")
 
     j_pde = np.arange(1, n1 if exit_supersonic else n1 - 1)
+    # only the PDE columns' source is read (a slice, not a copy of F[j_pde]);
+    # the boundary rows take the data
+    if not np.all(np.isfinite(F[1:j_pde[-1] + 1])):
+        raise ValueError("source contains non-finite values")
     pde = np.zeros(n1)
     pde[j_pde] = 1.0
     # alpha11 * d11: dropped on a sonic column.  Fully one-sided in the
@@ -242,11 +259,11 @@ def _assemble(spec: MixedOperatorSpec, f, bc: BoundaryData2D):
 
     rhs = np.zeros((n1, n2))
     rhs[j_pde] = F[j_pde]
-    rhs[0] = _inlet_values(bc, x2)
+    rhs[0] = _inlet_values(bc, x2, g)
     if bc.inlet_mode == "d1":
         rhs[0, 0] = bc.anchor
     if not exit_supersonic:
-        rhs[-1] = [float(bc.outlet_data(v)) for v in x2]
+        rhs[-1] = outlet
     return (a11 + b1 + ends).tocsr(), pde, rhs
 
 
@@ -258,6 +275,41 @@ def _apply(c, pde, h2, w, pinned):
     if pinned:
         out[0, 0] = w[0, 0]
     return out
+
+
+def _solve_modes(c, pde, lam, r, pinned):
+    """Mode k's banded x1 system (lam[k] P + C) u_k = r[:, k], for every k:
+    one LAPACK dgbsv each, on C's band built once.  pinned (the d1 inlet)
+    makes mode 0's entrance row read u[0] = 0 and adds a second right-hand
+    side, a unit entrance forcing, whose responses z feed the capacitance
+    step; z is None otherwise.  Raises RuntimeError on a singular mode.
+    """
+    n1, n2 = r.shape
+    # dgbsv's layout: C[i, j] at row 5 + i - j, rows 0-2 left for pivot fill
+    band = np.zeros((9, n1), order="F")
+    for off in range(-3, 3):
+        band[5 - off, max(off, 0):n1 + min(off, 0)] = c.diagonal(off)
+    u = np.empty((n1, n2))
+    z = np.empty((n1, n2)) if pinned else None
+    for k in range(n2):
+        ab = band.copy(order="F")
+        ab[5] += lam[k] * pde
+        b = np.zeros((n1, 2 if pinned else 1), order="F")
+        b[:, 0] = r[:, k]
+        if pinned:
+            b[0, 1] = 1.0
+            if k == 0:  # row 0 becomes u[0] = b[0]: C[0, j] sits at ab[5 - j, j]
+                ab[[5, 4, 3], [0, 1, 2]] = 1.0, 0.0, 0.0
+                b[0, 0] = 0.0
+        _, _, x, info = dgbsv(3, 2, ab, b, overwrite_ab=True, overwrite_b=True)
+        if info > 0:
+            raise RuntimeError(f"singular system: mode {k}: zero pivot in row {info - 1}")
+        if info < 0:
+            raise RuntimeError(f"mode {k}: dgbsv rejected argument {-info}")
+        u[:, k] = x[:, 0]
+        if pinned:
+            z[:, k] = x[:, 1]
+    return u, z
 
 
 def solve_linear(spec: MixedOperatorSpec, f, bc: BoundaryData2D) -> Field2D:
@@ -294,22 +346,7 @@ def solve_linear(spec: MixedOperatorSpec, f, bc: BoundaryData2D) -> Field2D:
     e[[0, -1]] = 2.0
     lam = -(2.0 / h2) ** 2 * np.sin(0.5 * np.pi * np.arange(n2) / m) ** 2
     r = dct(rhs, type=1, axis=1) / (m * e)
-    band = np.zeros((6, n1))  # solve_banded's (3, 2) layout of C
-    for off in range(-3, 3):
-        band[2 - off, max(off, 0):n1 + min(off, 0)] = c.diagonal(off)
-    unit = np.eye(n1, 1)[:, 0]  # a unit entrance forcing, for the d1 capacitance step
-    u, z = np.empty((n1, n2)), np.empty((n1, n2))  # z: each mode's response to it
-    for k in range(n2):
-        ab = band.copy()
-        ab[2] += lam[k] * pde
-        b = np.column_stack([r[:, k], unit])
-        if pinned and k == 0:  # row 0 becomes u[0] = b[0]: C[0, j] sits at ab[2 - j, j]
-            ab[[2, 1, 0], [0, 1, 2]] = 1.0, 0.0, 0.0
-            b[0, 0] = 0.0
-        try:
-            u[:, k], z[:, k] = solve_banded((3, 2), ab, b).T
-        except LinAlgError as exc:
-            raise RuntimeError(f"singular system: mode {k}: {exc}") from exc
+    u, z = _solve_modes(c, pde, lam, r, pinned)
     if pinned:
         # mode 0's entrance value t and the d1 value s that row (0, 0) of the
         # tensor form would need, fixed by mode 0's d1 row and w[0, 0] = anchor
@@ -323,7 +360,7 @@ def solve_linear(spec: MixedOperatorSpec, f, bc: BoundaryData2D) -> Field2D:
 
     resid = float(np.max(np.abs(_apply(c, pde, h2, W, pinned) - rhs)))
     resid /= max(1.0, float(np.max(np.abs(rhs))))
-    if resid > 1e-8:
+    if not resid <= 1e-8:  # a NaN residual fails too
         raise RuntimeError(f"linear residual {resid:.3e} exceeds tolerance")
     X1, X2 = np.meshgrid(dom.x1, dom.x2, indexing="ij")
     meta = {"residual": resid, "kz_holds": spec.kz_holds,

@@ -2,13 +2,15 @@
 
 Each is a from-scratch route to a quantity the package computes some other
 way; none call the implementation under test.  The CSV and SVG oracles are
-the writers as first written, kept to pin the bytes of the array-based ones.
+the writers as first written, kept to pin the bytes of the array-based ones,
+and the banded mode loop pins the bits of the channel's dgbsv loop.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, quad, solve_ivp
+from scipy.linalg import solve_banded
 
 
 def h_quadrature(gamma, S0, J, rho_ion, u):
@@ -123,6 +125,29 @@ def sample_per_node(fn, X, Y):
     for k, (x, y) in enumerate(zip(X.ravel(), Y.ravel())):
         flat[k] = float(fn(x, y))
     return out
+
+
+def banded_modes_solve_banded(c, pde, lam, r, pinned):
+    """Each x2 mode's banded x1 system (lam[k] P + C) u_k = r[:, k] through
+    scipy's solve_banded on C's (3, 2) band, as the channel solver first
+    did it: every mode also solves a unit entrance forcing, whose response
+    is z, and pinned (the d1 inlet) makes mode 0's entrance row read u[0] = 0.
+    """
+    n1, n2 = r.shape
+    band = np.zeros((6, n1))
+    for off in range(-3, 3):
+        band[2 - off, max(off, 0):n1 + min(off, 0)] = c.diagonal(off)
+    unit = np.eye(n1, 1)[:, 0]
+    u, z = np.empty((n1, n2)), np.empty((n1, n2))
+    for k in range(n2):
+        ab = band.copy()
+        ab[2] += lam[k] * pde
+        b = np.column_stack([r[:, k], unit])
+        if pinned and k == 0:  # C[0, j] sits at ab[2 - j, j]
+            ab[[2, 1, 0], [0, 1, 2]] = 1.0, 0.0, 0.0
+            b[0, 0] = 0.0
+        u[:, k], z[:, k] = solve_banded((3, 2), ab, b).T
+    return u, z
 
 
 def csv_text_rows(header, columns):

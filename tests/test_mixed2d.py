@@ -3,11 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
 from scipy.sparse import diags, identity, kron
 from scipy.sparse.linalg import splu
 
-from _oracles import reduced_ode_solution
+from _oracles import banded_modes_solve_banded, reduced_ode_solution
 from sonicflow import mixed2d
 from sonicflow.mixed2d import (BoundaryData2D, ChannelDomain, build_operator,
                                solve_linear, sonic_smoothness_diag)
@@ -208,14 +207,60 @@ def test_march_matches_refined_global_lu(background, grid, mode):
     assert float(np.max(np.abs(fld.values - refined_global_solution(spec, F, bc)))) <= 1e-10
 
 
-def test_singular_march_column_reported(monkeypatch, background):
-    def singular(*args, **kwargs):
-        raise LinAlgError("singular matrix")
+def failing_dgbsv(info):
+    """A dgbsv stand-in that returns its inputs with the given info."""
+    def dgbsv(kl, ku, ab, b, **kwargs):
+        return ab, np.zeros(ab.shape[1], dtype=np.int32), b, info
+    return dgbsv
 
-    monkeypatch.setattr(mixed2d, "solve_banded", singular)
+
+def test_singular_march_column_reported(monkeypatch, background):
+    monkeypatch.setattr(mixed2d, "dgbsv", failing_dgbsv(1))
     dom, spec, F, _, bc = manufactured_setup(background, 65, 17)
     with pytest.raises(RuntimeError, match="singular system: mode"):
         solve_linear(spec, F, bc)
+
+
+def test_rejected_dgbsv_argument_reported(monkeypatch, background):
+    monkeypatch.setattr(mixed2d, "dgbsv", failing_dgbsv(-4))
+    dom, spec, F, _, bc = manufactured_setup(background, 65, 17)
+    with pytest.raises(RuntimeError, match="mode 0: dgbsv rejected argument 4"):
+        solve_linear(spec, F, bc)
+
+
+@pytest.mark.parametrize("mode", ["dirichlet", "d1", "d2"])
+@pytest.mark.parametrize("grid", ["supersonic-exit", "subsonic-exit", "sonic-on-node"])
+def test_mode_solves_bit_identical_to_solve_banded(monkeypatch, background, dec_background,
+                                                   grid, mode):
+    """Each mode's dgbsv sees the band solve_banded((3, 2), ...) builds, so
+    the mode solutions, and the fields, are the same bit for bit."""
+    if grid == "sonic-on-node":
+        dom, bg = ChannelDomain(L=2.0 * background.l_s, n1=65, n2=33), background
+    else:
+        dom = ChannelDomain(L=L, n1=65, n2=33)
+        bg = background if grid == "supersonic-exit" else dec_background
+    spec = build_operator(bg, dom)
+    bc = inlet_bc(mode, **({} if spec.exit_supersonic else {"outlet_data": lambda x2: 0.0}))
+    F = np.random.default_rng(13).standard_normal((65, 33))
+    calls = []
+    solve_modes = mixed2d._solve_modes
+
+    def oracle(*args):  # keeps copies: the d1 capacitance step updates u in place
+        u, z = banded_modes_solve_banded(*args)
+        calls.append((args, u.copy(), z.copy()))
+        return u, z
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the decelerating background is flagged
+        w = solve_linear(spec, F, bc).values
+        monkeypatch.setattr(mixed2d, "_solve_modes", oracle)
+        w_oracle = solve_linear(spec, F, bc).values
+    (args, u_oracle, z_oracle), = calls
+    u, z = solve_modes(*args)
+    assert np.array_equal(u, u_oracle)
+    assert (z is None) == (mode != "d1")
+    assert z is None or np.array_equal(z, z_oracle)
+    assert np.array_equal(w, w_oracle)
 
 
 @pytest.mark.parametrize("mode", ["dirichlet", "d1", "d2"])
@@ -309,6 +354,68 @@ def test_incompatible_inlet_rejected(background):
     dom, spec, _, _, _ = manufactured_setup(background, 33, 17)
     with pytest.raises(ValueError, match="odd derivative"):
         solve_linear(spec, None, BoundaryData2D(inlet_data=lambda x2: 0.01 * x2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_source_rejected(background, bad):
+    dom, spec, F, _, bc = manufactured_setup(background, 33, 17)
+    F[5, 7] = bad
+    with pytest.raises(ValueError, match="source contains non-finite values"):
+        solve_linear(spec, F, bc)
+    with pytest.raises(ValueError, match="source contains non-finite values"):
+        solve_linear(spec, lambda X1, X2: np.where(X1 > 1.0, bad, 0.0), bc)
+
+
+def test_source_off_the_pde_columns_is_not_read(background, dec_background):
+    """The entrance row, and a subsonic exit's outlet row, take the boundary
+    data, so a non-finite source there is ignored, as a callable that
+    divides by x1 makes it at the inlet."""
+    dom, spec, F, _, bc = manufactured_setup(background, 33, 17)
+    ref = solve_linear(spec, F, bc).values
+    F[0] = math.nan
+    assert np.array_equal(solve_linear(spec, F, bc).values, ref)
+    dom = ChannelDomain(L=L, n1=33, n2=17)
+    spec = build_operator(dec_background, dom)
+    bc = BoundaryData2D(outlet_data=lambda x2: 0.0)
+    F = np.zeros((33, 17))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the decelerating background is flagged
+        ref = solve_linear(spec, F, bc).values
+        F[[0, -1]] = math.inf
+        assert np.array_equal(solve_linear(spec, F, bc).values, ref)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("mode", ["dirichlet", "d1", "d2"])
+def test_nonfinite_inlet_rejected(background, bad, mode):
+    """Rejected by name before the compatibility check does arithmetic on it
+    (an infinite sample there would warn first)."""
+    dom, spec, F, _, _ = manufactured_setup(background, 33, 17)
+    bc = BoundaryData2D(inlet_mode=mode, inlet_data=lambda x2: bad if x2 > 0.5 else 0.0)
+    with pytest.raises(ValueError, match=r"inlet data is not finite at x2 = 0\.625"):
+        solve_linear(spec, F, bc)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_outlet_rejected(dec_background, bad):
+    dom = ChannelDomain(L=L, n1=33, n2=17)
+    spec = build_operator(dec_background, dom)
+    bc = BoundaryData2D(outlet_data=lambda x2: bad if x2 < 0.0 else 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the decelerating background is flagged
+        with pytest.raises(ValueError, match=r"outlet data is not finite at x2 = -1"):
+            solve_linear(spec, None, bc)
+
+
+def test_overflowing_source_fails_the_residual_check(background):
+    """A finite source whose transform overflows leaves a NaN residual,
+    which must fail the check rather than compare false against it."""
+    dom, spec, _, _, bc = manufactured_setup(background, 33, 17)
+    # whether an inf - inf on the way warns depends on the numpy/BLAS build;
+    # the guard under test is the residual check's
+    with np.errstate(all="ignore"), \
+            pytest.raises(RuntimeError, match="linear residual nan exceeds tolerance"):
+        solve_linear(spec, np.full((33, 17), 1e308), bc)
 
 
 def test_d1_and_d2_modes(canonical, background):
