@@ -11,7 +11,7 @@ with its self-similar configuration geometry.
 __version__ = "0.1.0"
 
 from .gas import (ACCELERATING, DECELERATING, GasParams, critical_field, enthalpy,
-                  enthalpy_quadrature, find_u_star)
+                  find_u_star)
 from .profile1d import (InletData, KZReport, LemmaReport, LmaxReport, Profile1D,
                         ProfileError, SonicBlowupError, NoSonicCrossingError,
                         bernoulli_defect, conservation_defect, critical_inlet,

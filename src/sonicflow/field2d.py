@@ -1,4 +1,5 @@
-"""Shared gridded-field container, and format_rows: the one row formatter for CSVs and SVGs.
+"""Shared gridded-field container, format_rows: the one row formatter for
+CSVs and SVGs, and aitken_limit: the one extrapolation toward a singular end.
 
 Used by both 2D solvers; coordinates are stored per node so the container
 handles mapped (non-rectangular) grids as well as tensor-product ones.
@@ -51,3 +52,22 @@ def csv_text(header: str, columns) -> str:
 
 def field_csv_text(fld: Field2D) -> str:
     return csv_text(CSV_HEADER, (fld.x.ravel(), fld.y.ravel(), fld.values.ravel()))
+
+
+def aitken_limit(seq, max_ratio: float, fallback):
+    """Aitken's delta-squared limit of each sequence along the last axis of seq.
+
+    From a row's last three terms, with d1, d2 the last two differences and
+    r = d2/d1, the limit is s[-1] + d2 r / (1 - r).  A row with fewer than
+    three terms, d1 = 0 or |r| >= max_ratio (a trend too slow or too
+    irregular to extrapolate) gets fallback instead.
+    """
+    s = np.asarray(seq, dtype=float)
+    if s.shape[-1] < 3:
+        return np.asarray(fallback, dtype=float)
+    d1 = s[..., -2] - s[..., -3]
+    d2 = s[..., -1] - s[..., -2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = d2 / d1
+        limit = s[..., -1] + d2 * r / (1.0 - r)
+    return np.where((d1 != 0.0) & (np.abs(r) < max_ratio), limit, fallback)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 ACCELERATING = "accelerating"
@@ -124,21 +123,6 @@ def enthalpy(params: GasParams, u):
 
     out = (params.J / ub) * (F(ua) - F(us))
     return out if out.ndim else float(out)
-
-
-def enthalpy_quadrature(params: GasParams, u: float) -> float:
-    """H(u) by adaptive quadrature; independent cross-check for `enthalpy`."""
-    ua = float(_check_u(u))
-    g = params.gamma
-    us = params.u_sonic
-    ub = params.u_bar
-    usp = us ** (g + 1.0)
-
-    def integrand(t):
-        return t ** (-(g + 1.0)) * (t ** (g + 1.0) - usp) * (ub - t)
-
-    val, _ = quad(integrand, us, ua, epsabs=1e-14, epsrel=1e-13, limit=200)
-    return (params.J / ub) * val
 
 
 @functools.lru_cache(maxsize=None)

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from .field2d import Field2D
+from .field2d import Field2D, aitken_limit
 
 
 class KeldyshDivergenceError(RuntimeError):
@@ -606,59 +606,41 @@ def structured_derivatives(fld: Field2D):
     return psi_x, psi_y, psi_xx
 
 
-def _interp_field(fld: Field2D, arr: np.ndarray, x: float, y: float) -> float:
-    """Bilinear interpolation of a node array at physical (x, y)."""
+def _interp_field(fld: Field2D, arr: np.ndarray, x, y) -> np.ndarray:
+    """Bilinear interpolation of a node array at the physical points (x, y),
+    two arrays broadcast together.  Each point's y is located separately on
+    the two x-lines of its cell, since a mapped grid's lines differ in y."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     xcol = fld.x[:, 0]
-    j = int(np.clip(np.searchsorted(xcol, x) - 1, 1, len(xcol) - 2))
-    tx = (x - xcol[j]) / (xcol[j + 1] - xcol[j])
-    tx = min(max(tx, 0.0), 1.0)
+    j = np.clip(np.searchsorted(xcol, x) - 1, 1, len(xcol) - 2)
+    tx = np.clip((x - xcol[j]) / (xcol[j + 1] - xcol[j]), 0.0, 1.0)
 
     def col_val(jj):
-        ycol = fld.y[jj, :]
-        i = int(np.clip(np.searchsorted(ycol, y) - 1, 0, len(ycol) - 2))
-        ty = (y - ycol[i]) / (ycol[i + 1] - ycol[i])
-        ty = min(max(ty, 0.0), 1.0)
+        ycol = fld.y[jj]  # each point's x-line, along the last axis
+        i = np.clip(np.sum(ycol < y[..., None], axis=-1) - 1, 0, ycol.shape[-1] - 2)
+        ty = np.clip((y - fld.y[jj, i]) / (fld.y[jj, i + 1] - fld.y[jj, i]), 0.0, 1.0)
         return (1 - ty) * arr[jj, i] + ty * arr[jj, i + 1]
 
-    return float((1 - tx) * col_val(j) + tx * col_val(j + 1))
-
-
-def _aitken(seq):
-    """Aitken-accelerated limit of a geometric-ish sequence from its last three
-    terms; the last term when there are fewer or the ratio is near 1."""
-    if len(seq) < 3:
-        return seq[-1]
-    d1 = seq[-2] - seq[-3]
-    d2 = seq[-1] - seq[-2]
-    if d1 == 0.0 or abs(d2 / d1) >= 0.99:
-        return seq[-1]
-    r = d2 / d1
-    return seq[-1] + d2 * r / (1.0 - r)
-
-
-def _dyadic_abscissas(xcol, k_first: int) -> np.ndarray:
-    """x_k = eps0 * 2**-k for k = k_first, k_first + 1, ..., down to the third
-    node of the x column (eps0 is its last node)."""
-    eps0 = float(xcol[-1])
-    k = k_first
-    while eps0 * 2.0 ** (-k) >= xcol[2]:
-        k += 1
-    return eps0 * 2.0 ** (-np.arange(k_first, k, dtype=float))
+    return (1 - tx) * col_val(j) + tx * col_val(j + 1)
 
 
 def _scan_abscissas(xcol) -> np.ndarray:
-    """The scan's x_k = eps0 * 2**-k, k >= 1, down to the third node.
+    """The scan's x_k = eps0 * 2**-k, k >= 1, down to the third node of the
+    x column (eps0 is its last node).
 
     The grid alone fixes them, so a run can be rejected before it solves.
     Raises InsufficientGradingError when fewer than three are resolvable.
     """
     if len(xcol) < 3:
         raise InsufficientGradingError(f"x column has {len(xcol)} nodes; need at least 3")
-    x_k = _dyadic_abscissas(xcol, 1)
-    if len(x_k) < 3:
+    eps0 = float(xcol[-1])
+    k = 1
+    while eps0 * 2.0 ** (-k) >= xcol[2]:
+        k += 1
+    if k - 1 < 3:
         raise InsufficientGradingError(
-            f"only {len(x_k)} trace abscissas resolvable; refine the grid or grading")
-    return x_k
+            f"only {k - 1} trace abscissas resolvable; refine the grid or grading")
+    return eps0 * 2.0 ** (-np.arange(1, k, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -686,12 +668,9 @@ def sonic_derivative_scan(fld: Field2D, y_values) -> ScanReport:
     y_values = np.asarray(y_values, dtype=float)
     contaminated = y_values > f0 - top_cell
 
-    table = np.empty((len(y_values), len(x_k)))
-    limits = np.empty(len(y_values))
-    for iy, yv in enumerate(y_values):
-        for jx, xv in enumerate(x_k):
-            table[iy, jx] = _interp_field(fld, psi_xx, float(xv), float(yv))
-        limits[iy] = _aitken(list(table[iy, ::-1]))  # ascending toward x -> 0
+    table = _interp_field(fld, psi_xx, x_k, y_values[:, None])
+    # reversed, each row ends at the largest abscissa, x_1 = eps0/2
+    limits = aitken_limit(table[:, ::-1], 0.99, table[:, 0])
     return ScanReport(y_values=y_values, corner_contaminated=contaminated,
                       x_k=x_k, table=table, limits=limits)
 
@@ -717,24 +696,19 @@ def corner_probe(fld: Field2D, c: float = 1.0) -> CornerProbe:
     The two-sequence corner behaviour shows up as a gap between the limits:
     the tangential path escapes the top boundary layer while the hugging path
     stays inside it.  The path constants are a probing choice; the result is
-    qualitative.
+    qualitative.  The paths sample the scan's abscissas from k = 2 on, so
+    the same InsufficientGradingError rejects a grid too coarse for them.
     """
-    _, _, psi_xx = structured_derivatives(fld)
     xcol = fld.x[:, 0]
+    x_m = _scan_abscissas(xcol)[1:]
+    _, _, psi_xx = structured_derivatives(fld)
     f0 = float(fld.y[0, -1])
-    ftop = fld.y[:, -1]
-    x_m = _dyadic_abscissas(xcol, 2)
-    tang = np.empty(len(x_m))
-    hug = np.empty(len(x_m))
-    for m, xv in enumerate(x_m):
-        y1 = f0 - c * xv
-        tang[m] = _interp_field(fld, psi_xx, float(xv), float(max(y1, 0.0)))
-        fx = float(np.interp(xv, xcol, ftop))
-        y2 = fx - c * xv * xv
-        hug[m] = _interp_field(fld, psi_xx, float(xv), float(max(y2, 0.0)))
+    fx = np.interp(x_m, xcol, fld.y[:, -1])
+    tang = _interp_field(fld, psi_xx, x_m, np.maximum(f0 - c * x_m, 0.0))
+    hug = _interp_field(fld, psi_xx, x_m, np.maximum(fx - c * x_m * x_m, 0.0))
     return CornerProbe(x_m=x_m, tangential=tang, hugging=hug,
-                       limit_tangential=_aitken(list(tang[::-1])),
-                       limit_hugging=_aitken(list(hug[::-1])))
+                       limit_tangential=float(aitken_limit(tang[::-1], 0.99, tang[0])),
+                       limit_hugging=float(aitken_limit(hug[::-1], 0.99, hug[0])))
 
 
 @dataclass(frozen=True)

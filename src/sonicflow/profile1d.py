@@ -29,7 +29,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
-from .field2d import csv_text
+from .field2d import aitken_limit, csv_text
 from .gas import (
     ACCELERATING,
     DECELERATING,
@@ -455,7 +455,7 @@ class LmaxReport:
     u_floors: np.ndarray | None
     x_at_floors: np.ndarray | None
     increment_ratios: np.ndarray | None
-    ratio_mean: float | None
+    ratio_mean: float | None  # the limiting increment ratio; see locate_lmax
     horizon: float
     method_values: dict
 
@@ -492,9 +492,11 @@ def locate_lmax(params: GasParams, inlet: InletData, *,
     extent integral and cross-checked against the ODE turning-point event.
     Decelerating: the extent x(u) is tracked on dyadic velocity floors
     u_k = u_sonic * 2**-k; the increments shrink geometrically iff the full
-    extent is finite (gamma < 2).  The report flags "infinite" when the
-    mean increment ratio reaches 0.97 or x exceeds LMAX_HORIZON.
-    This is an operational diagnosis, not a proof.
+    extent is finite (gamma < 2).  The limiting increment ratio, reported as
+    `ratio_mean`, is the Aitken limit of the increment ratios when their
+    trend is regular, and the mean of the last four ratios otherwise.  The
+    report flags "infinite" when that ratio reaches 0.97 or x exceeds
+    LMAX_HORIZON.  This is an operational diagnosis, not a proof.
     """
     branch, _ = _inlet_course(params, inlet)
     if branch == OFF_CRITICAL:
@@ -525,14 +527,7 @@ def locate_lmax(params: GasParams, inlet: InletData, *,
     xs = _gauss_int(fn, x, floors, 32)
     inc = np.diff(xs)
     ratios = inc[1:] / inc[:-1]
-    rbar = float(np.mean(ratios[-4:]))
-    # Aitken-accelerate the ratio limit when the trend is regular
-    if len(ratios) >= 3:
-        d1 = ratios[-2] - ratios[-3]
-        d2 = ratios[-1] - ratios[-2]
-        if d1 != 0.0 and abs(d2 / d1) < 0.95:
-            rho = d2 / d1
-            rbar = float(ratios[-1] + d2 * rho / (1.0 - rho))
+    rbar = float(aitken_limit(ratios, 0.95, np.mean(ratios[-4:])))
     if xs[-1] > LMAX_HORIZON or rbar >= 0.97:
         return LmaxReport(branch=DECELERATING, finite=False, value=None,
                           u_floors=floors, x_at_floors=xs, increment_ratios=ratios,

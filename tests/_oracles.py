@@ -2,8 +2,10 @@
 
 Each is a from-scratch route to a quantity the package computes some other
 way; none call the implementation under test.  The CSV and SVG oracles are
-the writers as first written, kept to pin the bytes of the array-based ones,
-and the banded mode loop pins the bits of the channel's dgbsv loop.
+the writers as first written, kept to pin the bytes of the array-based ones;
+the banded mode loop pins the bits of the channel's dgbsv loop, and the
+per-point sampler and Aitken step pin those of the extrapolations toward a
+singular end.
 """
 
 import math
@@ -14,14 +16,15 @@ from scipy.linalg import solve_banded
 
 
 def h_quadrature(gamma, S0, J, rho_ion, u):
-    """Phase-plane potential H(u) by raw adaptive quadrature."""
+    """Phase-plane potential H(u) by raw adaptive quadrature: the cross-check
+    for the closed form `gas.enthalpy`."""
     us = (gamma * S0 * J ** (gamma - 1.0)) ** (1.0 / (gamma + 1.0))
     ub = J / rho_ion
 
     def integrand(t):
         return t ** (-(gamma + 1.0)) * (t ** (gamma + 1.0) - us ** (gamma + 1.0)) * (ub - t)
 
-    val, _ = quad(integrand, us, u, epsabs=1e-14, epsrel=1e-12, limit=300)
+    val, _ = quad(integrand, us, u, epsabs=1e-14, epsrel=1e-13, limit=200)
     return (J / ub) * val
 
 
@@ -53,13 +56,18 @@ def normal_shock_cubic_gamma2(rho_inf, q_inf):
     return real[0]
 
 
+REDUCED_ODE_RHS_BUDGET = 5000  # 1,000 calls on the channel tests' background
+
+
 def reduced_ode_solution(alpha, beta, f, l_s, L, w0, x_grid):
     """Bounded solution of alpha(x) w'' + beta(x) w' = f(x), w(0) = w0.
 
     The slope v = w' obeys a first-order ODE that is singular at the sonic
     location; boundedness selects the regular branch with v(l_s) =
     f(l_s)/beta(l_s).  Integrating outward from l_s in both directions is
-    the stable orientation (the singular mode decays away from l_s).
+    the stable orientation (the singular mode decays away from l_s).  Past
+    REDUCED_ODE_RHS_BUDGET right-hand-side calls, five times what a correct
+    sonic location needs, it raises instead of stepping on.
     """
     h = 1e-6
     b0 = beta(l_s)
@@ -69,8 +77,14 @@ def reduced_ode_solution(alpha, beta, f, l_s, L, w0, x_grid):
     v0 = f(l_s) / b0
     v1 = (fp - bp * v0) / (ap + b0)
     delta = 1e-6
+    calls = 0
 
     def rhs(x, y):
+        nonlocal calls
+        calls += 1
+        if calls > REDUCED_ODE_RHS_BUDGET:
+            raise RuntimeError(f"reduced ODE oracle: more than {REDUCED_ODE_RHS_BUDGET} "
+                               f"right-hand-side calls, at x = {x!r}")
         return [(f(x) - beta(x) * y[0]) / alpha(x)]
 
     sol_left = solve_ivp(rhs, (l_s - delta, 0.0), [v0 - v1 * delta],
@@ -115,6 +129,38 @@ def directed_polyline_distance(P, Q):
         dy = wy - t * b[:, 1]
         best = max(best, float((dx * dx + dy * dy).min(axis=1).max()))
     return float(np.sqrt(best))
+
+
+def interp_field_per_point(fld, arr, x, y):
+    """Bilinear interpolation of a node array at one physical point (x, y):
+    the Keldysh probes' sampler as first written."""
+    xcol = fld.x[:, 0]
+    j = int(np.clip(np.searchsorted(xcol, x) - 1, 1, len(xcol) - 2))
+    tx = (x - xcol[j]) / (xcol[j + 1] - xcol[j])
+    tx = min(max(tx, 0.0), 1.0)
+
+    def col_val(jj):
+        ycol = fld.y[jj, :]
+        i = int(np.clip(np.searchsorted(ycol, y) - 1, 0, len(ycol) - 2))
+        ty = (y - ycol[i]) / (ycol[i + 1] - ycol[i])
+        ty = min(max(ty, 0.0), 1.0)
+        return (1 - ty) * arr[jj, i] + ty * arr[jj, i + 1]
+
+    return float((1 - tx) * col_val(j) + tx * col_val(j + 1))
+
+
+def aitken_step(seq, max_ratio, fallback):
+    """Aitken's delta-squared step on the last three terms of one list, as
+    first written: the Keldysh probes used max_ratio 0.99 and the last term
+    as fallback, the l_max ratio trend 0.95 and the mean of the last four."""
+    if len(seq) < 3:
+        return fallback
+    d1 = seq[-2] - seq[-3]
+    d2 = seq[-1] - seq[-2]
+    if d1 == 0.0 or abs(d2 / d1) >= max_ratio:
+        return fallback
+    r = d2 / d1
+    return seq[-1] + d2 * r / (1.0 - r)
 
 
 def sample_per_node(fn, X, Y):

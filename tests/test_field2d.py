@@ -1,13 +1,13 @@
 """The block-formatted CSV writer against the per-row oracle, and its checks
-on malformed columns."""
+on malformed columns; aitken_limit against the scalar Aitken step."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import csv_text_rows
-from sonicflow.field2d import FORMAT_BLOCK_ROWS, csv_text
+from _oracles import aitken_step, csv_text_rows
+from sonicflow.field2d import FORMAT_BLOCK_ROWS, aitken_limit, csv_text
 
 # signed zero, the infinities, nan, the smallest subnormal, the switches of
 # repr between positional and exponential form, and the largest doubles
@@ -37,3 +37,21 @@ def test_csv_text_rejects_a_header_that_does_not_match_the_columns():
     # the per-row writer wrote three fields under a two-field header
     with pytest.raises(ValueError, match=r"\'a,b\' does not fit columns of lengths \[1, 1, 1\]"):
         csv_text("a,b", [[1.0], [2.0], [3.0]])
+
+
+def test_aitken_limit_rows_match_the_scalar_step():
+    rows = np.array([
+        [1.0, 0.5, 0.25, 0.125],  # geometric, r = 1/2: the exact limit 0
+        [3.0, 2.0, 2.0, 2.0],  # d1 = 0 (and 0/0): fallback
+        [0.0, 1.0, 1.99, 2.97],  # |r| = 0.9899: extrapolated below 0.99 only
+        [1.0, 2.0, 4.0, 8.0],  # |r| = 2: fallback
+        [0.3, 0.1, 0.2, 0.15],  # alternating, r = -1/2
+    ])
+    fallback = rows[:, 0]
+    for max_ratio in (0.95, 0.99):
+        got = aitken_limit(rows, max_ratio, fallback)
+        expect = [aitken_step(list(row), max_ratio, row[0]) for row in rows]
+        assert np.array_equal(got, expect)
+        assert float(aitken_limit(rows[0], max_ratio, -1.0)) == 0.0
+    assert aitken_limit(rows, 0.95, fallback)[2] == 0.0 < 2.97 < aitken_limit(rows, 0.99, fallback)[2]
+    assert float(aitken_limit([2.0, 1.0], 0.99, 7.0)) == 7.0  # fewer than three terms

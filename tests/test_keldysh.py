@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
-from _oracles import sample_per_node
+from _oracles import aitken_step, interp_field_per_point, sample_per_node
 from sonicflow import keldysh
 from sonicflow.field2d import Field2D, field_csv_text
 from sonicflow.keldysh import (InsufficientGradingError, KeldyshBC,
@@ -216,6 +216,18 @@ def test_reduced_solve_matches_the_full_system(scenario):
     assert np.max(np.abs(solve(b) - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("scenario, reliable", [(manufactured_scenario, True),
+                                                (reference_scenario, False)])
+def test_reliable_flag_at_65(scenario, reliable):
+    """No node of the manufactured solution is clamped at the final iterate
+    past the first interior column; the reference's are (in its last
+    interior column), so only the reference is flagged unreliable."""
+    dom, coeffs, bc = scenario()
+    fld = solve_model(dom, coeffs, KeldyshOptions(nx=65, ny=65), bc)
+    assert fld.metadata["reliable"] is reliable
+    assert fld.metadata["clamp_active"] is not reliable
+
+
 def test_newton_counts_and_divergence_pinned(scenario_field):
     fld, _ = scenario_field
     assert fld.metadata["iterations"] == 12  # 97^2
@@ -320,6 +332,45 @@ def test_corner_probe_scenario_gap(scenario_field):
     fld, _ = scenario_field
     probe = corner_probe(fld)
     assert probe.gap > 0.5 / A
+
+
+def test_corner_probe_coarse_grid_raises():
+    """Three x nodes resolve no trace abscissa: the probe says so by name."""
+    x = np.repeat(np.array([0.0, 0.125, 0.5])[:, None], 3, axis=1)
+    y = np.linspace(0.0, 1.0, 3)[None, :] * (1.0 + x)
+    with pytest.raises(InsufficientGradingError, match="abscissas"):
+        corner_probe(Field2D(x=x, y=y, values=x * x / (2.0 * A)))
+
+
+def test_scan_and_probe_match_per_point_oracle(manufactured_fields, scenario_field):
+    """The array sampler and aitken_limit reproduce, bit for bit, the
+    per-point sampler and scalar Aitken step as first written."""
+    dom, coeffs, bc = reference_scenario()
+    fields = [manufactured_fields[33], manufactured_fields[65], scenario_field[0],
+              solve_model(dom, coeffs, KeldyshOptions(nx=33, ny=33), bc)]
+    for fld in fields:
+        _, _, psi_xx = keldysh.structured_derivatives(fld)
+        xcol, f0 = fld.x[:, 0], float(fld.y[0, -1])
+        ys = [fr * f0 for fr in (0.1, 0.25, 0.5, 0.8, 0.999)]
+        scan = sonic_derivative_scan(fld, ys)
+        table = np.array([[interp_field_per_point(fld, psi_xx, float(xv), yv)
+                           for xv in scan.x_k] for yv in ys])
+        assert np.array_equal(scan.table, table)
+        assert np.array_equal(scan.limits, [aitken_step(list(row[::-1]), 0.99, row[0])
+                                            for row in table])
+        eps0 = float(xcol[-1])
+        x_m = [eps0 * 2.0 ** -k for k in range(2, 40) if eps0 * 2.0 ** -k >= xcol[2]]
+        for c in (1.0, 0.3):
+            probe = corner_probe(fld, c=c)
+            tang = [interp_field_per_point(fld, psi_xx, xv, max(f0 - c * xv, 0.0)) for xv in x_m]
+            hug = [interp_field_per_point(
+                fld, psi_xx, xv, max(float(np.interp(xv, xcol, fld.y[:, -1])) - c * xv * xv, 0.0))
+                for xv in x_m]
+            assert np.array_equal(probe.x_m, x_m)
+            assert np.array_equal(probe.tangential, tang)
+            assert np.array_equal(probe.hugging, hug)
+            assert probe.limit_tangential == aitken_step(tang[::-1], 0.99, tang[0])
+            assert probe.limit_hugging == aitken_step(hug[::-1], 0.99, hug[0])
 
 
 # ---------------------------------------------------------------------------

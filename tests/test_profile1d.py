@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
-from _oracles import directed_polyline_distance
+from _oracles import aitken_step, directed_polyline_distance, h_quadrature
 from conftest import gamma_family
 from sonicflow import profile1d
-from sonicflow.gas import critical_field, enthalpy_quadrature, find_u_star
+from sonicflow.gas import critical_field, find_u_star
 from sonicflow.profile1d import (InletData, NoSonicCrossingError, SonicBlowupError,
                                  bernoulli_defect, conservation_defect,
                                  critical_inlet, dx_du_critical, integrate_profile,
@@ -52,10 +52,11 @@ def test_dx_du_deep_in_band_is_smooth(canonical):
 
 def _dx_du_oracle(params, u, branch):
     """dx/du = (u**(g+1) - us**(g+1)) / (E u**g) from the raw difference and
-    E from `enthalpy_quadrature`; loses accuracy as u nears u_sonic."""
+    E from `h_quadrature`; loses accuracy as u nears u_sonic."""
     g, us = params.gamma, params.u_sonic
     sign = 1.0 if branch == "accelerating" else -1.0
-    E = sign * math.copysign(1.0, u - us) * math.sqrt(2.0 * enthalpy_quadrature(params, u))
+    E = sign * math.copysign(1.0, u - us) * math.sqrt(
+        2.0 * h_quadrature(params.gamma, params.S0, params.J, params.rho_ion, u))
     return (u ** (g + 1.0) - us ** (g + 1.0)) / (E * u ** g)
 
 
@@ -311,6 +312,29 @@ def test_lmax_decelerating_dichotomy():
         assert rep.ratio_mean == pytest.approx(2.0 ** (gamma / 2.0 - 1.0), abs=0.02)
         if finite:
             assert rep.value is not None and rep.value > 0.0
+
+
+@pytest.mark.parametrize("gamma", [1.3, 1.5, 2.0, 3.0])
+def test_lmax_report_matches_scalar_aitken(gamma):
+    """Every LmaxReport field equals the scalar Aitken step as first written,
+    with the mean of the last four ratios as its fallback."""
+    params = gamma_family(gamma)
+    for u0 in (1.05, 1.3, 2.0):
+        rep = locate_lmax(params, critical_inlet(params, u0, branch="decelerating"))
+        xs = rep.x_at_floors
+        inc = np.diff(xs)
+        ratios = inc[1:] / inc[:-1]
+        rbar = float(aitken_step(list(ratios), 0.95, float(np.mean(ratios[-4:]))))
+        finite = not (xs[-1] > rep.horizon or rbar >= 0.97)
+        assert np.array_equal(rep.increment_ratios, ratios)
+        assert rep.ratio_mean == rbar
+        assert rep.finite is finite
+        if finite:
+            value = float(xs[-1] + inc[-1] * rbar / (1.0 - rbar))
+            assert rep.value == value
+            assert rep.method_values == {"extrapolated": value}
+        else:
+            assert rep.value is None and rep.method_values == {}
 
 
 def test_lmax_gamma15_extrapolation_consistency():
