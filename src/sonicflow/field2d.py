@@ -1,5 +1,6 @@
-"""Shared gridded-field container, format_rows: the one row formatter for
-CSVs and SVGs, and aitken_limit: the one extrapolation toward a singular end.
+"""Shared gridded-field container, sample: the one sampler of a model
+callable, format_rows: the one row formatter for CSVs and SVGs, and
+aitken_limit: the one extrapolation toward a singular end.
 
 Used by both 2D solvers; coordinates are stored per node so the container
 handles mapped (non-rectangular) grids as well as tensor-product ones.
@@ -33,6 +34,12 @@ class Field2D:
     @property
     def shape(self):
         return self.values.shape
+
+
+def sample(fn, *coords) -> np.ndarray:
+    """fn at every point of the coordinate arrays (broadcast together), one
+    scalar call each, so that callables written with math.* work."""
+    return np.frompyfunc(fn, len(coords), 1)(*coords).astype(float)
 
 
 def format_rows(template: str, table) -> str:

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from .field2d import Field2D, aitken_limit
+from .field2d import Field2D, aitken_limit, sample
 
 
 class KeldyshDivergenceError(RuntimeError):
@@ -42,28 +42,24 @@ class InsufficientGradingError(ValueError):
     """The grid does not resolve the requested near-degeneracy abscissas."""
 
 
-def _fd_derivative(fn, x, h):
-    return (fn(x + h) - fn(x - h)) / (2.0 * h)
-
-
 @dataclass(frozen=True)
 class KeldyshDomain:
     """Domain {0 < x < eps0, 0 < y < f(x)} with an increasing top boundary f."""
 
     eps0: float
     f: object  # callable x -> f(x)
-    fp: object | None = None  # derivative; finite differences if omitted
-    fpp: object | None = None
+    fp: object  # callable x -> f'(x)
+    fpp: object  # callable x -> f''(x)
     omega: float = 0.0
 
     def __post_init__(self):
         if not self.eps0 > 0.0:
             raise ValueError(f"eps0 must be > 0, got {self.eps0}")
         xs = np.linspace(0.0, self.eps0, 41)
-        fv = np.array([float(self.f(x)) for x in xs])
+        fv = sample(self.f, xs)
         if fv[0] <= 0.0:
             raise ValueError(f"f(0) must be > 0, got {fv[0]}")
-        dv = np.array([self.f_derivative(x) for x in xs])
+        dv = sample(self.fp, xs)
         if np.any(dv < max(self.omega, 0.0) - 1e-12):
             raise ValueError("df/dx must be >= omega > 0 on [0, eps0]")
         if self.omega <= 0.0 and np.any(dv <= 0.0):
@@ -71,20 +67,6 @@ class KeldyshDomain:
         d2 = np.diff(dv) / np.diff(xs)
         if not np.all(np.isfinite(d2)):
             raise ValueError("f must have bounded second differences")
-
-    def f_derivative(self, x: float) -> float:
-        if self.fp is not None:
-            return float(self.fp(x))
-        h = 1e-6 * self.eps0
-        x = min(max(x, h), self.eps0 - h)
-        return float(_fd_derivative(self.f, x, h))
-
-    def f_second(self, x: float) -> float:
-        if self.fpp is not None:
-            return float(self.fpp(x))
-        h = 1e-4 * self.eps0
-        x = min(max(x, h), self.eps0 - h)
-        return (float(self.f(x + h)) - 2.0 * float(self.f(x)) + float(self.f(x - h))) / h ** 2
 
 
 def _zero(x, y):
@@ -132,33 +114,30 @@ class KeldyshCoefficients:
             object.__setattr__(self, "beta2", lambda x, y: 0.0)
 
     def validate_bounds(self, domain: KeldyshDomain) -> None:
-        """Sample the perturbation and obliqueness bounds; raise on violation."""
-        xs = np.linspace(domain.eps0 / _BOUNDS_NX, domain.eps0, _BOUNDS_NX)
+        """Sample the perturbation and obliqueness bounds; raise on violation.
+
+        At each sample point every |Oi| is checked before any |DOi|.
+        """
         tol = 1e-9
-        for x in xs:
+        h = 1e-5 * domain.eps0
+        for x in np.linspace(domain.eps0 / _BOUNDS_NX, domain.eps0, _BOUNDS_NX):
             fx = float(domain.f(x))
+            # (name, Oi, bound on |Oi|, bound on |DOi|), each bound with its name
+            terms = [("O1", self.O1, (self.N * x * x, "N*x^2"), (self.N * x, "N*x"))]
+            terms += [(name, getattr(self, name), (self.N * x, "N*x"), (self.N, "N"))
+                      for name in ("O2", "O3", "O4", "O5")]
             for y in np.linspace(0.0, fx, _BOUNDS_NY):
-                if abs(self.O1(x, y)) > self.N * x * x + tol:
-                    raise ValueError(f"|O1({x:.3g},{y:.3g})| exceeds N*x^2")
-                for name, O in (("O2", self.O2), ("O3", self.O3),
-                                ("O4", self.O4), ("O5", self.O5)):
-                    if abs(O(x, y)) > self.N * x + tol:
-                        raise ValueError(f"|{name}({x:.3g},{y:.3g})| exceeds N*x")
-                h = 1e-5 * domain.eps0
-                d1 = math.hypot((self.O1(x + h, y) - self.O1(x - h, y)) / (2 * h),
-                                (self.O1(x, y + h) - self.O1(x, y - h)) / (2 * h))
-                if d1 > self.N * x + 1e-6:
-                    raise ValueError("|DO1| exceeds N*x")
-                for name, O in (("O2", self.O2), ("O3", self.O3),
-                                ("O4", self.O4), ("O5", self.O5)):
-                    dk = math.hypot((O(x + h, y) - O(x - h, y)) / (2 * h),
-                                    (O(x, y + h) - O(x, y - h)) / (2 * h))
-                    if dk > self.N + 1e-6:
-                        raise ValueError(f"|D{name}| exceeds N")
-            tx, ty = x, fx
-            if self.beta1(tx, ty) < self.lam - tol:
+                for name, O, (bound, label), _ in terms:
+                    if abs(O(x, y)) > bound + tol:
+                        raise ValueError(f"|{name}({x:.3g},{y:.3g})| exceeds {label}")
+                for name, O, _, (bound, label) in terms:
+                    grad = math.hypot((O(x + h, y) - O(x - h, y)) / (2 * h),
+                                      (O(x, y + h) - O(x, y - h)) / (2 * h))
+                    if grad > bound + 1e-6:
+                        raise ValueError(f"|D{name}| exceeds {label}")
+            if self.beta1(x, fx) < self.lam - tol:
                 raise ValueError("beta1 < lambda on the top boundary")
-            if abs(self.beta2(tx, ty)) > 1.0 / self.lam + tol:
+            if abs(self.beta2(x, fx)) > 1.0 / self.lam + tol:
                 raise ValueError("|beta2| > 1/lambda on the top boundary")
 
 
@@ -222,9 +201,9 @@ class _Grid:
         self.eta = np.linspace(0.0, 1.0, ny + 1)
         eps = domain.eps0
         self.x = eps * self.s ** q
-        self.fx = np.array([float(domain.f(x)) for x in self.x])
-        self.fpx = np.array([domain.f_derivative(x) for x in self.x])
-        self.fppx = np.array([domain.f_second(x) for x in self.x])
+        self.fx = sample(domain.f, self.x)
+        self.fpx = sample(domain.fp, self.x)
+        self.fppx = sample(domain.fpp, self.x)
         gp = q * eps * np.where(self.s > 0, self.s, 1.0) ** (q - 1.0)
         gpp = q * (q - 1.0) * eps * np.where(self.s > 0, self.s, 1.0) ** (q - 2.0)
         self.A = np.where(self.s > 0, 1.0 / gp, 0.0)  # s=0 column is Dirichlet
@@ -251,12 +230,6 @@ def _psi_x_nodes(grid: _Grid, w: np.ndarray) -> np.ndarray:
     w_e[:, 0] = 0.0  # mirror symmetry
     w_e[:, -1] = (w[:, -1] - w[:, -2]) / grid.he
     return grid.A[:, None] * w_s + grid.B * w_e
-
-
-def _sample(fn, X, Y):
-    """fn(x, y) at every node, one scalar call each, so that callables
-    written with math.* work."""
-    return np.frompyfunc(fn, 2, 1)(X, Y).astype(float)
 
 
 def _nine_point(hs, he, Css, Cse, Cee, Cs_up, Cs_c, Ce):
@@ -400,7 +373,7 @@ def _assemble(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
               opts: KeldyshOptions, bc: KeldyshBC) -> _Stencil:
     """Sample the coefficients once and build the operator's fixed pattern."""
     grid = _Grid(domain, opts.nx, opts.ny, opts.grading)
-    O1, O2, O3, O4, O5 = (_sample(getattr(coeffs, name), grid.X, grid.Y)
+    O1, O2, O3, O4, O5 = (sample(getattr(coeffs, name), grid.X, grid.Y)
                           for name in ("O1", "O2", "O3", "O4", "O5"))
     nx, ny = grid.nx, grid.ny
     hs, he = grid.hs, grid.he
@@ -448,27 +421,28 @@ def _assemble(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
         put(node(J, I), node(J + dj, I), *(part[dj, di][J, I] for part in parts))
     put(node(J, I), node(J, I + 1), *(part[0, 1][J, I] + part[0, -1][J, I] for part in parts))
 
+    # top boundary rows: Dirichlet, or beta1 psi_x + beta2 psi_y + psi with
+    # psi_x and psi_y differenced backward
+    J = np.arange(1, nx)
+    R = node(J, ny)
     rhs = np.zeros((nx + 1) * n_eta)
-    # top boundary rows
-    for j in range(1, nx):
-        r = node(j, ny)
-        xj, yj = grid.x[j], grid.Y[j, ny]
-        rhs[r] = float(bc.top_data(xj))
-        if bc.top_mode == "dirichlet":
-            put(r, r, 1.0)
-            continue
-        b1 = float(coeffs.beta1(xj, yj))
-        b2 = float(coeffs.beta2(xj, yj))
-        cs = b1 * grid.A[j] / hs
-        ce = (b1 * grid.B[j, ny] + b2 / grid.fx[j]) / he
-        put([r, r, r], [r, node(j - 1, ny), node(j, ny - 1)],
-            np.array([cs + ce + 1.0, -cs, -ce]))
+    rhs[R] = sample(bc.top_data, grid.x[J])
+    if bc.top_mode == "dirichlet":
+        put(R, R, 1.0)
+    else:
+        b1 = sample(coeffs.beta1, grid.x[J], grid.Y[J, ny])
+        b2 = sample(coeffs.beta2, grid.x[J], grid.Y[J, ny])
+        cs = b1 * grid.A[J] / hs
+        ce = (b1 * grid.B[J, ny] + b2 / grid.fx[J]) / he
+        put(R, R, cs + ce + 1.0)
+        put(R, node(J - 1, ny), -cs)
+        put(R, node(J, ny - 1), -ce)
 
     # Dirichlet columns: x = 0 and x = eps0
     i = np.arange(n_eta)
     put(node(0, i), node(0, i), 1.0)
     put(node(nx, i), node(nx, i), 1.0)
-    rhs[node(nx, i)] = [float(bc.right_data(y)) for y in grid.Y[nx, :]]
+    rhs[node(nx, i)] = sample(bc.right_data, grid.Y[nx, :])
 
     return _Stencil(grid, coeffs.a, O1, *_node_order(nx, ny, bc.top_mode), np.concatenate(rows),
                     np.concatenate(cols), *(np.concatenate(v) for v in vals), rhs)
@@ -577,7 +551,7 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
 # ---------------------------------------------------------------------------
 
 def structured_derivatives(fld: Field2D):
-    """(psi_x, psi_y, psi_xx) at nodes of a structured grid, metric-free.
+    """(psi_x, psi_xx) at nodes of a structured grid, metric-free.
 
     Works from the stored coordinate arrays alone via the numerically
     inverted Jacobian, so it is independent of the solver's internal metric
@@ -594,16 +568,11 @@ def structured_derivatives(fld: Field2D):
         a_s, a_e = np.gradient(arr)
         return (a_s * y_e - a_e * y_s) / det
 
-    def d_dy(arr):
-        a_s, a_e = np.gradient(arr)
-        return (-a_s * x_e + a_e * x_s) / det
-
     psi_x = d_dx(w)
-    psi_y = d_dy(w)
     psi_xx = d_dx(psi_x)
-    for arr in (psi_x, psi_y, psi_xx):
+    for arr in (psi_x, psi_xx):
         arr[bad] = np.nan
-    return psi_x, psi_y, psi_xx
+    return psi_x, psi_xx
 
 
 def _interp_field(fld: Field2D, arr: np.ndarray, x, y) -> np.ndarray:
@@ -662,7 +631,7 @@ def sonic_derivative_scan(fld: Field2D, y_values) -> ScanReport:
     than three abscissas are resolvable on the grid.
     """
     x_k = _scan_abscissas(fld.x[:, 0])
-    _, _, psi_xx = structured_derivatives(fld)
+    _, psi_xx = structured_derivatives(fld)
     f0 = float(fld.y[0, -1])
     top_cell = f0 / (fld.shape[1] - 1)
     y_values = np.asarray(y_values, dtype=float)
@@ -701,7 +670,7 @@ def corner_probe(fld: Field2D, c: float = 1.0) -> CornerProbe:
     """
     xcol = fld.x[:, 0]
     x_m = _scan_abscissas(xcol)[1:]
-    _, _, psi_xx = structured_derivatives(fld)
+    _, psi_xx = structured_derivatives(fld)
     f0 = float(fld.y[0, -1])
     fx = np.interp(x_m, xcol, fld.y[:, -1])
     tang = _interp_field(fld, psi_xx, x_m, np.maximum(f0 - c * x_m, 0.0))
@@ -778,7 +747,7 @@ def verify_bounds(fld: Field2D, coeffs: KeldyshCoefficients) -> BoundChecks:
     x = fld.x
     grid_tol = 1e-9 * max(1.0, float(np.max(np.abs(psi))))
     psi_min = float(np.min(psi))
-    psi_x, _, _ = structured_derivatives(fld)
+    psi_x, _ = structured_derivatives(fld)
     pos = x >= x[3, 0] if fld.shape[0] > 4 else x > 0
     ratio_q = psi[pos] / x[pos] ** 2
     L = float(np.max(ratio_q))

@@ -37,7 +37,7 @@ from scipy.fft import dct
 from scipy.linalg.lapack import dgbsv
 from scipy.sparse import coo_matrix
 
-from .field2d import Field2D
+from .field2d import Field2D, sample
 from .profile1d import Profile1D, kz_check, kz_coefficients
 
 SONIC_NODE_TOL = 1e-12
@@ -92,28 +92,25 @@ class MixedOperatorSpec:
 
 
 def build_operator(profile: Profile1D, domain: ChannelDomain) -> MixedOperatorSpec:
-    """Sample alpha11/beta1 from a background profile on the channel grid."""
+    """Sample alpha11/beta1 from a background profile on the channel grid.
+
+    A node within SONIC_NODE_TOL * max(1, L) of l_s is sonic, and its alpha11
+    is set to 0; the others are elliptic where alpha11 > 0, else hyperbolic.
+    """
     if profile.x1[-1] < domain.L - 1e-12:
         raise ValueError(f"profile spans x1 <= {profile.x1[-1]:.6g}, "
                          f"shorter than the channel length {domain.L}")
     x1 = domain.x1
     alpha, beta = kz_coefficients(profile.params, profile, x1)
     l_s = profile.l_s
-    tol = SONIC_NODE_TOL * max(1.0, domain.L)
-    types = []
-    alpha = np.array(alpha, dtype=float)
-    for j, xv in enumerate(x1):
-        if l_s is not None and abs(xv - l_s) <= tol:
-            types.append(SONIC)
-            alpha[j] = 0.0
-        elif alpha[j] > 0.0:
-            types.append(ELLIPTIC)
-        else:
-            types.append(HYPERBOLIC)
+    sonic = np.zeros(x1.shape, dtype=bool) if l_s is None else \
+        np.abs(x1 - l_s) <= SONIC_NODE_TOL * max(1.0, domain.L)
+    alpha = np.where(sonic, 0.0, alpha)
+    types = np.where(sonic, SONIC, np.where(alpha > 0.0, ELLIPTIC, HYPERBOLIC))
     holds = kz_check(profile.params, profile).holds
     return MixedOperatorSpec(domain=domain, x1=x1, alpha11=alpha,
                              beta1=np.asarray(beta, dtype=float), l_s=l_s,
-                             node_type=tuple(types), kz_holds=holds)
+                             node_type=tuple(types.tolist()), kz_holds=holds)
 
 
 @dataclass(frozen=True)
@@ -164,7 +161,7 @@ class BoundaryData2D:
 
 def _sampled(fn, x2: np.ndarray, what: str) -> np.ndarray:
     """fn at each x2 node; ValueError naming `what` on a non-finite sample."""
-    g = np.array([float(fn(v)) for v in x2])
+    g = sample(fn, x2)
     bad = np.flatnonzero(~np.isfinite(g))
     if bad.size:
         raise ValueError(f"{what} is not finite at x2 = {x2[bad[0]]:.6g}")

@@ -664,10 +664,9 @@ def potential_ode_residual(params: GasParams, profile: Profile1D) -> float:
     The potential phi_bar = integral of u satisfies
     ((d1 phi)^(g+1) - us^(g+1)) d11 phi - sgn(d1 phi - us) sqrt(2 H(d1 phi)) (d1 phi)^g = 0
     with d1 phi = u and d11 phi = u' from the ODE.  Both terms vanish
-    individually at the sonic sample.
+    individually at the sonic sample.  It reads u and du alone, so a profile
+    need not be reconstructed first.
     """
-    if not profile.fields_filled:
-        raise ValueError("profile fields not reconstructed (phi_bar missing)")
     g = params.gamma
     us = params.u_sonic
     u, du = profile.u, profile.du

@@ -3,9 +3,10 @@
 Each is a from-scratch route to a quantity the package computes some other
 way; none call the implementation under test.  The CSV and SVG oracles are
 the writers as first written, kept to pin the bytes of the array-based ones;
-the banded mode loop pins the bits of the channel's dgbsv loop, and the
+the banded mode loop pins the bits of the channel's dgbsv loop, the
 per-point sampler and Aitken step pin those of the extrapolations toward a
-singular end.
+singular end, and the per-node samplers, the top-row loop and the bounds
+loop pin those of the Keldysh set-up.
 """
 
 import math
@@ -163,14 +164,114 @@ def aitken_step(seq, max_ratio, fallback):
     return seq[-1] + d2 * r / (1.0 - r)
 
 
-def sample_per_node(fn, X, Y):
-    """float(fn(x, y)) at every node in a Python loop: the Keldysh
-    coefficient sampler as first written."""
-    out = np.empty_like(X)
+def sample_per_node(fn, *coords):
+    """float(fn(*point)) at every point of the equal-shape coordinate arrays,
+    in a Python loop: the samplers of the model callables as first written."""
+    out = np.empty(np.shape(coords[0]))
     flat = out.ravel()
-    for k, (x, y) in enumerate(zip(X.ravel(), Y.ravel())):
-        flat[k] = float(fn(x, y))
+    for k, point in enumerate(zip(*(np.ravel(c) for c in coords))):
+        flat[k] = float(fn(*point))
     return out
+
+
+def keldysh_entries_per_node(grid, coeffs, bc):
+    """keldysh._assemble's sampled O1, its entries (rows, cols, m0, p, d) in
+    the order written, and its rhs on a grid, as first written: per-node
+    coefficient samples, one top row at a time in a Python loop and the
+    right-edge data by list.  The 9-point weights are the package's own."""
+    from sonicflow.keldysh import _nine_point
+
+    O1, O2, O3, O4, O5 = (sample_per_node(getattr(coeffs, name), grid.X, grid.Y)
+                          for name in ("O1", "O2", "O3", "O4", "O5"))
+    nx, ny = grid.nx, grid.ny
+    hs, he = grid.hs, grid.he
+    n_eta = ny + 1
+
+    def node(j, i):
+        return j * n_eta + i
+
+    zero = np.zeros_like(grid.X)
+    A = grid.A[:, None] + zero
+    A_s = grid.A_s[:, None] + zero
+    B, B_s, B_eta = grid.B, grid.B_s, grid.B_eta[:, None]
+    f = grid.fx[:, None]
+    parts = (
+        _nine_point(hs, he, zero, O2 * A / f, O2 * B / f + (coeffs.b + O3) / f ** 2,
+                    -(1.0 + O4) * A, zero, O2 * B_eta / f + O5 / f - (1.0 + O4) * B),
+        _nine_point(hs, he, A ** 2, 2.0 * A * B, B ** 2, zero, A * A_s,
+                    A * B_s + B * B_eta),
+        _nine_point(hs, he, zero, zero, zero, zero, A, B),
+    )
+    rows, cols = [], []
+    vals = ([], [], [])
+
+    def put(r, c, *v):
+        rows.append(np.atleast_1d(r))
+        cols.append(np.atleast_1d(c))
+        for out, value in zip(vals, v + (0.0,) * (3 - len(v))):
+            out.append(np.broadcast_to(value, rows[-1].shape))
+
+    J, I = np.meshgrid(np.arange(1, nx), np.arange(1, ny), indexing="ij")
+    J, I = J.ravel(), I.ravel()
+    for dj, di in parts[0]:
+        put(node(J, I), node(J + dj, I + di), *(part[dj, di][J, I] for part in parts))
+    J = np.arange(1, nx)
+    I = np.zeros_like(J)
+    for dj, di in ((1, 0), (-1, 0), (0, 0)):
+        put(node(J, I), node(J + dj, I), *(part[dj, di][J, I] for part in parts))
+    put(node(J, I), node(J, I + 1), *(part[0, 1][J, I] + part[0, -1][J, I] for part in parts))
+
+    rhs = np.zeros((nx + 1) * n_eta)
+    for j in range(1, nx):
+        r = node(j, ny)
+        xj, yj = grid.x[j], grid.Y[j, ny]
+        rhs[r] = float(bc.top_data(xj))
+        if bc.top_mode == "dirichlet":
+            put(r, r, 1.0)
+            continue
+        b1 = float(coeffs.beta1(xj, yj))
+        b2 = float(coeffs.beta2(xj, yj))
+        cs = b1 * grid.A[j] / hs
+        ce = (b1 * grid.B[j, ny] + b2 / grid.fx[j]) / he
+        put([r, r, r], [r, node(j - 1, ny), node(j, ny - 1)],
+            np.array([cs + ce + 1.0, -cs, -ce]))
+
+    i = np.arange(n_eta)
+    put(node(0, i), node(0, i), 1.0)
+    put(node(nx, i), node(nx, i), 1.0)
+    rhs[node(nx, i)] = [float(bc.right_data(y)) for y in grid.Y[nx, :]]
+    return O1, np.concatenate(rows), np.concatenate(cols), *(np.concatenate(v) for v in vals), rhs
+
+
+def validate_bounds_loop(coeffs, domain):
+    """KeldyshCoefficients.validate_bounds as first written: O1 and O2-O5 in
+    separate loops, values before derivatives at each sample point."""
+    xs = np.linspace(domain.eps0 / 25, domain.eps0, 25)
+    tol = 1e-9
+    for x in xs:
+        fx = float(domain.f(x))
+        for y in np.linspace(0.0, fx, 9):
+            if abs(coeffs.O1(x, y)) > coeffs.N * x * x + tol:
+                raise ValueError(f"|O1({x:.3g},{y:.3g})| exceeds N*x^2")
+            for name, O in (("O2", coeffs.O2), ("O3", coeffs.O3),
+                            ("O4", coeffs.O4), ("O5", coeffs.O5)):
+                if abs(O(x, y)) > coeffs.N * x + tol:
+                    raise ValueError(f"|{name}({x:.3g},{y:.3g})| exceeds N*x")
+            h = 1e-5 * domain.eps0
+            d1 = math.hypot((coeffs.O1(x + h, y) - coeffs.O1(x - h, y)) / (2 * h),
+                            (coeffs.O1(x, y + h) - coeffs.O1(x, y - h)) / (2 * h))
+            if d1 > coeffs.N * x + 1e-6:
+                raise ValueError("|DO1| exceeds N*x")
+            for name, O in (("O2", coeffs.O2), ("O3", coeffs.O3),
+                            ("O4", coeffs.O4), ("O5", coeffs.O5)):
+                dk = math.hypot((O(x + h, y) - O(x - h, y)) / (2 * h),
+                                (O(x, y + h) - O(x, y - h)) / (2 * h))
+                if dk > coeffs.N + 1e-6:
+                    raise ValueError(f"|D{name}| exceeds N")
+        if coeffs.beta1(x, fx) < coeffs.lam - tol:
+            raise ValueError("beta1 < lambda on the top boundary")
+        if abs(coeffs.beta2(x, fx)) > 1.0 / coeffs.lam + tol:
+            raise ValueError("|beta2| > 1/lambda on the top boundary")
 
 
 def banded_modes_solve_banded(c, pde, lam, r, pinned):

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
-from _oracles import aitken_step, interp_field_per_point, sample_per_node
+from _oracles import (aitken_step, interp_field_per_point, keldysh_entries_per_node,
+                      sample_per_node, validate_bounds_loop)
 from sonicflow import keldysh
-from sonicflow.field2d import Field2D, field_csv_text
+from sonicflow.field2d import Field2D, field_csv_text, sample
 from sonicflow.keldysh import (InsufficientGradingError, KeldyshBC,
                                KeldyshCoefficients, KeldyshConvergenceError,
                                KeldyshDivergenceError, KeldyshDomain,
@@ -54,12 +57,60 @@ def scenario_field():
 # ---------------------------------------------------------------------------
 
 def test_domain_validation():
+    one, zero = (lambda x: 1.0), (lambda x: 0.0)
     with pytest.raises(ValueError, match="f\\(0\\)"):
-        KeldyshDomain(eps0=0.5, f=lambda x: x, omega=1.0)
+        KeldyshDomain(eps0=0.5, f=lambda x: x, fp=one, fpp=zero, omega=1.0)
     with pytest.raises(ValueError, match="df/dx"):
-        KeldyshDomain(eps0=0.5, f=lambda x: 1.0 - x, omega=0.5)
+        KeldyshDomain(eps0=0.5, f=lambda x: 1.0 - x, fp=lambda x: -1.0, fpp=zero, omega=0.5)
     with pytest.raises(ValueError, match="eps0"):
-        KeldyshDomain(eps0=-1.0, f=lambda x: 1.0 + x)
+        KeldyshDomain(eps0=-1.0, f=lambda x: 1.0 + x, fp=one, fpp=zero)
+    with pytest.raises(TypeError, match="fp"):  # no finite-difference fallback
+        KeldyshDomain(eps0=0.5, f=lambda x: 1.0 + x)
+
+
+# one hand-made violator per check of validate_bounds, with its message
+BOUND_VIOLATORS = [
+    (dict(O1=lambda x, y: 0.5 * x, N=0.1), r"\|O1\(0\.02,0\)\| exceeds N\*x\^2"),
+    *[(dict([(name, lambda x, y: 2.0 * x)]), rf"\|{name}\(0\.02,0\)\| exceeds N\*x$")
+      for name in ("O2", "O3", "O4", "O5")],
+    (dict(O1=lambda x, y: 0.5 * x * x * math.cos(40.0 * y)), r"\|DO1\| exceeds N\*x$"),
+    *[(dict([(name, lambda x, y: 0.5 * x * math.cos(40.0 * y))]), rf"\|D{name}\| exceeds N$")
+      for name in ("O2", "O3", "O4", "O5")],
+    (dict(beta1=lambda x, y: 0.1, lam=0.5), "beta1 < lambda"),
+    (dict(beta2=lambda x, y: -2.5, lam=0.5), r"\|beta2\| > 1/lambda"),
+]
+
+
+def _bounds_outcome(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("kwargs, message", BOUND_VIOLATORS)
+def test_bounds_violator_matches_the_loop(domain, kwargs, message):
+    coeffs = KeldyshCoefficients(a=A, b=1.0, **kwargs)
+    with pytest.raises(ValueError, match=message):
+        coeffs.validate_bounds(domain)
+    assert _bounds_outcome(coeffs.validate_bounds, domain) == \
+        _bounds_outcome(validate_bounds_loop, coeffs, domain)
+
+
+def test_bounds_sweep_matches_the_loop():
+    """validate_bounds ends as the loops first written did, message and all,
+    on reference scenarios inside their bounds and, from eps0 = 2 on for the
+    larger o_scale, outside them."""
+    outcomes = []
+    for o_scale in (0.01, 0.05, 0.5, 3.0):
+        for eps0 in (0.1, 0.5, 2.0, 3.0, 5.0, 9.0):
+            for a in (1.0, 4.0):
+                dom, coeffs, _ = reference_scenario(eps0=eps0, a=a, o_scale=o_scale)
+                got = _bounds_outcome(coeffs.validate_bounds, dom)
+                assert got == _bounds_outcome(validate_bounds_loop, coeffs, dom)
+                outcomes.append(got)
+    assert None in outcomes and "|DO3| exceeds N" in outcomes
 
 
 def test_coefficient_bounds(domain):
@@ -115,15 +166,51 @@ def test_convergence_error(domain, plain_coeffs):
 
 
 def test_sample_matches_the_per_node_loop():
-    """One scalar call per node, so the coefficients are bit-identical and
+    """One scalar call per node, so the samples are bit-identical and
     callables written with math.* work."""
-    dom, coeffs, _ = reference_scenario()
+    dom, coeffs, bc = reference_scenario()
     grid = keldysh._Grid(dom, 33, 17, 2.0)
     for fn in (coeffs.O1, coeffs.O2, coeffs.O3, coeffs.O4, coeffs.O5, keldysh._zero,
-               lambda x, y: np.float32(x) + 1):
-        got = keldysh._sample(fn, grid.X, grid.Y)
+               coeffs.beta1, lambda x, y: np.float32(x) + 1):
+        got = sample(fn, grid.X, grid.Y)
         assert got.dtype == np.float64
         assert np.array_equal(got, sample_per_node(fn, grid.X, grid.Y))
+    for fn in (dom.f, dom.fp, dom.fpp, bc.top_data, bc.right_data, lambda x: math.exp(-x),
+               lambda x: np.float32(x) + 1):
+        got = sample(fn, grid.x)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, sample_per_node(fn, grid.x))
+
+
+def _curved_scenario():
+    """An oblique top with varying obliqueness and data on a curved domain."""
+    dom = KeldyshDomain(eps0=0.4, f=lambda x: 1.0 + x + 0.3 * x * x, fp=lambda x: 1.0 + 0.6 * x,
+                        fpp=lambda x: 0.6, omega=1.0)
+    coeffs = KeldyshCoefficients(
+        a=A, b=1.5, O1=lambda x, y: 0.04 * x * x * math.sin(y),
+        O3=lambda x, y: 0.05 * x * math.cos(y), N=0.2,
+        beta1=lambda x, y: 1.0 + 0.3 * math.sin(x * y), beta2=lambda x, y: 0.5 * math.cos(y))
+    bc = KeldyshBC(top_data=lambda x: 0.01 * math.exp(x), right_data=lambda y: 0.02 * math.cos(y))
+    return dom, coeffs, bc
+
+
+@pytest.mark.parametrize("scenario", [reference_scenario, manufactured_scenario,
+                                      _curved_scenario])
+@pytest.mark.parametrize("nx, ny", [(33, 33), (24, 17)])
+def test_assembly_matches_the_per_node_loops(scenario, nx, ny):
+    """The array-built samples and top rows give _assemble's pattern, values
+    and rhs bit for bit as the per-node loops first written did."""
+    dom, coeffs, bc = scenario()
+    st = keldysh._assemble(dom, coeffs, KeldyshOptions(nx=nx, ny=ny), bc)
+    grid = st.grid
+    for fn, got in ((dom.f, grid.fx), (dom.fp, grid.fpx), (dom.fpp, grid.fppx)):
+        assert np.array_equal(got, sample_per_node(fn, grid.x))
+    O1, *entries = keldysh_entries_per_node(grid, coeffs, bc)
+    ref = keldysh._Stencil(grid, coeffs.a, O1, *keldysh._node_order(nx, ny, bc.top_mode),
+                           *entries)
+    assert np.array_equal(st.O1, O1)
+    for name in ("rows", "indptr", "m0", "p", "d", "rhs"):
+        assert np.array_equal(getattr(st, name), getattr(ref, name)), name
 
 
 def test_newton_matrix_is_the_jacobian():
@@ -349,7 +436,7 @@ def test_scan_and_probe_match_per_point_oracle(manufactured_fields, scenario_fie
     fields = [manufactured_fields[33], manufactured_fields[65], scenario_field[0],
               solve_model(dom, coeffs, KeldyshOptions(nx=33, ny=33), bc)]
     for fld in fields:
-        _, _, psi_xx = keldysh.structured_derivatives(fld)
+        _, psi_xx = keldysh.structured_derivatives(fld)
         xcol, f0 = fld.x[:, 0], float(fld.y[0, -1])
         ys = [fr * f0 for fr in (0.1, 0.25, 0.5, 0.8, 0.999)]
         scan = sonic_derivative_scan(fld, ys)

@@ -80,6 +80,9 @@ def test_sonic_column_flagged(canonical, background):
     assert len(spec.x1) == 65
     assert spec.sonic_columns == (32,)
     assert spec.alpha11[32] == 0.0
+    # a tuple of plain strings: elliptic upstream, hyperbolic downstream
+    assert spec.node_type == ("elliptic",) * 32 + ("sonic",) + ("hyperbolic",) * 32
+    assert all(type(t) is str for t in spec.node_type)
 
 
 def test_operator_requires_span(canonical, background):

@@ -19,7 +19,7 @@ from sonicflow.profile1d import (InletData, NoSonicCrossingError, SonicBlowupErr
                                  critical_inlet, dx_du_critical, integrate_profile,
                                  kz_check, kz_coefficients, locate_lmax,
                                  locate_sonic, potential_ode_residual,
-                                 profile_csv_text, verify_lemma)
+                                 profile_csv_text, reconstruct_fields, verify_lemma)
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
@@ -449,10 +449,13 @@ def test_potential_residual_negative_control(canonical, acc_profile):
     assert potential_ode_residual(canonical, corrupted) > 0.05
 
 
-def test_potential_residual_needs_fields(canonical):
+def test_potential_residual_of_a_raw_profile(canonical):
+    """The residual reads u and du alone: a profile not yet reconstructed
+    gives exactly the value of its reconstructed copy."""
     prof = integrate_profile(canonical, critical_inlet(canonical, 0.95), u_target=1.5)
-    with pytest.raises(ValueError, match="reconstruct"):
-        potential_ode_residual(canonical, prof)
+    assert not prof.fields_filled
+    assert potential_ode_residual(canonical, prof) == \
+        potential_ode_residual(canonical, reconstruct_fields(canonical, prof))
 
 
 # ---------------------------------------------------------------------------
