@@ -21,7 +21,7 @@ corner behaviour at (0, f(0)), and the quadratic growth/slope bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csc_matrix
@@ -55,18 +55,27 @@ class KeldyshDomain:
     def __post_init__(self):
         if not self.eps0 > 0.0:
             raise ValueError(f"eps0 must be > 0, got {self.eps0}")
-        xs = np.linspace(0.0, self.eps0, 41)
-        fv = sample(self.f, xs)
+        xs = np.linspace(0.0, self.eps0, 401)
+        fv, dv, d2v = (sample(g, xs) for g in (self.f, self.fp, self.fpp))
         if fv[0] <= 0.0:
             raise ValueError(f"f(0) must be > 0, got {fv[0]}")
-        dv = sample(self.fp, xs)
         if np.any(dv < max(self.omega, 0.0) - 1e-12):
             raise ValueError("df/dx must be >= omega > 0 on [0, eps0]")
         if self.omega <= 0.0 and np.any(dv <= 0.0):
             raise ValueError("df/dx must be positive on [0, eps0]")
-        d2 = np.diff(dv) / np.diff(xs)
-        if not np.all(np.isfinite(d2)):
-            raise ValueError("f must have bounded second differences")
+        # each derivative must match the trapezoid differences of the callable
+        # it differentiates, to 1e-3 of the largest finite difference; a
+        # sample that is not finite fails
+        for name, of, g, dg in (("fp", "f", fv, dv), ("fpp", "fp", dv, d2v)):
+            with np.errstate(invalid="ignore", over="ignore"):
+                inc = np.diff(g)
+                err = np.abs(inc - 0.5 * np.diff(xs) * (dg[1:] + dg[:-1]))
+            scale = np.max(np.abs(inc), where=np.isfinite(inc), initial=0.0)
+            bad = np.flatnonzero(~(err <= 1e-3 * scale))
+            if len(bad):
+                i = bad[0]
+                raise ValueError(f"{name} disagrees with the differences of {of} "
+                                 f"on [{xs[i]:.4g}, {xs[i + 1]:.4g}]")
 
 
 def _zero(x, y):
@@ -97,8 +106,8 @@ class KeldyshCoefficients:
     O4: object = _zero
     O5: object = _zero
     N: float = 1.0
-    beta1: object = None
-    beta2: object = None
+    beta1: object = lambda x, y: 1.0
+    beta2: object = _zero
     lam: float = 1.0
 
     def __post_init__(self):
@@ -108,10 +117,6 @@ class KeldyshCoefficients:
             raise ValueError(f"b must be > 0, got {self.b}")
         if not self.lam > 0.0:
             raise ValueError(f"lambda must be > 0, got {self.lam}")
-        if self.beta1 is None:
-            object.__setattr__(self, "beta1", lambda x, y: 1.0)
-        if self.beta2 is None:
-            object.__setattr__(self, "beta2", lambda x, y: 0.0)
 
     def validate_bounds(self, domain: KeldyshDomain) -> None:
         """Sample the perturbation and obliqueness bounds; raise on violation.
@@ -134,7 +139,7 @@ class KeldyshCoefficients:
                     grad = math.hypot((O(x + h, y) - O(x - h, y)) / (2 * h),
                                       (O(x, y + h) - O(x, y - h)) / (2 * h))
                     if grad > bound + 1e-6:
-                        raise ValueError(f"|D{name}| exceeds {label}")
+                        raise ValueError(f"|D{name}({x:.3g},{y:.3g})| exceeds {label}")
             if self.beta1(x, fx) < self.lam - tol:
                 raise ValueError("beta1 < lambda on the top boundary")
             if abs(self.beta2(x, fx)) > 1.0 / self.lam + tol:
@@ -152,16 +157,12 @@ class KeldyshBC:
     """
 
     top_mode: str = "oblique"  # oblique | dirichlet
-    top_data: object = None  # callable of x
-    right_data: object = None  # callable of y
+    top_data: object = lambda x: 0.0  # callable of x
+    right_data: object = lambda y: 0.0  # callable of y
 
     def __post_init__(self):
         if self.top_mode not in ("oblique", "dirichlet"):
             raise ValueError(f"top_mode must be oblique/dirichlet, got {self.top_mode!r}")
-        if self.top_data is None:
-            object.__setattr__(self, "top_data", lambda x: 0.0)
-        if self.right_data is None:
-            object.__setattr__(self, "right_data", lambda y: 0.0)
 
 
 @dataclass(frozen=True)

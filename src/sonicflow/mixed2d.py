@@ -30,7 +30,7 @@ built.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct
@@ -128,15 +128,13 @@ class BoundaryData2D:
     """
 
     inlet_mode: str = "dirichlet"
-    inlet_data: object = None
+    inlet_data: object = lambda x2: 0.0
     outlet_data: object | None = None
     anchor: float = 0.0
 
     def __post_init__(self):
         if self.inlet_mode not in ("dirichlet", "d1", "d2"):
             raise ValueError(f"inlet_mode must be dirichlet/d1/d2, got {self.inlet_mode!r}")
-        if self.inlet_data is None:
-            object.__setattr__(self, "inlet_data", lambda x2: 0.0)
 
     def validate_compatibility(self, x2: np.ndarray, g: np.ndarray) -> None:
         """Odd x2-derivatives of the inlet data g, sampled on x2, must vanish
@@ -374,7 +372,6 @@ class JumpReport:
     w_jump: float
     dw_jump: float
     d2w_jump: float
-    rows: np.ndarray = field(repr=False, default=None)
 
 
 def _sonic_side_columns(spec: MixedOperatorSpec):
@@ -437,5 +434,4 @@ def sonic_smoothness_diag(fld: Field2D, spec: MixedOperatorSpec) -> JumpReport:
     return JumpReport(l_s=ls,
                       w_jump=float(np.max(rows[:, 0])),
                       dw_jump=float(np.max(rows[:, 1])),
-                      d2w_jump=float(np.max(rows[:, 2])),
-                      rows=rows)
+                      d2w_jump=float(np.max(rows[:, 2])))

@@ -613,13 +613,17 @@ class KZReport:
     lambda_L is the smallest Q_m value seen over the profile; the weighted
     H^(m+1) estimates need lambda_L > 0.  agreement_rel_max records how well
     the closed representation of Q_m matches the direct finite-difference
-    evaluation at interior samples (two independent routes).
+    evaluation at interior samples (two independent routes).  alpha11 and
+    beta1 are the coefficients at the profile's samples, as the direct
+    route computes them.
     """
 
     per_m_min: dict
     lambda_L: float
     holds: bool
     agreement_rel_max: float
+    alpha11: np.ndarray
+    beta1: np.ndarray
 
 
 #: Orders m of the weighted H^(m+1) estimates whose sign condition kz_check tests.
@@ -655,7 +659,7 @@ def kz_check(params: GasParams, profile: Profile1D) -> KZReport:
         agree = max(agree, float(np.max(np.abs(direct[sel] - rep[sel]) / denom)))
 
     return KZReport(per_m_min=per_m_min, lambda_L=lam, holds=lam > 0.0,
-                    agreement_rel_max=agree)
+                    agreement_rel_max=agree, alpha11=alpha, beta1=beta)
 
 
 def potential_ode_residual(params: GasParams, profile: Profile1D) -> float:
@@ -876,6 +880,9 @@ def _branch_polyline(params: GasParams, branch: str, u_lo: float, u_hi: float) -
     return np.column_stack([u, E])
 
 
+_OFF_CRITICAL_COVERAGE = "off-critical data does not lie on the critical branch"
+
+
 def verify_lemma(params: GasParams, inlet: InletData, *,
                  rtol: float = 1e-10, atol: float = 1e-12) -> LemmaReport:
     """Run the full pipeline and check the qualitative profile properties.
@@ -888,19 +895,22 @@ def verify_lemma(params: GasParams, inlet: InletData, *,
     u_sonic/50.  Off-critical inlets are integrated only up to the sonic band;
     their coverage and crossing claims fail by design, and their coverage
     margin is the exact Hausdorff distance to the critical branch of the
-    inlet's quadrant over the visited u-range.
+    inlet's quadrant over the visited u-range.  A run that blows up at the
+    sonic band fails all four claims.
     """
     us = params.u_sonic
     branch, increasing = _inlet_course(params, inlet)
-    claims = []
-    lmax_report = None
 
+    # each branch fixes the profile, the l_max report, and the critical branch
+    # and u-range the coverage claim measures against
     if branch == ACCELERATING:
         profile = integrate_profile(params, inlet, rtol=rtol, atol=atol)
         lmax_report = locate_lmax(params, inlet, ode_profile=profile)
+        ref, u_lo, u_hi = branch, inlet.u0, find_u_star(params)
     elif branch == DECELERATING:
         profile = integrate_profile(params, inlet, u_target=us / 50.0, rtol=rtol, atol=atol)
         lmax_report = locate_lmax(params, inlet)
+        ref, u_lo, u_hi = branch, float(profile.u[-1]), inlet.u0
     else:
         below, above = us * (1.0 - 2 * SONIC_SWITCH_BAND), us * (1.0 + 2 * SONIC_SWITCH_BAND)
         if increasing and inlet.u0 < below:
@@ -915,73 +925,58 @@ def verify_lemma(params: GasParams, inlet: InletData, *,
             profile = integrate_profile(params, inlet, u_target=guard, x_max=20.0,
                                         rtol=rtol, atol=atol)
         except SonicBlowupError:
-            profile = None
+            return LemmaReport(branch=branch, gamma=params.gamma, lmax=None, claims=(
+                ClaimResult("monotonic", False, 0.0, "integration blew up at the sonic band"),
+                ClaimResult("terminal_slope", False, math.inf, "no profile"),
+                ClaimResult("coverage", False, math.inf, _OFF_CRITICAL_COVERAGE),
+                ClaimResult("sonic_crossing", False, math.inf, "no profile")))
+        lmax_report = None
+        # the critical branch of the inlet's quadrant
+        ref = ACCELERATING if (inlet.u0 - us) * inlet.E0 >= 0 else DECELERATING
+        u_lo, u_hi = float(np.min(profile.u)), float(np.max(profile.u))
+    claims = []
 
     # (i) strict monotonicity
-    if profile is not None:
-        d = np.diff(profile.u)
-        increasing = branch == ACCELERATING or (branch == OFF_CRITICAL and d[0] > 0)
-        mono = bool(np.all(d > 0.0)) if increasing else bool(np.all(d < 0.0))
-        margin = float(np.min(d)) if increasing else float(np.min(-d))
-        claims.append(ClaimResult("monotonic", mono, margin,
-                                  f"{'increasing' if increasing else 'decreasing'}, min step {margin:.3e}"))
-    else:
-        claims.append(ClaimResult("monotonic", False, 0.0, "integration blew up at the sonic band"))
+    d = np.diff(profile.u)
+    increasing = branch == ACCELERATING or (branch == OFF_CRITICAL and d[0] > 0)
+    mono = bool(np.all(d > 0.0)) if increasing else bool(np.all(d < 0.0))
+    margin = float(np.min(d)) if increasing else float(np.min(-d))
+    claims.append(ClaimResult("monotonic", mono, margin,
+                              f"{'increasing' if increasing else 'decreasing'}, min step {margin:.3e}"))
 
     # (ii) terminal slope -> 0 (and E -> infinity on the decelerating branch)
-    if profile is None:
-        claims.append(ClaimResult("terminal_slope", False, math.inf, "no profile"))
-    elif branch == ACCELERATING:
-        m = abs(float(profile.du[-1]))
-        claims.append(ClaimResult("terminal_slope", m <= 1e-6, m,
-                                  f"|u'(l_max)| = {m:.3e}, E(l_max) = {profile.E[-1]:.3e}"))
-    elif branch == DECELERATING:
+    m = abs(float(profile.du[-1]))
+    if branch == DECELERATING:
         du_abs = np.abs(profile.du)
-        m = float(du_abs[-1])
         i90 = int(0.9 * len(du_abs))
         trending = m <= du_abs[i90] + 1e-12
         growing_E = profile.E[-1] >= 3.0 * abs(profile.E[0]) + 1.0
         ok = (m <= 0.25 * float(np.max(du_abs))) and trending and growing_E
-        claims.append(ClaimResult("terminal_slope", ok, m,
-                                  f"|u'(end)| = {m:.3e}, E(end) = {profile.E[-1]:.3e}"))
+        detail = f"|u'(end)| = {m:.3e}, E(end) = {profile.E[-1]:.3e}"
     else:
-        m = abs(float(profile.du[-1]))
-        claims.append(ClaimResult("terminal_slope", m <= 1e-6, m,
-                                  f"|u'(end)| = {m:.3e} (off-critical run)"))
+        ok = m <= 1e-6
+        detail = (f"|u'(l_max)| = {m:.3e}, E(l_max) = {profile.E[-1]:.3e}" if branch == ACCELERATING
+                  else f"|u'(end)| = {m:.3e} (off-critical run)")
+    claims.append(ClaimResult("terminal_slope", ok, m, detail))
 
     # (iii) phase-plane coverage of the critical branch
-    if profile is None or branch == OFF_CRITICAL:
-        detail = "off-critical data does not lie on the critical branch"
-        if profile is not None:
-            ref = ACCELERATING if (inlet.u0 - us) * inlet.E0 >= 0 else DECELERATING
-            u_lo, u_hi = float(np.min(profile.u)), float(np.max(profile.u))
-            poly = _branch_polyline(params, ref, u_lo, u_hi)
-            dist = _polyline_hausdorff(np.column_stack([profile.u, profile.E]), poly)
-        else:
-            dist = math.inf
-        claims.append(ClaimResult("coverage", False, dist, detail))
+    dist = _polyline_hausdorff(np.column_stack([profile.u, profile.E]),
+                               _branch_polyline(params, ref, u_lo, u_hi))
+    if branch == OFF_CRITICAL:
+        claims.append(ClaimResult("coverage", False, dist, _OFF_CRITICAL_COVERAGE))
     else:
-        visited = np.column_stack([profile.u, profile.E])
-        if branch == ACCELERATING:
-            poly = _branch_polyline(params, branch, inlet.u0, find_u_star(params))
-        else:
-            poly = _branch_polyline(params, branch, float(profile.u[-1]), inlet.u0)
-        dist = _polyline_hausdorff(visited, poly)
         claims.append(ClaimResult("coverage", dist <= 1e-6, dist,
                                   f"Hausdorff distance to analytic branch = {dist:.3e}"))
 
     # (iv) unique sonic crossing
-    if profile is None:
-        claims.append(ClaimResult("sonic_crossing", False, math.inf, "no profile"))
-    else:
-        try:
-            ls = locate_sonic(profile)
-            ok = profile.l_s is not None and 0.0 < ls < profile.x1[-1]
-            gap = abs(ls - profile.l_s) if profile.l_s is not None else math.inf
-            claims.append(ClaimResult("sonic_crossing", ok, gap,
-                                      f"l_s = {ls:.9g} (recorded {profile.l_s})"))
-        except NoSonicCrossingError as exc:
-            claims.append(ClaimResult("sonic_crossing", False, math.inf, str(exc)))
+    try:
+        ls = locate_sonic(profile)
+        ok = profile.l_s is not None and 0.0 < ls < profile.x1[-1]
+        gap = abs(ls - profile.l_s) if profile.l_s is not None else math.inf
+        claims.append(ClaimResult("sonic_crossing", ok, gap,
+                                  f"l_s = {ls:.9g} (recorded {profile.l_s})"))
+    except NoSonicCrossingError as exc:
+        claims.append(ClaimResult("sonic_crossing", False, math.inf, str(exc)))
 
     return LemmaReport(branch=branch, gamma=params.gamma, claims=tuple(claims), lmax=lmax_report)
 

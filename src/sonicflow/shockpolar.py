@@ -25,8 +25,13 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .gas import require_finite
 
+#: Each configuration's local chart near the pseudo-sonic arc: the offset of
+#: its reference ray's polar angle from theta_w, and the sign of y along the
+#: arc (y grows with the polar angle for reflection, against it for wedge flow).
+CHARTS = {"reflection": (0.0, 1.0), "wedge-flow": (math.pi, -1.0)}
+
 #: The self-similar configurations whose local chart `pseudo_sonic_geometry` builds.
-CONFIGURATIONS = ("reflection", "wedge-flow")
+CONFIGURATIONS = tuple(CHARTS)
 
 
 class DetachedShockError(ValueError):
@@ -344,23 +349,16 @@ class PseudoSonicGeometry:
         d = np.asarray(xi, dtype=float) - u0
         r = float(np.hypot(d[0], d[1]))
         th = float(math.atan2(d[1], d[0]))
-        center = self.theta_w if self.configuration == "reflection" \
-            else math.pi + self.theta_w
+        offset, sign = CHARTS[self.configuration]
+        center = offset + self.theta_w
         th += 2.0 * math.pi * round((center - th) / (2.0 * math.pi))
-        x = self.state.sonic_radius - r
-        if self.configuration == "reflection":
-            y = th - self.theta_w
-        else:
-            y = math.pi + self.theta_w - th
-        return x, y
+        return self.state.sonic_radius - r, sign * (th - center)
 
     def from_local(self, x: float, y: float):
         u0 = np.asarray(self.state.u0_vec, dtype=float)
         r = self.state.sonic_radius - x
-        if self.configuration == "reflection":
-            th = y + self.theta_w
-        else:
-            th = math.pi + self.theta_w - y
+        offset, sign = CHARTS[self.configuration]
+        th = offset + self.theta_w + sign * y
         return u0 + r * np.array([math.cos(th), math.sin(th)])
 
     def arc_points(self, theta_from: float, theta_to: float, n: int = 181) -> np.ndarray:

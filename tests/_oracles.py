@@ -245,7 +245,8 @@ def keldysh_entries_per_node(grid, coeffs, bc):
 
 def validate_bounds_loop(coeffs, domain):
     """KeldyshCoefficients.validate_bounds as first written: O1 and O2-O5 in
-    separate loops, values before derivatives at each sample point."""
+    separate loops, values before derivatives at each sample point.  Every
+    message names its sample point."""
     xs = np.linspace(domain.eps0 / 25, domain.eps0, 25)
     tol = 1e-9
     for x in xs:
@@ -261,13 +262,13 @@ def validate_bounds_loop(coeffs, domain):
             d1 = math.hypot((coeffs.O1(x + h, y) - coeffs.O1(x - h, y)) / (2 * h),
                             (coeffs.O1(x, y + h) - coeffs.O1(x, y - h)) / (2 * h))
             if d1 > coeffs.N * x + 1e-6:
-                raise ValueError("|DO1| exceeds N*x")
+                raise ValueError(f"|DO1({x:.3g},{y:.3g})| exceeds N*x")
             for name, O in (("O2", coeffs.O2), ("O3", coeffs.O3),
                             ("O4", coeffs.O4), ("O5", coeffs.O5)):
                 dk = math.hypot((O(x + h, y) - O(x - h, y)) / (2 * h),
                                 (O(x, y + h) - O(x, y - h)) / (2 * h))
                 if dk > coeffs.N + 1e-6:
-                    raise ValueError(f"|D{name}| exceeds N")
+                    raise ValueError(f"|D{name}({x:.3g},{y:.3g})| exceeds N")
         if coeffs.beta1(x, fx) < coeffs.lam - tol:
             raise ValueError("beta1 < lambda on the top boundary")
         if abs(coeffs.beta2(x, fx)) > 1.0 / coeffs.lam + tol:

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from sonicflow import cli, keldysh, mixed2d
 from sonicflow.cli import main
+from sonicflow.gas import GasParams
+from sonicflow.profile1d import critical_inlet, integrate_profile, kz_check
 
 GAS = {"gamma": 3.0, "S0": 1.0 / 3.0, "J": 1.0, "rho_ion": 0.5}
 
@@ -118,6 +120,15 @@ def test_kz_check_decelerating_negative_finding_is_success(tmp_path):
     rep = json.loads((out / "kz_report.json").read_text())
     assert rep["holds"] is False and rep["lambda_L"] < 0.0
     check_manifest(out)
+    # the coefficient columns are the ones kz_check samples, to the last bit
+    params = GasParams(**GAS)
+    profile = integrate_profile(params, critical_inlet(params, 1.05, branch="decelerating"),
+                                u_target=0.4)
+    report = kz_check(params, profile)
+    rows = [line.split(",") for line in (out / "coefficients.csv").read_text().splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == profile.x1.tolist()
+    assert [float(r[1]) for r in rows] == report.alpha11.tolist()
+    assert [float(r[2]) for r in rows] == report.beta1.tolist()
 
 
 def test_keldysh_subcommand(tmp_path):

@@ -66,6 +66,19 @@ def test_domain_validation():
         KeldyshDomain(eps0=-1.0, f=lambda x: 1.0 + x, fp=one, fpp=zero)
     with pytest.raises(TypeError, match="fp"):  # no finite-difference fallback
         KeldyshDomain(eps0=0.5, f=lambda x: 1.0 + x)
+    # derivatives that do not match f, and samples that are not finite, are
+    # named with the first interval where the trapezoid differences disagree
+    with pytest.raises(ValueError,
+                       match=r"^fp disagrees with the differences of f on \[0, 0\.00125\]$"):
+        KeldyshDomain(eps0=0.5, f=lambda x: 1.0 + x, fp=lambda x: 2.0, fpp=lambda x: 0.7)
+    with pytest.raises(ValueError, match=r"^fpp disagrees with the differences of fp on \[0, "):
+        KeldyshDomain(eps0=0.5, f=lambda x: 1.0 + x, fp=one, fpp=lambda x: 0.7)
+    with pytest.raises(ValueError,
+                       match=r"^fp disagrees with the differences of f on \[0\.2, 0\.2013\]$"):
+        KeldyshDomain(eps0=0.5, f=lambda x: 1.0 + x, fp=lambda x: math.nan if x > 0.2 else 1.0,
+                      fpp=zero)
+    with pytest.raises(ValueError, match=r"^fp disagrees with the differences of f on \[0\.3, "):
+        KeldyshDomain(eps0=0.5, f=lambda x: math.inf if x > 0.3 else 1.0 + x, fp=one, fpp=zero)
 
 
 # one hand-made violator per check of validate_bounds, with its message
@@ -73,8 +86,10 @@ BOUND_VIOLATORS = [
     (dict(O1=lambda x, y: 0.5 * x, N=0.1), r"\|O1\(0\.02,0\)\| exceeds N\*x\^2"),
     *[(dict([(name, lambda x, y: 2.0 * x)]), rf"\|{name}\(0\.02,0\)\| exceeds N\*x$")
       for name in ("O2", "O3", "O4", "O5")],
-    (dict(O1=lambda x, y: 0.5 * x * x * math.cos(40.0 * y)), r"\|DO1\| exceeds N\*x$"),
-    *[(dict([(name, lambda x, y: 0.5 * x * math.cos(40.0 * y))]), rf"\|D{name}\| exceeds N$")
+    (dict(O1=lambda x, y: 0.5 * x * x * math.cos(40.0 * y)),
+     r"\|DO1\(0\.06,0\.133\)\| exceeds N\*x$"),
+    *[(dict([(name, lambda x, y: 0.5 * x * math.cos(40.0 * y))]),
+       rf"\|D{name}\(0\.06,0\.133\)\| exceeds N$")
       for name in ("O2", "O3", "O4", "O5")],
     (dict(beta1=lambda x, y: 0.1, lam=0.5), "beta1 < lambda"),
     (dict(beta2=lambda x, y: -2.5, lam=0.5), r"\|beta2\| > 1/lambda"),
@@ -110,7 +125,8 @@ def test_bounds_sweep_matches_the_loop():
                 got = _bounds_outcome(coeffs.validate_bounds, dom)
                 assert got == _bounds_outcome(validate_bounds_loop, coeffs, dom)
                 outcomes.append(got)
-    assert None in outcomes and "|DO3| exceeds N" in outcomes
+    # the default o_scale 0.05 at eps0 = 3 fails first at x = 2.64
+    assert None in outcomes and "|DO3(2.64,0.91)| exceeds N" in outcomes
 
 
 def test_coefficient_bounds(domain):

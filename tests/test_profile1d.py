@@ -419,6 +419,10 @@ def test_kz_dichotomy(canonical, acc_profile, dec_profile):
     assert rep_acc.holds and rep_acc.lambda_L > 0.0
     assert set(rep_acc.per_m_min) == {0, 1, 2, 3}
     assert rep_acc.agreement_rel_max <= 1e-6
+    # the sampled coefficients, against their closed forms at gamma = 3, u_sonic = 1
+    u, E, du = acc_profile.u, acc_profile.E, acc_profile.du
+    assert np.allclose(rep_acc.alpha11, (1.0 - u * u) * (1.0 + u * u), rtol=1e-13, atol=1e-14)
+    assert np.allclose(rep_acc.beta1, u * u * E - 4.0 * du * u ** 3, rtol=1e-13, atol=1e-14)
 
     rep_dec = kz_check(canonical, dec_profile)
     assert not rep_dec.holds and rep_dec.lambda_L < 0.0
@@ -520,8 +524,13 @@ def test_verify_lemma_inlet_between_guard_and_sonic_speed(canonical, u0, E0):
         assert [(c.name, c.passed) for c in rep.claims] == [(c.name, c.passed) for c in below.claims]
         assert rep.claim("coverage").margin == pytest.approx(below.claim("coverage").margin, rel=1e-3)
     else:
-        assert rep.claim("monotonic").detail == "integration blew up at the sonic band"
-        assert not any(c.passed for c in rep.claims)
+        # the run blows up: all four claims fail at once, with no l_max report
+        assert [(c.name, c.passed, c.margin, c.detail) for c in rep.claims] == [
+            ("monotonic", False, 0.0, "integration blew up at the sonic band"),
+            ("terminal_slope", False, math.inf, "no profile"),
+            ("coverage", False, math.inf, "off-critical data does not lie on the critical branch"),
+            ("sonic_crossing", False, math.inf, "no profile")]
+        assert rep.lmax is None
 
 
 def test_verify_lemma_equilibrium_inlet(canonical):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import normal_shock_cubic_gamma2, oblique_shock_cubic_gamma2
-from sonicflow.shockpolar import (DetachedShockError, SelfSimilarState,
+from sonicflow.shockpolar import (CONFIGURATIONS, DetachedShockError, SelfSimilarState,
                                   UpstreamState, bernoulli_density, compute_polar,
                                   normal_shock, pseudo_sonic_geometry, weak_state)
 
@@ -316,3 +316,34 @@ def test_reflection_configuration_map():
     assert (x, y) == (pytest.approx(0.05, abs=1e-13), pytest.approx(0.1, abs=1e-13))
     with pytest.raises(ValueError, match="configuration"):
         pseudo_sonic_geometry(state, 0.4, "spiral")
+
+
+def _to_local_per_configuration(geo, xi):
+    d = np.asarray(xi, dtype=float) - np.asarray(geo.state.u0_vec, dtype=float)
+    th = float(math.atan2(d[1], d[0]))
+    center = geo.theta_w if geo.configuration == "reflection" else math.pi + geo.theta_w
+    th += 2.0 * math.pi * round((center - th) / (2.0 * math.pi))
+    y = th - geo.theta_w if geo.configuration == "reflection" else math.pi + geo.theta_w - th
+    return geo.state.sonic_radius - float(np.hypot(d[0], d[1])), y
+
+
+def _from_local_per_configuration(geo, x, y):
+    th = y + geo.theta_w if geo.configuration == "reflection" else math.pi + geo.theta_w - y
+    r = geo.state.sonic_radius - x
+    return np.asarray(geo.state.u0_vec, dtype=float) + r * np.array([math.cos(th), math.sin(th)])
+
+
+def test_chart_matches_the_per_configuration_formulas():
+    """The chart reads one (offset, sign) pair per configuration, and gives
+    what the formulas written out for each configuration give, bit for bit."""
+    rng = np.random.default_rng(7)
+    for configuration in CONFIGURATIONS:
+        for _ in range(500):
+            state = SelfSimilarState(gamma=rng.uniform(1.1, 3.0),
+                                     u0_vec=tuple(rng.uniform(-2.0, 2.0, 2)),
+                                     rho0=rng.uniform(0.2, 3.0))
+            geo = pseudo_sonic_geometry(state, rng.uniform(-1.2, 1.2), configuration)
+            xi = rng.uniform(-4.0, 4.0, 2)
+            assert geo.to_local(xi) == _to_local_per_configuration(geo, xi)
+            x, y = rng.uniform(-1.0, 1.0), rng.uniform(-4.0, 4.0)
+            assert np.array_equal(geo.from_local(x, y), _from_local_per_configuration(geo, x, y))
