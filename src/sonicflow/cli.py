@@ -36,8 +36,8 @@ from .mixed2d import BoundaryData2D, ChannelDomain, build_operator, solve_linear
     sonic_smoothness_diag, _sonic_side_columns
 from .profile1d import (InletData, critical_inlet, integrate_profile, kz_check,
                         profile_csv_text, reconstruct_fields, verify_lemma)
-from .shockpolar import (CONFIGURATIONS, SelfSimilarState, UpstreamState, compute_polar,
-                         pseudo_sonic_geometry, weak_state)
+from .shockpolar import (CHARTS, CONFIGURATIONS, SelfSimilarState, UpstreamState,
+                         compute_polar, pseudo_sonic_geometry, weak_state)
 from .svgplot import SvgCanvas, heatmap, line_plot
 
 SCHEMA_VERSION = 1
@@ -264,7 +264,7 @@ def _lemma_json(report):
 def run_profile(cfg, aw: ArtifactWriter) -> None:
     params = GasParams(**cfg["gas"])
     profile, inlet = _profile_from(cfg, params)
-    profile = reconstruct_fields(params, profile)
+    profile = reconstruct_fields(profile)
     aw.write_text("profile.csv", profile_csv_text(profile))
     report = verify_lemma(params, inlet)
     aw.write_json("lemma_report.json", _lemma_json(report))
@@ -278,7 +278,7 @@ def run_profile(cfg, aw: ArtifactWriter) -> None:
 def run_kz_check(cfg, aw: ArtifactWriter) -> None:
     params = GasParams(**cfg["gas"])
     profile, _ = _profile_from(cfg, params)
-    report = kz_check(params, profile)
+    report = kz_check(profile)
     aw.write_text("coefficients.csv", csv_text("x1,alpha11,beta1",
                                                [profile.x1, report.alpha11, report.beta1]))
     aw.write_json("kz_report.json", {
@@ -428,9 +428,9 @@ def run_geometry(cfg, aw: ArtifactWriter) -> None:
         # sonic circle and center
         cv.circle(ss.u0_vec[0], ss.u0_vec[1], r, color="#2ca02c")
         cv.marker(ss.u0_vec[0], ss.u0_vec[1], color="#2ca02c")
-        cv.text(ss.u0_vec[0], ss.u0_vec[1] + 0.05 * span, "u0", size=10)
+        cv.text(ss.u0_vec[0], ss.u0_vec[1] + 0.05 * span, "u0")
         # straight oblique shock through the origin at the shock angle
-        shock_ang = theta_w + sigma if configuration == "wedge-flow" else sigma
+        shock_ang = CHARTS[configuration][2] * theta_w + sigma
         cv.line(0.0, 0.0, span * math.cos(shock_ang), span * math.sin(shock_ang),
                 color="#d62728", width=1.5, dash="6,3")
         cv.write(aw.path("sketch.svg"))

@@ -141,9 +141,9 @@ class KeldyshCoefficients:
                     if grad > bound + 1e-6:
                         raise ValueError(f"|D{name}({x:.3g},{y:.3g})| exceeds {label}")
             if self.beta1(x, fx) < self.lam - tol:
-                raise ValueError("beta1 < lambda on the top boundary")
+                raise ValueError(f"beta1({x:.3g},{fx:.3g}) < lambda on the top boundary")
             if abs(self.beta2(x, fx)) > 1.0 / self.lam + tol:
-                raise ValueError("|beta2| > 1/lambda on the top boundary")
+                raise ValueError(f"|beta2({x:.3g},{fx:.3g})| > 1/lambda on the top boundary")
 
 
 @dataclass(frozen=True)
@@ -195,21 +195,20 @@ class _Grid:
     """Mapped-grid metric arrays shared by assembly and evaluation."""
 
     def __init__(self, domain: KeldyshDomain, nx: int, ny: int, q: float):
-        self.nx, self.ny, self.q = nx, ny, q
+        self.nx, self.ny = nx, ny
         self.hs = 1.0 / nx
         self.he = 1.0 / ny
-        self.s = np.linspace(0.0, 1.0, nx + 1)
+        s = np.linspace(0.0, 1.0, nx + 1)
         self.eta = np.linspace(0.0, 1.0, ny + 1)
         eps = domain.eps0
-        self.x = eps * self.s ** q
+        self.x = eps * s ** q
         self.fx = sample(domain.f, self.x)
         self.fpx = sample(domain.fp, self.x)
         self.fppx = sample(domain.fpp, self.x)
-        gp = q * eps * np.where(self.s > 0, self.s, 1.0) ** (q - 1.0)
-        gpp = q * (q - 1.0) * eps * np.where(self.s > 0, self.s, 1.0) ** (q - 2.0)
-        self.A = np.where(self.s > 0, 1.0 / gp, 0.0)  # s=0 column is Dirichlet
-        self.A_s = np.where(self.s > 0, -gpp / gp ** 2, 0.0)
-        self.gp = gp
+        gp = q * eps * np.where(s > 0, s, 1.0) ** (q - 1.0)
+        gpp = q * (q - 1.0) * eps * np.where(s > 0, s, 1.0) ** (q - 2.0)
+        self.A = np.where(s > 0, 1.0 / gp, 0.0)  # s=0 column is Dirichlet
+        self.A_s = np.where(s > 0, -gpp / gp ** 2, 0.0)
         self.X = np.tile(self.x[:, None], (1, ny + 1))
         self.Y = self.eta[None, :] * self.fx[:, None]
         # B = -eta f'/f and its derivatives, per node

@@ -101,13 +101,13 @@ def build_operator(profile: Profile1D, domain: ChannelDomain) -> MixedOperatorSp
         raise ValueError(f"profile spans x1 <= {profile.x1[-1]:.6g}, "
                          f"shorter than the channel length {domain.L}")
     x1 = domain.x1
-    alpha, beta = kz_coefficients(profile.params, profile, x1)
+    alpha, beta = kz_coefficients(profile, x1)
     l_s = profile.l_s
     sonic = np.zeros(x1.shape, dtype=bool) if l_s is None else \
         np.abs(x1 - l_s) <= SONIC_NODE_TOL * max(1.0, domain.L)
     alpha = np.where(sonic, 0.0, alpha)
     types = np.where(sonic, SONIC, np.where(alpha > 0.0, ELLIPTIC, HYPERBOLIC))
-    holds = kz_check(profile.params, profile).holds
+    holds = kz_check(profile).holds
     return MixedOperatorSpec(domain=domain, x1=x1, alpha11=alpha,
                              beta1=np.asarray(beta, dtype=float), l_s=l_s,
                              node_type=tuple(types.tolist()), kz_holds=holds)
@@ -428,10 +428,7 @@ def sonic_smoothness_diag(fld: Field2D, spec: MixedOperatorSpec) -> JumpReport:
     scale_w = max(float(np.max(np.abs(w))), 1e-300)
     scale_d = max(float(np.max(np.abs(dw_all))), 1e-300)
     scale_d2 = max(float(np.max(np.abs(d2w_all))), 1e-300)
-    rows = np.column_stack([np.abs(wl - wr) / scale_w,
-                            np.abs(dl - dr) / scale_d,
-                            np.abs(d2l - d2r) / scale_d2])
     return JumpReport(l_s=ls,
-                      w_jump=float(np.max(rows[:, 0])),
-                      dw_jump=float(np.max(rows[:, 1])),
-                      d2w_jump=float(np.max(rows[:, 2])))
+                      w_jump=float(np.max(np.abs(wl - wr) / scale_w)),
+                      dw_jump=float(np.max(np.abs(dl - dr) / scale_d)),
+                      d2w_jump=float(np.max(np.abs(d2l - d2r) / scale_d2)))

@@ -346,7 +346,7 @@ def integrate_profile(params: GasParams, inlet: InletData, *,
                 terminated = "x_max"
                 if l_s is not None and l_s > x_nodes[-1]:
                     l_s = None
-            segments.append((x_here, float(x_nodes[-1]), "band", (x_nodes.copy(), u_nodes.copy())))
+            segments.append((x_here, float(x_nodes[-1]), "band", (x_nodes, u_nodes)))
             x_here = float(x_nodes[-1])
             y_here = (float(u_nodes[-1]), float(critical_field(params, u_nodes[-1], branch)))
             continue
@@ -399,10 +399,8 @@ def integrate_profile(params: GasParams, inlet: InletData, *,
             vals = payload.sol(xs)
             u_out[mask], E_out[mask] = vals[0], vals[1]
         else:
-            x_nodes, u_nodes = payload
-            order = np.argsort(x_nodes)
-            interp = PchipInterpolator(x_nodes[order], u_nodes[order])
-            uu = interp(xs)
+            # x_nodes increase strictly: dx/du has the sign of the run's direction
+            uu = PchipInterpolator(*payload)(xs)
             u_out[mask] = uu
             E_out[mask] = critical_field(params, uu, branch)
 
@@ -481,10 +479,11 @@ def _x_extent_accelerating(params: GasParams, u0: float) -> float:
 
 #: x beyond which `locate_lmax` reports a decelerating extent infinite.
 LMAX_HORIZON = 1e3
+#: Dyadic velocity floors u_sonic * 2**-k, k = 1..LMAX_FLOORS, that `locate_lmax` tracks.
+LMAX_FLOORS = 14
 
 
 def locate_lmax(params: GasParams, inlet: InletData, *,
-                n_floors: int = 14,
                 ode_profile: Profile1D | None = None) -> LmaxReport:
     """Terminal location of a critical-branch profile.
 
@@ -516,7 +515,7 @@ def locate_lmax(params: GasParams, inlet: InletData, *,
                           method_values={"quadrature": quad_val, "ode": ode_val})
 
     fn = lambda t: dx_du_critical(params, t, DECELERATING)
-    floors = us * 2.0 ** (-np.arange(1, n_floors + 1, dtype=float))
+    floors = us * 2.0 ** (-np.arange(1, LMAX_FLOORS + 1, dtype=float))
     # down to the first floor, split around the (removable) sonic point
     pts = sorted({p for p in (floors[0], us * (1 - SONIC_SWITCH_BAND),
                               us * (1 + SONIC_SWITCH_BAND), inlet.u0)
@@ -538,13 +537,14 @@ def locate_lmax(params: GasParams, inlet: InletData, *,
                       ratio_mean=rbar, horizon=LMAX_HORIZON, method_values={"extrapolated": l_tilde})
 
 
-def reconstruct_fields(params: GasParams, profile: Profile1D) -> Profile1D:
+def reconstruct_fields(profile: Profile1D) -> Profile1D:
     """Fill rho, p, Phi, phi_bar from the (x1, u, E) samples.
 
     rho = J/u and p = S0*rho**gamma pointwise; Phi integrates E from the
     inlet value fixed by the pseudo-Bernoulli law; phi_bar integrates u
     with phi_bar(0) = 0.
     """
+    params = profile.params
     g = params.gamma
     rho = params.J / profile.u
     p = params.S0 * rho ** g
@@ -574,7 +574,7 @@ def _kz_alpha_beta(params: GasParams, u, E, du):
     return alpha, beta
 
 
-def kz_coefficients(params: GasParams, profile: Profile1D, x1):
+def kz_coefficients(profile: Profile1D, x1):
     """Normalized mixed-operator coefficients (alpha11, beta1) at position x1.
 
     alpha11 = 1 - (u/u_sonic)**(gamma+1) changes sign exactly at the sonic
@@ -585,6 +585,7 @@ def kz_coefficients(params: GasParams, profile: Profile1D, x1):
     xa = np.atleast_1d(np.asarray(x1, dtype=float))
     if np.any(xa < profile.x1[0] - 1e-12) or np.any(xa > profile.x1[-1] + 1e-12):
         raise ValueError("x1 out of profile range")
+    params = profile.params
     us = params.u_sonic
     u = PchipInterpolator(profile.x1, profile.u)(np.clip(xa, profile.x1[0], profile.x1[-1]))
     E = PchipInterpolator(profile.x1, profile.E)(np.clip(xa, profile.x1[0], profile.x1[-1]))
@@ -630,20 +631,20 @@ class KZReport:
 KZ_ORDERS = (0, 1, 2, 3)
 
 
-def kz_check(params: GasParams, profile: Profile1D) -> KZReport:
+def kz_check(profile: Profile1D) -> KZReport:
     """Evaluate the sign condition on all samples via the closed representation."""
     u, E, du, x = profile.u, profile.E, profile.du, profile.x1
 
     per_m_min = {}
     q_reps = {}
     for m in KZ_ORDERS:
-        q = _q_m_representation(params, u, du, m)
+        q = _q_m_representation(profile.params, u, du, m)
         q_reps[m] = q
         per_m_min[m] = float(np.min(q))
     lam = min(per_m_min.values())
 
     # direct route: beta1 from the samples, d(alpha11)/dx1 by finite differences
-    alpha, beta = _kz_alpha_beta(params, u, E, du)
+    alpha, beta = _kz_alpha_beta(profile.params, u, E, du)
     hl = x[1:-1] - x[:-2]
     hr = x[2:] - x[1:-1]
     dalpha = (alpha[2:] * hl ** 2 - alpha[:-2] * hr ** 2
@@ -662,7 +663,7 @@ def kz_check(params: GasParams, profile: Profile1D) -> KZReport:
                     agreement_rel_max=agree, alpha11=alpha, beta1=beta)
 
 
-def potential_ode_residual(params: GasParams, profile: Profile1D) -> float:
+def potential_ode_residual(profile: Profile1D) -> float:
     """Max residual of the degenerate second-order velocity-potential equation.
 
     The potential phi_bar = integral of u satisfies
@@ -671,6 +672,7 @@ def potential_ode_residual(params: GasParams, profile: Profile1D) -> float:
     individually at the sonic sample.  It reads u and du alone, so a profile
     need not be reconstructed first.
     """
+    params = profile.params
     g = params.gamma
     us = params.u_sonic
     u, du = profile.u, profile.du

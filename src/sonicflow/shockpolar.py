@@ -27,8 +27,10 @@ from .gas import require_finite
 
 #: Each configuration's local chart near the pseudo-sonic arc: the offset of
 #: its reference ray's polar angle from theta_w, and the sign of y along the
-#: arc (y grows with the polar angle for reflection, against it for wedge flow).
-CHARTS = {"reflection": (0.0, 1.0), "wedge-flow": (math.pi, -1.0)}
+#: arc (y grows with the polar angle for reflection, against it for wedge flow);
+#: then the multiple of theta_w that the sketched straight shock adds to the
+#: weak shock angle sigma (the shock leans on the wedge only for wedge flow).
+CHARTS = {"reflection": (0.0, 1.0, 0.0), "wedge-flow": (math.pi, -1.0, 1.0)}
 
 #: The self-similar configurations whose local chart `pseudo_sonic_geometry` builds.
 CONFIGURATIONS = tuple(CHARTS)
@@ -195,7 +197,7 @@ class ShockPolarCurve:
     theta_sonic: float
     sigma_sonic: float
     normal_state: tuple  # (u, rho) at sigma = pi/2
-    residuals: np.ndarray = field(repr=False, default=None)
+    residuals: np.ndarray = field(repr=False)
 
 
 def _polar_limit(state: UpstreamState, limit: str) -> ValueError:
@@ -349,7 +351,7 @@ class PseudoSonicGeometry:
         d = np.asarray(xi, dtype=float) - u0
         r = float(np.hypot(d[0], d[1]))
         th = float(math.atan2(d[1], d[0]))
-        offset, sign = CHARTS[self.configuration]
+        offset, sign, _ = CHARTS[self.configuration]
         center = offset + self.theta_w
         th += 2.0 * math.pi * round((center - th) / (2.0 * math.pi))
         return self.state.sonic_radius - r, sign * (th - center)
@@ -357,7 +359,7 @@ class PseudoSonicGeometry:
     def from_local(self, x: float, y: float):
         u0 = np.asarray(self.state.u0_vec, dtype=float)
         r = self.state.sonic_radius - x
-        offset, sign = CHARTS[self.configuration]
+        offset, sign, _ = CHARTS[self.configuration]
         th = offset + self.theta_w + sign * y
         return u0 + r * np.array([math.cos(th), math.sin(th)])
 

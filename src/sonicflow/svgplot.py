@@ -37,17 +37,16 @@ def _color(t):
 
 
 class SvgCanvas:
-    """World-coordinate drawing surface serialized to SVG."""
+    """World-coordinate drawing surface serialized to SVG, 640x480 with a 50 margin."""
 
-    def __init__(self, x_range, y_range, width=640, height=480, margin=50,
-                 title="", xlabel="", ylabel=""):
+    def __init__(self, x_range, y_range, title="", xlabel="", ylabel=""):
         self.x0, self.x1 = map(float, x_range)
         self.y0, self.y1 = map(float, y_range)
         if self.x1 <= self.x0:
             self.x1 = self.x0 + 1.0
         if self.y1 <= self.y0:
             self.y1 = self.y0 + 1.0
-        self.w, self.h, self.m = width, height, margin
+        self.w, self.h, self.m = 640, 480, 50
         self.title, self.xlabel, self.ylabel = title, xlabel, ylabel
         self.body: list = []  # SVG lines, or functions that yield blocks of lines
 
@@ -57,14 +56,13 @@ class SvgCanvas:
     def sy(self, y: float) -> float:
         return self.h - self.m - (y - self.y0) / (self.y1 - self.y0) * (self.h - 2 * self.m)
 
-    def polyline(self, xs, ys, color="#1f77b4", width=1.5, dash=None):
+    def polyline(self, xs, ys, color="#1f77b4"):
         """Points with a non-finite coordinate are dropped."""
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         keep = np.isfinite(xs) & np.isfinite(ys)
         pts = _fmt_points(self.sx(xs[keep]), self.sy(ys[keep]))[:-1]
-        extra = f' stroke-dasharray="{dash}"' if dash else ""
-        self.body.append(f'<polyline fill="none" stroke="{color}" stroke-width="{width}"{extra} points="{pts}"/>')
+        self.body.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
 
     def line(self, x_a, y_a, x_b, y_b, color="#333333", width=1.0, dash=None):
         extra = f' stroke-dasharray="{dash}"' if dash else ""
@@ -72,21 +70,21 @@ class SvgCanvas:
                          f'x2="{_fmt(self.sx(x_b))}" y2="{_fmt(self.sy(y_b))}" '
                          f'stroke="{color}" stroke-width="{width}"{extra}/>')
 
-    def circle(self, cx, cy, r_world, color="#333333", width=1.0, fill="none"):
+    def circle(self, cx, cy, r_world, color="#333333"):
         rx = abs(self.sx(cx + r_world) - self.sx(cx))
         ry = abs(self.sy(cy + r_world) - self.sy(cy))
         self.body.append(f'<ellipse cx="{_fmt(self.sx(cx))}" cy="{_fmt(self.sy(cy))}" '
                          f'rx="{_fmt(rx)}" ry="{_fmt(ry)}" stroke="{color}" '
-                         f'stroke-width="{width}" fill="{fill}"/>')
+                         f'stroke-width="1.0" fill="none"/>')
 
-    def text(self, x, y, s, size=12, color="#000000", anchor="start"):
+    def text(self, x, y, s):
         self.body.append(f'<text x="{_fmt(self.sx(x))}" y="{_fmt(self.sy(y))}" '
-                         f'font-size="{size}" fill="{color}" text-anchor="{anchor}" '
+                         f'font-size="10" fill="#000000" text-anchor="start" '
                          f'font-family="sans-serif">{s}</text>')
 
-    def marker(self, x, y, color="#d62728", r=3.0):
+    def marker(self, x, y, color="#d62728"):
         self.body.append(f'<circle cx="{_fmt(self.sx(x))}" cy="{_fmt(self.sy(y))}" '
-                         f'r="{r}" fill="{color}"/>')
+                         f'r="3.0" fill="{color}"/>')
 
     def _axes(self) -> list[str]:
         out = []
@@ -140,13 +138,11 @@ def line_plot(path, series, title="", xlabel="", ylabel="", markers=()):
     pad = lambda lo, hi: (lo - 0.05 * (hi - lo + 1e-30), hi + 0.05 * (hi - lo + 1e-30))
     cv = SvgCanvas(pad(xs.min(), xs.max()), pad(ys.min(), ys.max()),
                    title=title, xlabel=xlabel, ylabel=ylabel)
-    for entry in series:
-        x, y = entry[0], entry[1]
-        color = entry[2] if len(entry) > 2 else "#1f77b4"
+    for x, y, color in series:
         cv.polyline(x, y, color=color)
     for mx, my, label in markers:
         cv.marker(mx, my)
-        cv.text(mx, my, " " + label, size=10)
+        cv.text(mx, my, " " + label)
     cv.write(path)
 
 
@@ -185,5 +181,5 @@ def heatmap(path, x, y, values, title="", xlabel="", ylabel=""):
 
     if t.size:
         cv.body.append(rows)
-    cv.text(cv.x0, cv.y1, f"min {lo:.4g}  max {hi:.4g}", size=10)
+    cv.text(cv.x0, cv.y1, f"min {lo:.4g}  max {hi:.4g}")
     cv.write(path)

@@ -270,9 +270,9 @@ def validate_bounds_loop(coeffs, domain):
                 if dk > coeffs.N + 1e-6:
                     raise ValueError(f"|D{name}({x:.3g},{y:.3g})| exceeds N")
         if coeffs.beta1(x, fx) < coeffs.lam - tol:
-            raise ValueError("beta1 < lambda on the top boundary")
+            raise ValueError(f"beta1({x:.3g},{fx:.3g}) < lambda on the top boundary")
         if abs(coeffs.beta2(x, fx)) > 1.0 / coeffs.lam + tol:
-            raise ValueError("|beta2| > 1/lambda on the top boundary")
+            raise ValueError(f"|beta2({x:.3g},{fx:.3g})| > 1/lambda on the top boundary")
 
 
 def banded_modes_solve_banded(c, pde, lam, r, pinned):

@@ -14,7 +14,7 @@ def canonical():
 def acc_profile(canonical):
     """Canonical accelerating transonic profile on [0, x(u=2)]."""
     prof = integrate_profile(canonical, critical_inlet(canonical, 0.95), u_target=2.0)
-    return reconstruct_fields(canonical, prof)
+    return reconstruct_fields(prof)
 
 
 @pytest.fixture(scope="session")
@@ -22,7 +22,7 @@ def dec_profile(canonical):
     """Canonical decelerating transonic profile down to u = 0.4."""
     prof = integrate_profile(canonical, critical_inlet(canonical, 1.05, branch="decelerating"),
                              u_target=0.4)
-    return reconstruct_fields(canonical, prof)
+    return reconstruct_fields(prof)
 
 
 def gamma_family(gamma: float) -> GasParams:

@@ -121,7 +121,7 @@ def test_criterion_4_kz_dichotomy(canonical):
         params = canonical if gamma == 3.0 else gamma_family(gamma)
         inlet = critical_inlet(params, u0_rel * params.u_sonic, branch=branch)
         prof = integrate_profile(params, inlet, u_target=u_tgt)
-        rep = kz_check(params, prof)
+        rep = kz_check(prof)
         cases.append((branch, gamma, rep.holds, rep.lambda_L, rep.agreement_rel_max))
 
     ok = True
@@ -200,8 +200,8 @@ def test_criterion_6_mixed_type(canonical):
     spec = build_operator(background, dom)
     F = np.tile(f1(dom.x1)[:, None], (1, dom.n2))
     fld = solve_linear(spec, F, BoundaryData2D(inlet_data=lambda x2: 0.01))
-    alpha = lambda x: kz_coefficients(canonical, background, x)[0]
-    beta = lambda x: kz_coefficients(canonical, background, x)[1]
+    alpha = lambda x: kz_coefficients(background, x)[0]
+    beta = lambda x: kz_coefficients(background, x)[1]
     oracle = reduced_ode_solution(alpha, beta, f1, background.l_s, L, 0.01, dom.x1)
     dev = float(np.max(np.abs(fld.values[:, dom.n2 // 2] - oracle)))
     ok &= dev <= 1e-4

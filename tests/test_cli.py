@@ -124,7 +124,7 @@ def test_kz_check_decelerating_negative_finding_is_success(tmp_path):
     params = GasParams(**GAS)
     profile = integrate_profile(params, critical_inlet(params, 1.05, branch="decelerating"),
                                 u_target=0.4)
-    report = kz_check(params, profile)
+    report = kz_check(profile)
     rows = [line.split(",") for line in (out / "coefficients.csv").read_text().splitlines()[1:]]
     assert [float(r[0]) for r in rows] == profile.x1.tolist()
     assert [float(r[1]) for r in rows] == report.alpha11.tolist()
@@ -272,6 +272,23 @@ def test_geometry_subcommand(tmp_path):
     states = json.loads((out / "states.json").read_text())
     assert states["sonic_circle"]["radius"] > 0.0
     check_manifest(out)
+
+
+# sketch.svg of (gamma, rho_inf, q_inf) = (2, 1, 2) at theta_w = 0.15: the one
+# artifact that draws with line, circle, marker and text together
+SKETCH_SHA256 = {
+    "wedge-flow": "93f3ed44e1663c672f8c687a925408e4627af818a1a63bb394a808564f0698c0",
+    "reflection": "addac079d0ce40e5946613ed70ec1ba2985f6fc4191ef9ad813e4836960d14c5",
+}
+
+
+@pytest.mark.parametrize("configuration", sorted(SKETCH_SHA256))
+def test_geometry_sketch_bytes(tmp_path, configuration):
+    out = tmp_path / "out"
+    cfg = base_cfg("geometry", out, upstream={"gamma": 2.0, "rho_inf": 1.0, "q_inf": 2.0},
+                   theta_w=0.15, configuration=configuration)
+    assert main(["run", write_cfg(tmp_path, "c.json", cfg)]) == 0
+    assert sha(out / "sketch.svg") == SKETCH_SHA256[configuration]
 
 
 OVERFLOW_GAS = {"gamma": 2000.0, "S0": 1.0, "J": 2.0, "rho_ion": 0.5}  # u_sonic overflows

@@ -302,7 +302,7 @@ def convergence(background):
 
 
 @pytest.fixture(scope="module")
-def reduced_1d(canonical, background):
+def reduced_1d(background):
     """x2-independent data on 1025x9: the global solve and the singular-ODE oracle."""
     f1 = lambda x: 0.02 * np.sin(2.0 * x)
     w0 = 0.01
@@ -310,8 +310,8 @@ def reduced_1d(canonical, background):
     spec = build_operator(background, dom)
     F = np.tile(f1(dom.x1)[:, None], (1, dom.n2))
     fld = solve_linear(spec, F, BoundaryData2D(inlet_data=lambda x2: w0))
-    alpha = lambda x: kz_coefficients(canonical, background, x)[0]
-    beta = lambda x: kz_coefficients(canonical, background, x)[1]
+    alpha = lambda x: kz_coefficients(background, x)[0]
+    beta = lambda x: kz_coefficients(background, x)[1]
     return fld, reduced_ode_solution(alpha, beta, f1, background.l_s, L, w0, dom.x1)
 
 

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from _oracles import aitken_step, directed_polyline_distance, h_quadrature
 from conftest import gamma_family
 from sonicflow import profile1d
-from sonicflow.gas import critical_field, find_u_star
+from sonicflow.gas import critical_field, enthalpy, find_u_star
 from sonicflow.profile1d import (InletData, NoSonicCrossingError, SonicBlowupError,
                                  bernoulli_defect, conservation_defect,
                                  critical_inlet, dx_du_critical, integrate_profile,
@@ -337,12 +337,14 @@ def test_lmax_report_matches_scalar_aitken(gamma):
             assert rep.value is None and rep.method_values == {}
 
 
-def test_lmax_gamma15_extrapolation_consistency():
+def test_lmax_gamma15_extrapolation_consistency(monkeypatch):
     """The extrapolated finite extent is stable against deeper floors."""
     params = gamma_family(1.5)
     inlet = critical_inlet(params, 1.2, branch="decelerating")
-    r1 = locate_lmax(params, inlet, n_floors=12)
-    r2 = locate_lmax(params, inlet, n_floors=18)
+    monkeypatch.setattr(profile1d, "LMAX_FLOORS", 12)
+    r1 = locate_lmax(params, inlet)
+    monkeypatch.setattr(profile1d, "LMAX_FLOORS", 18)
+    r2 = locate_lmax(params, inlet)
     assert r1.value == pytest.approx(r2.value, rel=1e-4)
 
 
@@ -380,18 +382,18 @@ def test_potential_gradient_is_field(canonical, acc_profile):
 # mixed-operator coefficients and the sign condition
 # ---------------------------------------------------------------------------
 
-def test_kz_coefficients_values(canonical, acc_profile):
+def test_kz_coefficients_values(acc_profile):
     x_at_2 = float(np.interp(2.0, acc_profile.u, acc_profile.x1))
-    alpha, beta = kz_coefficients(canonical, acc_profile, x_at_2)
+    alpha, beta = kz_coefficients(acc_profile, x_at_2)
     assert alpha == pytest.approx(1.0 - 2.0 ** 4, abs=1e-5)
-    alpha_s, _ = kz_coefficients(canonical, acc_profile, acc_profile.l_s)
+    alpha_s, _ = kz_coefficients(acc_profile, acc_profile.l_s)
     assert alpha_s == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError, match="range"):
-        kz_coefficients(canonical, acc_profile, acc_profile.x1[-1] + 1.0)
+        kz_coefficients(acc_profile, acc_profile.x1[-1] + 1.0)
 
 
-def test_alpha_sign_change(canonical, acc_profile):
-    alpha, _ = kz_coefficients(canonical, acc_profile, acc_profile.x1)
+def test_alpha_sign_change(acc_profile):
+    alpha, _ = kz_coefficients(acc_profile, acc_profile.x1)
     sign = np.sign(alpha)
     before = acc_profile.x1 < acc_profile.l_s - 1e-9
     after = acc_profile.x1 > acc_profile.l_s + 1e-9
@@ -406,16 +408,16 @@ def test_qm_at_sonic_identity(canonical, acc_profile):
     du_ls = 1.0 / dx_du_critical(canonical, 1.0, "accelerating")
     h = 1e-4
     for m in range(4):
-        alpha_p, beta_p = kz_coefficients(canonical, acc_profile, ls + h)
-        alpha_m, beta_m = kz_coefficients(canonical, acc_profile, ls - h)
-        _, beta_0 = kz_coefficients(canonical, acc_profile, ls)
+        alpha_p, beta_p = kz_coefficients(acc_profile, ls + h)
+        alpha_m, beta_m = kz_coefficients(acc_profile, ls - h)
+        _, beta_0 = kz_coefficients(acc_profile, ls)
         dalpha = (alpha_p - alpha_m) / (2 * h)
         q = -2.0 * beta_0 - (2 * m - 1) * dalpha
         assert q == pytest.approx((g + 1.0) * (2 * m + 1) * du_ls, rel=1e-4)
 
 
-def test_kz_dichotomy(canonical, acc_profile, dec_profile):
-    rep_acc = kz_check(canonical, acc_profile)
+def test_kz_dichotomy(acc_profile, dec_profile):
+    rep_acc = kz_check(acc_profile)
     assert rep_acc.holds and rep_acc.lambda_L > 0.0
     assert set(rep_acc.per_m_min) == {0, 1, 2, 3}
     assert rep_acc.agreement_rel_max <= 1e-6
@@ -424,7 +426,7 @@ def test_kz_dichotomy(canonical, acc_profile, dec_profile):
     assert np.allclose(rep_acc.alpha11, (1.0 - u * u) * (1.0 + u * u), rtol=1e-13, atol=1e-14)
     assert np.allclose(rep_acc.beta1, u * u * E - 4.0 * du * u ** 3, rtol=1e-13, atol=1e-14)
 
-    rep_dec = kz_check(canonical, dec_profile)
+    rep_dec = kz_check(dec_profile)
     assert not rep_dec.holds and rep_dec.lambda_L < 0.0
     assert all(v < 0.0 for v in rep_dec.per_m_min.values())
     assert rep_dec.agreement_rel_max <= 1e-6
@@ -434,8 +436,8 @@ def test_kz_dichotomy(canonical, acc_profile, dec_profile):
 # degenerate potential equation residual
 # ---------------------------------------------------------------------------
 
-def test_potential_residual(canonical, acc_profile):
-    assert potential_ode_residual(canonical, acc_profile) <= 1e-8
+def test_potential_residual(acc_profile):
+    assert potential_ode_residual(acc_profile) <= 1e-8
 
 
 def test_potential_residual_zero_at_sonic(canonical, acc_profile):
@@ -447,10 +449,31 @@ def test_potential_residual_zero_at_sonic(canonical, acc_profile):
     assert term1 == 0.0 and term2 == 0.0
 
 
-def test_potential_residual_negative_control(canonical, acc_profile):
+def test_potential_residual_negative_control(acc_profile):
     corrupted = dataclasses.replace(acc_profile, u=1.05 * acc_profile.u,
                                     phi_bar=1.05 * acc_profile.phi_bar)
-    assert potential_ode_residual(canonical, corrupted) > 0.05
+    assert potential_ode_residual(corrupted) > 0.05
+
+
+def test_profile_functions_read_the_profiles_gas():
+    """On a gamma = 1.5 profile, each profile function gives its formula
+    evaluated with profile.params, to the last bit."""
+    params = gamma_family(1.5)
+    prof = integrate_profile(params, critical_inlet(params, 0.9), u_target=1.4)
+    g, us, J, S0 = params.gamma, params.u_sonic, params.J, params.S0
+    u, E, du = prof.u, prof.E, prof.du
+    alpha = 1.0 - (u / us) ** (g + 1.0)
+    beta = (E - (g + 1.0) * du * u) * u ** (g - 1.0) / us ** (g + 1.0)
+    rep = kz_check(prof)
+    assert np.array_equal(rep.alpha11, alpha) and np.array_equal(rep.beta1, beta)
+    # PCHIP gives the node values back at every node but the last
+    a_nodes, b_nodes = kz_coefficients(prof, prof.x1[:-1])
+    assert np.array_equal(a_nodes, alpha[:-1]) and np.array_equal(b_nodes, beta[:-1])
+    filled = reconstruct_fields(prof)
+    assert np.array_equal(filled.rho, J / u) and np.array_equal(filled.p, S0 * (J / u) ** g)
+    H = np.maximum(np.asarray(enthalpy(params, u)), 0.0)
+    res = (u ** (g + 1.0) - us ** (g + 1.0)) * du - np.sign(u - us) * np.sqrt(2.0 * H) * u ** g
+    assert potential_ode_residual(prof) == float(np.max(np.abs(res)))
 
 
 def test_potential_residual_of_a_raw_profile(canonical):
@@ -458,8 +481,8 @@ def test_potential_residual_of_a_raw_profile(canonical):
     gives exactly the value of its reconstructed copy."""
     prof = integrate_profile(canonical, critical_inlet(canonical, 0.95), u_target=1.5)
     assert not prof.fields_filled
-    assert potential_ode_residual(canonical, prof) == \
-        potential_ode_residual(canonical, reconstruct_fields(canonical, prof))
+    assert potential_ode_residual(prof) == \
+        potential_ode_residual(reconstruct_fields(prof))
 
 
 # ---------------------------------------------------------------------------
