@@ -91,8 +91,11 @@ BOUND_VIOLATORS = [
     *[(dict([(name, lambda x, y: 0.5 * x * math.cos(40.0 * y))]),
        rf"\|D{name}\(0\.06,0\.133\)\| exceeds N$")
       for name in ("O2", "O3", "O4", "O5")],
-    (dict(beta1=lambda x, y: 0.1, lam=0.5), r"beta1\(0\.02,1\.02\) < lambda"),
-    (dict(beta2=lambda x, y: -2.5, lam=0.5), r"\|beta2\(0\.02,1\.02\)\| > 1/lambda"),
+    # the ids keep the names these two cases had before the messages named the point
+    pytest.param(dict(beta1=lambda x, y: 0.1, lam=0.5), r"beta1\(0\.02,1\.02\) < lambda",
+                 id="kwargs10-beta1 < lambda"),
+    pytest.param(dict(beta2=lambda x, y: -2.5, lam=0.5), r"\|beta2\(0\.02,1\.02\)\| > 1/lambda",
+                 id=r"kwargs11-\|beta2\| > 1/lambda"),
 ]
 
 
