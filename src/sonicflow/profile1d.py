@@ -718,33 +718,45 @@ PRUNE_MARGIN = 1e-9     # relative slack of every pruning comparison there
 def _window_d2(P: np.ndarray, A: np.ndarray, B: np.ndarray, L2: np.ndarray,
                first: np.ndarray, width: int) -> np.ndarray:
     """Smallest squared distance from each point P[p] to the segments
-    first[p] .. first[p] + width - 1."""
+    first[p] .. first[p] + width - 1, whose starts are A and vectors B.
+
+    P, A and B are (n, 2) arrays.  _seg_point_dist passes transposes of
+    arrays of x and y rows, so that each coordinate column is contiguous and
+    every distance is the one point-segment formula on 1-D gathers of them.
+    A zero-length segment has L2 = 1."""
+    (px, py), (ax, ay), (bx, by) = P.T, A.T, B.T
     best = np.full(len(P), math.inf)
     for s in range(0, width, PAIR_BUDGET):
-        idx = first[:, None] + np.arange(s, min(s + PAIR_BUDGET, width))
-        Ak, Bk, Lk = A[idx], B[idx], L2[idx]
-        W = P[:, None, :] - Ak
-        t = np.clip(np.einsum("pmj,pmj->pm", W, Bk) / Lk, 0.0, 1.0)
-        D = W - t[:, :, None] * Bk
-        best = np.minimum(best, np.einsum("pmj,pmj->pm", D, D).min(axis=1))
+        # one row per offset into the windows, one column per point
+        idx = np.arange(s, min(s + PAIR_BUDGET, width))[:, None] + first
+        bxk, byk = bx[idx], by[idx]
+        wx, wy = px - ax[idx], py - ay[idx]
+        t = np.clip((wx * bxk + wy * byk) / L2[idx], 0.0, 1.0)
+        dx, dy = wx - t * bxk, wy - t * byk
+        best = np.minimum(best, np.min(dx * dx + dy * dy, axis=0))
     return best
 
 
+def _norm2(V: np.ndarray) -> np.ndarray:
+    """Squared lengths of the columns of V, an array of x and y rows."""
+    return V[0] * V[0] + V[1] * V[1]
+
+
 def _box_d2(P: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Squared distances from the points P to the boxes [lo, hi] (per row)."""
-    gap = np.maximum(np.maximum(lo - P, P - hi), 0.0)
-    return np.einsum("pj,pj->p", gap, gap)
+    """Squared distances from the points P to the boxes [lo, hi], one point
+    and one box per column of these arrays of x and y rows."""
+    return _norm2(np.maximum(np.maximum(lo - P, P - hi), 0.0))
 
 
 def _sort_seed(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """For each point of P, the nearer of the two vertices of Q whose first
     coordinates bracket the point's: one stable sort of Q, one binary search
-    per point."""
-    order = np.argsort(Q[:, 0], kind="stable")
-    j = np.searchsorted(Q[order, 0], P[:, 0])
-    below, above = order[np.maximum(j - 1, 0)], order[np.minimum(j, len(Q) - 1)]
-    gb, ga = P - Q[below], P - Q[above]
-    return np.where(np.einsum("pj,pj->p", ga, ga) < np.einsum("pj,pj->p", gb, gb), above, below)
+    per point.  P and Q are arrays of x and y rows."""
+    order = np.argsort(Q[0], kind="stable")
+    j = np.searchsorted(Q[0].take(order), P[0])
+    below, above = order.take(np.maximum(j - 1, 0)), order.take(np.minimum(j, Q.shape[1] - 1))
+    return np.where(_norm2(P - Q.take(above, axis=1)) < _norm2(P - Q.take(below, axis=1)),
+                    above, below)
 
 
 def _seg_point_dist(P: np.ndarray, Q: np.ndarray) -> float:
@@ -765,7 +777,7 @@ def _seg_point_dist(P: np.ndarray, Q: np.ndarray) -> float:
       exact minimum: it may raise the lower bound and the point is dropped.
     - Bounds (Taha & Hanbury, IEEE TPAMI 37, 2015).  The lower bound on the
       answer is an exact point minimum.  A point's upper bound is its
-      nearest vertex (k-d tree) or its smallest window minimum so far.  A
+      smallest window minimum so far or its nearest vertex (k-d tree).  A
       point whose upper bound is at or below the lower bound cannot set the
       maximum and is dropped (early break).
 
@@ -773,15 +785,22 @@ def _seg_point_dist(P: np.ndarray, Q: np.ndarray) -> float:
     of the two vertices that bracket the point's first coordinate, the
     nearer one.  The two segments around it are certified at once for most
     points when both polylines are graphs over that coordinate, as the
-    lemma's (u, E) polylines are.  Stage 2 takes the points left over; each
-    round scans the live point with the largest upper bound over all
-    segments, applies the early break, and certifies windows around each
-    point's nearest vertex, found by a k-d tree on Q, doubling them until
-    no point is left.  A seed far along Q from the point (a vertical or
-    closed Q, many vertices with one first coordinate) costs only the
-    stage-2 rounds.  Any vertex is a valid seed, and a window minimum is a
-    value of the one formula, so the seed changes which pairs are
-    evaluated, never the result.
+    lemma's (u, E) polylines are.  Stage 2 takes the points left over.
+    Each round scans the live point with the largest upper bound over all
+    segments, applies the early break and certifies windows around each
+    point's vertex, doubling them until no point is left.  Only after the
+    first scan, and only if points are still alive, does a k-d tree on Q
+    give those points their nearest vertices, a bound for the early break
+    and the vertices of the windows.  On the lemma's polylines stage 1
+    leaves at most one point and the first scan none, so no tree is built.
+    A seed far along Q from the point (a vertical or closed Q, many vertices
+    with one first coordinate) costs only the stage-2 rounds.  Any vertex is
+    a valid seed, and a window minimum is a value of the one formula, so the
+    seed changes which pairs are evaluated, never the result.
+
+    The points, the segment starts and vectors, and the prefix and suffix
+    boxes are split once into contiguous x and y rows, so that every step
+    of the search, the formula included, runs on 1-D arrays and gathers.
 
     The k-d tree and box distances are rounded differently from the segment
     formula, whose rounding error is absolute, a few ulps of the largest
@@ -793,19 +812,23 @@ def _seg_point_dist(P: np.ndarray, Q: np.ndarray) -> float:
     """
     if len(Q) == 1:
         Q = np.repeat(Q, 2, axis=0)  # one zero-length segment
+    # x and y rows, each contiguous; P, A and B below are (n, 2) views of them
+    Pt, Qt = np.array(P.T), np.array(Q.T)
+    (x0, x1), (y0, y1) = (Qt[0, :-1], Qt[0, 1:]), (Qt[1, :-1], Qt[1, 1:])
     # each segment runs from its lexicographically smaller end
-    swap = ((Q[1:, 0] < Q[:-1, 0]) | ((Q[1:, 0] == Q[:-1, 0]) & (Q[1:, 1] < Q[:-1, 1])))[:, None]
-    A = np.where(swap, Q[1:], Q[:-1])
-    B = np.where(swap, Q[:-1], Q[1:]) - A
-    L2 = np.einsum("ij,ij->i", B, B)
+    swap = (x1 < x0) | ((x1 == x0) & (y1 < y0))
+    At = np.array([np.where(swap, x1, x0), np.where(swap, y1, y0)])
+    Bt = np.array([np.where(swap, x0, x1), np.where(swap, y0, y1)]) - At
+    L2 = _norm2(Bt)
     L2 = np.where(L2 == 0.0, 1.0, L2)
-    m = len(A)
+    A, B = At.T, Bt.T
+    m = len(L2)
     # bounding boxes of the vertices Q[:s + 1] and Q[s:]
-    pre_lo, pre_hi = np.minimum.accumulate(Q), np.maximum.accumulate(Q)
-    suf_lo = np.minimum.accumulate(Q[::-1])[::-1]
-    suf_hi = np.maximum.accumulate(Q[::-1])[::-1]
+    pre_lo, pre_hi = np.minimum.accumulate(Qt, axis=1), np.maximum.accumulate(Qt, axis=1)
+    suf_lo = np.minimum.accumulate(Qt[:, ::-1], axis=1)[:, ::-1]
+    suf_hi = np.maximum.accumulate(Qt[:, ::-1], axis=1)[:, ::-1]
 
-    ulps = 16.0 * np.finfo(float).eps * max(np.abs(P).max(), np.abs(Q).max())
+    ulps = 16.0 * np.finfo(float).eps * max(np.abs(Pt).max(), np.abs(Qt).max())
 
     def widened(d2):
         return (np.sqrt(d2) + ulps) ** 2 * (1.0 + PRUNE_MARGIN)
@@ -821,12 +844,15 @@ def _seg_point_dist(P: np.ndarray, Q: np.ndarray) -> float:
         left, bound = [pts[:0]], [np.empty(0)]
         for c in range(0, len(pts), step):
             chunk = pts[c:c + step]
+            Pc = Pt.take(chunk, axis=1)
             first = np.clip(vertex[chunk] - half, 0, m - width)
             stop = first + width
-            wmin = _window_d2(P[chunk], A, B, L2, first, width)
+            wmin = _window_d2(Pc.T, A, B, L2, first, width)
             box = np.minimum(
-                np.where(first > 0, _box_d2(P[chunk], pre_lo[first], pre_hi[first]), math.inf),
-                np.where(stop < m, _box_d2(P[chunk], suf_lo[stop], suf_hi[stop]), math.inf))
+                np.where(first > 0, _box_d2(Pc, pre_lo.take(first, axis=1),
+                                            pre_hi.take(first, axis=1)), math.inf),
+                np.where(stop < m, _box_d2(Pc, suf_lo.take(stop, axis=1),
+                                           suf_hi.take(stop, axis=1)), math.inf))
             exact = box > widened(wmin)  # the certificate
             if np.any(exact):
                 top = max(top, float(np.max(wmin[exact])))
@@ -835,21 +861,24 @@ def _seg_point_dist(P: np.ndarray, Q: np.ndarray) -> float:
         return top, np.concatenate(left), np.concatenate(bound)
 
     # stage 1: a two-segment window around each point's sort seed
-    lower, alive, wmin = certify(np.arange(len(P)), _sort_seed(P, Q), 1)
-    # stage 2: the points left, from their nearest vertices
+    lower, alive, wmin = certify(np.arange(len(P)), _sort_seed(Pt, Qt), 1)
     upper = np.empty(len(P))
+    upper[alive] = wmin
+    # stage 2: the points left
     vertex = np.empty(len(P), dtype=int)
-    if len(alive):
-        vd, vertex[alive] = cKDTree(Q).query(P[alive])
-        upper[alive] = np.minimum(widened(vd * vd), wmin)
     half = 1
     while len(alive):
         # scan the live point with the largest upper bound over all segments
         k = alive[np.argmax(upper[alive])]
-        upper[k] = _window_d2(P[k:k + 1], A, B, L2, np.zeros(1, dtype=int), m)[0]
+        upper[k] = _window_d2(Pt[:, k:k + 1].T, A, B, L2, np.zeros(1, dtype=int), m)[0]
         lower = max(lower, upper[k])
         alive = alive[upper[alive] > lower]  # the early break
-
+        if half == 1 and len(alive):
+            # after the first scan only: the nearest vertex of each point
+            # left, a bound for the early break again
+            vd, vertex[alive] = cKDTree(Q).query(P[alive])
+            upper[alive] = np.minimum(upper[alive], widened(vd * vd))
+            alive = alive[upper[alive] > lower]
         top, alive, wmin = certify(alive, vertex, half)
         lower = max(lower, top)
         upper[alive] = np.minimum(upper[alive], wmin)

@@ -64,13 +64,13 @@ class SvgCanvas:
         pts = _fmt_points(self.sx(xs[keep]), self.sy(ys[keep]))[:-1]
         self.body.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
 
-    def line(self, x_a, y_a, x_b, y_b, color="#333333", width=1.0, dash=None):
+    def line(self, x_a, y_a, x_b, y_b, color, width, dash=None):
         extra = f' stroke-dasharray="{dash}"' if dash else ""
         self.body.append(f'<line x1="{_fmt(self.sx(x_a))}" y1="{_fmt(self.sy(y_a))}" '
                          f'x2="{_fmt(self.sx(x_b))}" y2="{_fmt(self.sy(y_b))}" '
                          f'stroke="{color}" stroke-width="{width}"{extra}/>')
 
-    def circle(self, cx, cy, r_world, color="#333333"):
+    def circle(self, cx, cy, r_world, color):
         rx = abs(self.sx(cx + r_world) - self.sx(cx))
         ry = abs(self.sy(cy + r_world) - self.sy(cy))
         self.body.append(f'<ellipse cx="{_fmt(self.sx(cx))}" cy="{_fmt(self.sy(cy))}" '

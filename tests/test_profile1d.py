@@ -702,12 +702,14 @@ def test_seg_point_dist_seed_worst_cases(shape, monkeypatch):
 
 def test_verify_lemma_coverage_certifies_most_points_from_the_sort(canonical, monkeypatch):
     # both polylines of a critical profile are graphs over u: the sort seed
-    # certifies all but a few points of each coverage distance
-    sent = []
+    # certifies all but a few points of each coverage distance, and the first
+    # full scan leaves none of those, so no k-d tree is built
+    built, sent = [], []
     tree = profile1d.cKDTree
 
     class CountingTree:
         def __init__(self, Q):
+            built.append(len(Q))
             self.tree = tree(Q)
 
         def query(self, P):
@@ -719,6 +721,23 @@ def test_verify_lemma_coverage_certifies_most_points_from_the_sort(canonical, mo
                   critical_inlet(canonical, 1.05, branch="decelerating")):
         assert verify_lemma(canonical, inlet).passed
     assert max(sent, default=0) <= 10, sent
+    assert built == [], built
+
+
+@pytest.mark.parametrize("u0, branch", [(0.95, "accelerating"), (1.05, "decelerating")])
+def test_seg_point_dist_exact_on_lemma_polylines(canonical, u0, branch, monkeypatch):
+    # the coverage distance's real inputs, the (u, E) polyline of a critical
+    # profile and the dense analytic branch: every 40th point of either one
+    # against all of the other, in both directions, bit for bit
+    seen = []
+    hausdorff = profile1d._polyline_hausdorff
+    monkeypatch.setattr(profile1d, "_polyline_hausdorff",
+                        lambda P, Q: seen.append((P, Q)) or hausdorff(P, Q))
+    assert verify_lemma(canonical, critical_inlet(canonical, u0, branch=branch)).passed
+    (P, Q), = seen
+    for points, polyline in ((P[::40], Q), (Q[::40], P)):
+        assert profile1d._seg_point_dist(points, polyline) == \
+            directed_polyline_distance(points, polyline)
 
 
 # ---------------------------------------------------------------------------
