@@ -316,7 +316,7 @@ def run_keldysh(cfg, aw: ArtifactWriter) -> None:
     aw.write_json("diagnostics.json", {
         **{key: fld.metadata[key] for key in (
             "iterations", "factorizations", "lu_nnz", "update_history", "step_factors",
-            "residual", "clamp_active", "clamp_count", "clamp_columns")},
+            "clamped_per_step", "residual", "clamp_active", "clamp_count", "clamp_columns")},
         "scan_limits": scan.limits,
         "scan_target": 1.0 / coeffs.a,
         "corner": {"tangential": probe.limit_tangential,
@@ -519,8 +519,14 @@ def run_config(config_path: str) -> int:
 
 
 def run_sweep(config_paths, jobs: int | None = None) -> int:
+    """Run each config in its own worker process; at most one worker per
+    config, and by default at most one per CPU."""
+    if jobs is not None and jobs < 1:
+        print(f"validation error: --jobs must be >= 1, got {jobs}", file=sys.stderr)
+        return 1
+    workers = min(jobs or os.cpu_count() or 1, len(config_paths))
     codes = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         for code in pool.map(run_config, config_paths):
             codes.append(code)
     for path, code in zip(config_paths, codes):

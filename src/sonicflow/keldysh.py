@@ -185,9 +185,8 @@ class KeldyshOptions:
 _CLAMP = 1e-3
 
 # smallest step factor t the natural monotonicity test tries before it gives
-# up; on the reference scenario at 97^2 near (a, o_scale, eps0) = (4.05, 0.055,
-# 0.495) one step passes the test only at t ~ 2e-6, after which full steps
-# converge
+# up; on the reference scenario at 97^2 with (o_scale, eps0) = (0.046, 0.496)
+# one step passes the test only at t ~ 8e-6, after which full steps converge
 _MIN_STEP = 1e-8
 
 
@@ -448,6 +447,17 @@ def _assemble(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
                     np.concatenate(cols), *(np.concatenate(v) for v in vals), rhs)
 
 
+def _clamped(free: np.ndarray) -> np.ndarray:
+    """The clamped nodes beyond the first interior column, up to column nx-1.
+
+    Column 1 clamps wherever psi ~ x**2/(2a), the degenerate-boundary
+    behaviour: on x = eps0 s**2 the centered s-difference there doubles
+    psi_x of a field quadratic in x, so c1 = 2x - a psi_x is about 0.  Only
+    deeper activations mark a solution unreliable.
+    """
+    return ~free[2:-1, :]
+
+
 def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
                 opts: KeldyshOptions | None = None,
                 bc: KeldyshBC | None = None) -> Field2D:
@@ -467,8 +477,13 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
     per grid (see _Stencil).  SuperLU keeps that column order
     (permc_spec="NATURAL") and, with a diagonal pivot threshold of 0.01,
     swaps rows only where a diagonal pivot is below 1% of its column's
-    largest entry.  Steps are damped by Deuflhard's natural monotonicity
-    test: the first of
+    largest entry.
+
+    Newton starts from the degenerate-boundary asymptotic: near x = 0,
+    psi_xx -> 1/a, so psi_x ~ x/a and c1 ~ x + O1.  One linear solve with
+    c1 = max(x + O1, 1e-3*2x) frozen gives the start; its LU is freed before
+    the first Newton LU is made.  Steps are damped by Deuflhard's natural
+    monotonicity test: the first of
     t = 1, 1/2, 1/4, ... (down to 1e-8) with |J^-1 F(w + t dw)| <= (1 - t/4) |dw|
     (max norms, reusing the step's LU) is taken.  Iteration stops when the
     relative step max|dw| / max(1, max|w|) is at most tol.
@@ -477,22 +492,29 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
     factor, KeldyshConvergenceError when the step budget runs out.  The
     returned metadata records the relative step history `update_history`
     and the step factor t taken at each step, `step_factors` (one entry
-    each per factorization; the last, converged step is a full one), the
-    `factorizations` count, the largest LU fill `lu_nnz` (SuperLU's nnz),
-    the final residual, and the clamp at
-    the final iterate beyond the first interior column: `clamp_count` nodes
-    in the columns `clamp_columns` (first and last, or None).  An active
-    clamp there flags the solution unreliable.
+    each per Newton step; the last, converged step is a full one), the
+    `factorizations` count (the start's LU and one per Newton step, so
+    `iterations` + 1), the largest LU fill `lu_nnz` (SuperLU's nnz), the
+    final residual, `clamped_per_step` (the clamped nodes beyond the first
+    interior column at the start and after each Newton step, so that a run
+    shows its active set settling), and the clamp at the final iterate
+    beyond the first interior column: `clamp_count` nodes in the columns
+    `clamp_columns` (first and last, or None).  An active clamp there flags
+    the solution unreliable.
     """
     opts = opts or KeldyshOptions()
     bc = bc or KeldyshBC()
     st = _assemble(domain, coeffs, opts, bc)
     grid = st.grid
-    w = np.zeros(grid.X.shape)
+    # the start: one linear solve with the asymptotic c1 ~ x + O1 frozen
+    lu, solve = st.factor(np.maximum(grid.X + st.O1, _CLAMP * 2.0 * grid.X), None)
+    lu_nnz = lu.nnz
+    w = solve(st.rhs).reshape(grid.X.shape)
+    del lu, solve  # free the start's factorization before the first Newton one
     F, c1, free, pw = st.evaluate(w)
-    history, factors = [], []
-    lu_nnz = 0
+    history, factors, clamped_per_step = [], [], []
     for _ in range(opts.max_iter):
+        clamped_per_step.append(int(np.count_nonzero(_clamped(free))))
         lu, solve = st.factor(c1, -coeffs.a * free.ravel() * pw)
         lu_nnz = max(lu_nnz, lu.nnz)
         dw = -solve(F).reshape(w.shape)
@@ -523,21 +545,20 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
             f"no convergence in {opts.max_iter} Newton steps (last step {history[-1]:.3e})")
 
     resid = float(np.max(np.abs(F))) / max(1.0, float(np.max(np.abs(st.rhs))))
-    # the first interior column routinely clamps (its discrete psi_x carries
-    # O(1) relative noise on the graded mesh); only deeper activations mark
-    # the solution unreliable, and only they are counted
-    clamped = ~free[2:grid.nx, :]
+    clamped = _clamped(free)
+    clamped_per_step.append(int(np.count_nonzero(clamped)))
     clamp_final = bool(np.any(clamped))
     columns = np.nonzero(clamped.any(axis=1))[0] + 2
     meta = {
         "iterations": len(history),
-        "factorizations": len(history),
+        "factorizations": len(history) + 1,
         "lu_nnz": int(lu_nnz),
         "update_history": history,
         "step_factors": factors,
+        "clamped_per_step": clamped_per_step,
         "residual": resid,
         "clamp_active": clamp_final,
-        "clamp_count": int(np.count_nonzero(clamped)),
+        "clamp_count": clamped_per_step[-1],
         "clamp_columns": [int(columns[0]), int(columns[-1])] if columns.size else None,
         "reliable": not clamp_final,
         "nx": opts.nx, "ny": opts.ny, "grading": opts.grading,

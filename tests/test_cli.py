@@ -141,10 +141,13 @@ def test_keldysh_subcommand(tmp_path):
     assert {"field.csv", "scan.csv", "diagnostics.json"} <= names
     diag = json.loads((out / "diagnostics.json").read_text())
     assert abs(diag["scan_limits"][0] - 0.25) < 0.03
-    # solver telemetry: one factorization per Newton step, the largest LU
-    # fill, and no clamp beyond the first interior column
-    assert diag["factorizations"] == diag["iterations"] == len(diag["update_history"]) > 0
-    assert len(diag["step_factors"]) == diag["iterations"]
+    # solver telemetry: one factorization for the start and one per Newton
+    # step, the largest LU fill, and no clamp beyond the first interior
+    # column at the final iterate
+    assert diag["factorizations"] == diag["iterations"] + 1 == len(diag["update_history"]) + 1
+    assert len(diag["step_factors"]) == diag["iterations"] > 0
+    assert len(diag["clamped_per_step"]) == diag["factorizations"]
+    assert diag["clamped_per_step"][-1] == 0
     assert diag["update_history"][-1] <= 1e-11 and diag["lu_nnz"] > 0
     assert diag["clamp_active"] is False
     assert diag["clamp_count"] == 0 and diag["clamp_columns"] is None
@@ -416,6 +419,38 @@ def test_sweep_reports_every_config(tmp_path, capsys):
     assert main(["sweep", big, ok, bad, "--jobs", "1"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out == [f"{big}: exit 1", f"{ok}: exit 0", f"{bad}: exit 1"]
+
+
+def test_sweep_refuses_fewer_than_one_job(tmp_path, capsys, monkeypatch):
+    # one line and exit 1, before any worker pool is made
+    pools = []
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        lambda **kwargs: pools.append(kwargs))
+    path = write_cfg(tmp_path, "a.json", base_cfg("phase-portrait", tmp_path / "a", gas=GAS, n=101))
+    for jobs in ("0", "-3"):
+        assert main(["sweep", path, "--jobs", jobs]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["validation error: --jobs must be >= 1, got 0",
+                                         "validation error: --jobs must be >= 1, got -3"]
+    assert captured.out == "" and pools == []
+    assert not (tmp_path / "a").exists()
+
+
+def test_sweep_starts_at_most_one_worker_per_config(tmp_path, monkeypatch):
+    real = cli.concurrent.futures.ProcessPoolExecutor
+    workers = []
+
+    def recording(max_workers):
+        workers.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", recording)
+    paths = [write_cfg(tmp_path, f"{name}.json",
+                       base_cfg("phase-portrait", tmp_path / name, gas=GAS, n=101))
+             for name in ("a", "b")]
+    assert main(["sweep", *paths, "--jobs", "8"]) == 0
+    assert main(["sweep", paths[0]]) == 0  # the default is clamped too
+    assert workers == [2, 1]
 
 
 def test_internal_error_exit_2(tmp_path, capsys, monkeypatch):
