@@ -314,19 +314,21 @@ class _Stencil:
 
         return lu, solve
 
+    def clamp(self, c1_raw):
+        """max(c1_raw, _CLAMP * 2x) and the mask of unclamped nodes."""
+        c1_floor = _CLAMP * 2.0 * self.grid.X
+        return np.maximum(c1_raw, c1_floor), c1_raw >= c1_floor
+
     def evaluate(self, w):
         """F(w), the clamped c1(w), the mask of unclamped nodes, and P w.
 
         c1 = max(2x - a psi_x + O1, _CLAMP * 2x).
         """
-        X = self.grid.X
-        c1_raw = 2.0 * X - self.a * _psi_x_nodes(self.grid, w) + self.O1
-        c1_floor = _CLAMP * 2.0 * X
-        c1 = np.maximum(c1_raw, c1_floor)
+        c1, free = self.clamp(2.0 * self.grid.X - self.a * _psi_x_nodes(self.grid, w) + self.O1)
         wp = w.ravel()[self.order]
         pw = (self.P @ wp)[self.position]
         F = (self.M0 @ wp)[self.position] + c1.ravel() * pw - self.rhs
-        return F, c1, c1_raw >= c1_floor, pw
+        return F, c1, free, pw
 
 
 # nested dissection stops cutting at boxes of at most this many nodes
@@ -507,7 +509,7 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
     st = _assemble(domain, coeffs, opts, bc)
     grid = st.grid
     # the start: one linear solve with the asymptotic c1 ~ x + O1 frozen
-    lu, solve = st.factor(np.maximum(grid.X + st.O1, _CLAMP * 2.0 * grid.X), None)
+    lu, solve = st.factor(st.clamp(grid.X + st.O1)[0], None)
     lu_nnz = lu.nnz
     w = solve(st.rhs).reshape(grid.X.shape)
     del lu, solve  # free the start's factorization before the first Newton one
