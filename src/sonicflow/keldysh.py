@@ -635,6 +635,18 @@ def _scan_abscissas(xcol) -> np.ndarray:
     return eps0 * 2.0 ** (-np.arange(1, k, dtype=float))
 
 
+def _psi_xx_traces(fld: Field2D, first: int, paths):
+    """(x, table, limits): psi_xx along the paths into x = 0, one row and
+    one limit per path, at the scan's abscissas from index `first` on;
+    paths(x) gives the heights.  Each row reaches aitken_limit reversed, so
+    it extrapolates from the largest abscissa, x = eps0/2, away from x = 0.
+    """
+    x = _scan_abscissas(fld.x[:, 0])[first:]
+    _, psi_xx = structured_derivatives(fld)
+    table = _interp_field(fld, psi_xx, x, paths(x))
+    return x, table, aitken_limit(table[:, ::-1], 0.99, table[:, 0])
+
+
 @dataclass(frozen=True)
 class ScanReport:
     """psi_xx traces on x_k = eps0*2**-k at fixed heights, with limits."""
@@ -653,16 +665,10 @@ def sonic_derivative_scan(fld: Field2D, y_values) -> ScanReport:
     excluded from pass/fail use.  Raises InsufficientGradingError when fewer
     than three abscissas are resolvable on the grid.
     """
-    x_k = _scan_abscissas(fld.x[:, 0])
-    _, psi_xx = structured_derivatives(fld)
-    f0 = float(fld.y[0, -1])
-    top_cell = f0 / (fld.shape[1] - 1)
     y_values = np.asarray(y_values, dtype=float)
-    contaminated = y_values > f0 - top_cell
-
-    table = _interp_field(fld, psi_xx, x_k, y_values[:, None])
-    # reversed, each row ends at the largest abscissa, x_1 = eps0/2
-    limits = aitken_limit(table[:, ::-1], 0.99, table[:, 0])
+    x_k, table, limits = _psi_xx_traces(fld, 0, lambda x: y_values[:, None])
+    f0 = float(fld.y[0, -1])
+    contaminated = y_values > f0 - f0 / (fld.shape[1] - 1)
     return ScanReport(y_values=y_values, corner_contaminated=contaminated,
                       x_k=x_k, table=table, limits=limits)
 
@@ -691,16 +697,15 @@ def corner_probe(fld: Field2D, c: float = 1.0) -> CornerProbe:
     qualitative.  The paths sample the scan's abscissas from k = 2 on, so
     the same InsufficientGradingError rejects a grid too coarse for them.
     """
-    xcol = fld.x[:, 0]
-    x_m = _scan_abscissas(xcol)[1:]
-    _, psi_xx = structured_derivatives(fld)
     f0 = float(fld.y[0, -1])
-    fx = np.interp(x_m, xcol, fld.y[:, -1])
-    tang = _interp_field(fld, psi_xx, x_m, np.maximum(f0 - c * x_m, 0.0))
-    hug = _interp_field(fld, psi_xx, x_m, np.maximum(fx - c * x_m * x_m, 0.0))
+
+    def paths(x):
+        fx = np.interp(x, fld.x[:, 0], fld.y[:, -1])
+        return np.maximum(np.stack([f0 - c * x, fx - c * x * x]), 0.0)
+
+    x_m, (tang, hug), limits = _psi_xx_traces(fld, 1, paths)
     return CornerProbe(x_m=x_m, tangential=tang, hugging=hug,
-                       limit_tangential=float(aitken_limit(tang[::-1], 0.99, tang[0])),
-                       limit_hugging=float(aitken_limit(hug[::-1], 0.99, hug[0])))
+                       limit_tangential=float(limits[0]), limit_hugging=float(limits[1]))
 
 
 @dataclass(frozen=True)

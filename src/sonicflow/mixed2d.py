@@ -404,31 +404,19 @@ def sonic_smoothness_diag(fld: Field2D, spec: MixedOperatorSpec) -> JumpReport:
     ls = spec.l_s
 
     def extrap(js):
+        # Lagrange quadratic through the three columns and its first two
+        # derivatives at ls, rows (w, d1 w, d11 w): each node's value, slope
+        # and curvature weights together
         xs = x1[js]
-        ys = w[js, :]  # (3, n2)
-        # Lagrange quadratic and its derivatives at ls
-        out_w = np.zeros(w.shape[1])
-        out_d = np.zeros(w.shape[1])
-        out_d2 = np.zeros(w.shape[1])
+        out = np.zeros((3, w.shape[1]))
         for k in range(3):
-            others = [m for m in range(3) if m != k]
-            denom = np.prod([xs[k] - xs[m] for m in others])
-            l0 = (ls - xs[others[0]]) * (ls - xs[others[1]]) / denom
-            l1 = (2 * ls - xs[others[0]] - xs[others[1]]) / denom
-            l2 = 2.0 / denom
-            out_w += l0 * ys[k]
-            out_d += l1 * ys[k]
-            out_d2 += l2 * ys[k]
-        return out_w, out_d, out_d2
+            xa, xb = np.delete(xs, k)
+            weights = np.array([(ls - xa) * (ls - xb), 2 * ls - xa - xb, 2.0])
+            out += weights[:, None] / ((xs[k] - xa) * (xs[k] - xb)) * w[js[k]]
+        return out
 
-    wl, dl, d2l = extrap(jl)
-    wr, dr, d2r = extrap(jr)
     dw_all = np.gradient(w, x1, axis=0)
     d2w_all = np.gradient(dw_all, x1, axis=0)
-    scale_w = max(float(np.max(np.abs(w))), 1e-300)
-    scale_d = max(float(np.max(np.abs(dw_all))), 1e-300)
-    scale_d2 = max(float(np.max(np.abs(d2w_all))), 1e-300)
-    return JumpReport(l_s=ls,
-                      w_jump=float(np.max(np.abs(wl - wr) / scale_w)),
-                      dw_jump=float(np.max(np.abs(dl - dr) / scale_d)),
-                      d2w_jump=float(np.max(np.abs(d2l - d2r) / scale_d2)))
+    jumps = [float(np.max(np.abs(left - right) / max(float(np.max(np.abs(q))), 1e-300)))
+             for left, right, q in zip(extrap(jl), extrap(jr), (w, dw_all, d2w_all))]
+    return JumpReport(ls, *jumps)

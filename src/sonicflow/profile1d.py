@@ -387,8 +387,6 @@ def integrate_profile(params: GasParams, inlet: InletData, *,
     grid = np.union1d(base, np.asarray(breaks))
     keep = np.concatenate([[True], np.diff(grid) > 1e-12 * max(1.0, x_end)])
     grid = grid[keep]
-    if not np.isclose(grid[-1], x_end):
-        grid = np.append(grid, x_end)
 
     u_out = np.empty_like(grid)
     E_out = np.empty_like(grid)
@@ -527,14 +525,11 @@ def locate_lmax(params: GasParams, inlet: InletData, *,
     inc = np.diff(xs)
     ratios = inc[1:] / inc[:-1]
     rbar = float(aitken_limit(ratios, 0.95, np.mean(ratios[-4:])))
-    if xs[-1] > LMAX_HORIZON or rbar >= 0.97:
-        return LmaxReport(branch=DECELERATING, finite=False, value=None,
-                          u_floors=floors, x_at_floors=xs, increment_ratios=ratios,
-                          ratio_mean=rbar, horizon=LMAX_HORIZON, method_values={})
-    l_tilde = float(xs[-1] + inc[-1] * rbar / (1.0 - rbar))
-    return LmaxReport(branch=DECELERATING, finite=True, value=l_tilde,
-                      u_floors=floors, x_at_floors=xs, increment_ratios=ratios,
-                      ratio_mean=rbar, horizon=LMAX_HORIZON, method_values={"extrapolated": l_tilde})
+    finite = not (xs[-1] > LMAX_HORIZON or rbar >= 0.97)
+    l_tilde = float(xs[-1] + inc[-1] * rbar / (1.0 - rbar)) if finite else None
+    return LmaxReport(branch=DECELERATING, finite=finite, value=l_tilde,
+                      u_floors=floors, x_at_floors=xs, increment_ratios=ratios, ratio_mean=rbar,
+                      horizon=LMAX_HORIZON, method_values={"extrapolated": l_tilde} if finite else {})
 
 
 def reconstruct_fields(profile: Profile1D) -> Profile1D:
@@ -635,29 +630,23 @@ def kz_check(profile: Profile1D) -> KZReport:
     """Evaluate the sign condition on all samples via the closed representation."""
     u, E, du, x = profile.u, profile.E, profile.du, profile.x1
 
-    per_m_min = {}
-    q_reps = {}
-    for m in KZ_ORDERS:
-        q = _q_m_representation(profile.params, u, du, m)
-        q_reps[m] = q
-        per_m_min[m] = float(np.min(q))
-    lam = min(per_m_min.values())
-
     # direct route: beta1 from the samples, d(alpha11)/dx1 by finite differences
     alpha, beta = _kz_alpha_beta(profile.params, u, E, du)
     hl = x[1:-1] - x[:-2]
     hr = x[2:] - x[1:-1]
     dalpha = (alpha[2:] * hl ** 2 - alpha[:-2] * hr ** 2
               + alpha[1:-1] * (hr ** 2 - hl ** 2)) / (hl * hr * (hl + hr))
+    per_m_min = {}
     agree = 0.0
-    lo, hi = 5, len(x) - 5
+    sel = slice(4, len(x) - 6)  # interior samples 5 .. len(x) - 6
     for m in KZ_ORDERS:
+        q = _q_m_representation(profile.params, u, du, m)
+        per_m_min[m] = float(np.min(q))
+        rep = q[1:-1]
         direct = -2.0 * beta[1:-1] - (2 * m - 1) * dalpha
-        rep = q_reps[m][1:-1]
-        scale = np.max(np.abs(rep))
-        sel = slice(lo - 1, hi - 1)
-        denom = np.maximum(np.abs(rep[sel]), 1e-6 * scale)
+        denom = np.maximum(np.abs(rep[sel]), 1e-6 * np.max(np.abs(rep)))
         agree = max(agree, float(np.max(np.abs(direct[sel] - rep[sel]) / denom)))
+    lam = min(per_m_min.values())
 
     return KZReport(per_m_min=per_m_min, lambda_L=lam, holds=lam > 0.0,
                     agreement_rel_max=agree, alpha11=alpha, beta1=beta)

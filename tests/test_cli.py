@@ -592,6 +592,7 @@ def fuzz_configs(draw):
     return cfg
 
 
+@pytest.mark.filterwarnings("ignore:sign condition fails on the background profile:UserWarning")
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(fuzz_configs(), st.booleans())
 def test_fuzzed_configs_exit_cleanly(cfg, outdir_is_file):

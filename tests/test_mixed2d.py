@@ -8,6 +8,7 @@ from scipy.sparse.linalg import splu
 
 from _oracles import banded_modes_solve_banded, reduced_ode_solution
 from sonicflow import mixed2d
+from sonicflow.field2d import Field2D
 from sonicflow.mixed2d import (BoundaryData2D, ChannelDomain, build_operator,
                                solve_linear, sonic_smoothness_diag)
 from sonicflow.profile1d import critical_inlet, integrate_profile, kz_coefficients
@@ -475,6 +476,30 @@ def test_smoothness_manufactured(background):
         assert rep.dw_jump <= 2.0 * h1
         assert rep.d2w_jump <= 10.0 * h1 ** 0.5
     assert jumps[1][0] < jumps[0][0]  # value mismatch shrinks under refinement
+
+
+@pytest.mark.parametrize("n1", [65, 129])
+def test_smoothness_exact_on_quadratics(background, n1):
+    # the one-sided quadratic extrapolations reproduce a field quadratic in x1
+    # to rounding, so a wrong Lagrange weight shows as an O(1) jump
+    dom = ChannelDomain(L=L, n1=n1, n2=17)
+    spec = build_operator(background, dom)
+    X1, X2 = np.meshgrid(dom.x1, dom.x2, indexing="ij")
+    for x2_factor in (np.ones_like(X2), np.cos(np.pi * X2), 1.0 + X2 ** 3):
+        w = x2_factor * (0.3 + 0.7 * X1 - 0.4 * X1 ** 2)
+        rep = sonic_smoothness_diag(Field2D(x=X1, y=X2, values=w), spec)
+        assert max(rep.w_jump, rep.dw_jump, rep.d2w_jump) <= 1e-10, rep
+    # on x1**3 each side's quadratic misses by its node polynomial
+    # prod(x1 - x_k), so the jumps are known exactly; this also sees a weight
+    # that is wrong the same way on both sides, which cancels on quadratics
+    w = X1 ** 3
+    rep = sonic_smoothness_diag(Field2D(x=X1, y=X2, values=w), spec)
+    jl, jr = mixed2d._sonic_side_columns(spec)
+    miss = np.poly1d(dom.x1[jl], r=True) - np.poly1d(dom.x1[jr], r=True)
+    dw = np.gradient(w, dom.x1, axis=0)
+    for jump, order, q in ((rep.w_jump, 0, w), (rep.dw_jump, 1, dw),
+                           (rep.d2w_jump, 2, np.gradient(dw, dom.x1, axis=0))):
+        assert jump == pytest.approx(abs(miss.deriv(order)(spec.l_s)) / np.max(np.abs(q)), rel=1e-7)
 
 
 def test_smoothness_zero_field(background):

@@ -432,6 +432,16 @@ def test_kz_dichotomy(acc_profile, dec_profile):
     assert rep_dec.agreement_rel_max <= 1e-6
 
 
+@pytest.mark.parametrize("profile", ["acc_profile", "dec_profile"])
+def test_kz_agreement_sees_a_perturbed_slope(request, profile):
+    # the closed route reads du and the direct route does not, so a 1e-4
+    # relative error in du must show in agreement_rel_max
+    prof = request.getfixturevalue(profile)
+    assert kz_check(prof).agreement_rel_max <= 1e-6
+    perturbed = dataclasses.replace(prof, du=(1.0 + 1e-4) * prof.du)
+    assert kz_check(perturbed).agreement_rel_max > 1e-5
+
+
 # ---------------------------------------------------------------------------
 # degenerate potential equation residual
 # ---------------------------------------------------------------------------
