@@ -1,14 +1,16 @@
 """Minimal deterministic SVG emission: line plots, heatmaps, sketches.
 
-No external plotting dependency; point lists and heatmap cells go through
-field2d.format_rows.  Output bytes depend only on the data, so reruns match.
+No external plotting dependency.  Every coordinate is written as '%.6g'
+gives it: point lists go through field2d.format_floats, single values
+through _fmt, and heatmap cells through field2d.format_rows.  Output bytes
+depend only on the data, so reruns match.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .field2d import format_rows
+from .field2d import G6, format_floats, format_rows
 
 
 def _fmt(v: float) -> str:
@@ -21,7 +23,7 @@ _STOPS = [(68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98), (253, 231, 
 
 def _fmt_points(xs, ys) -> str:
     """Each point as "x,y ", each number as _fmt gives it; no .6g form holds a space."""
-    return format_rows("%.6g,%.6g ", np.column_stack((xs, ys)))
+    return format_floats(np.column_stack((xs, ys)), ", ", G6)
 
 
 def _color(t):
@@ -150,9 +152,10 @@ def heatmap(path, x, y, values, title="", xlabel="", ylabel=""):
     """Cell-quad heatmap of node values on a structured (possibly mapped) grid.
 
     Screen coordinates, cell means and colours are computed on whole arrays;
-    each node's "x,y" is formatted once, and the file is streamed one grid
-    row of cells at a time, one format_rows call per row.  The bytes are those
-    of drawing each cell as its own polygon with SvgCanvas.sx/sy, _fmt and _color.
+    every node's "x,y" is formatted once, in one _fmt_points call, and the
+    file is streamed one grid row of cells at a time, one format_rows call
+    per row.  The bytes are those of drawing each cell as its own polygon
+    with SvgCanvas.sx/sy, _fmt and _color.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -170,14 +173,14 @@ def heatmap(path, x, y, values, title="", xlabel="", ylabel=""):
     rgb = _color(t)
 
     def rows():  # one block of polygons per grid row of cells
-        cells = np.empty((t.shape[1], 7), dtype=object)
-        here = _fmt_points(px[0], py[0]).split()
+        n2 = t.shape[1] + 1
+        pts = _fmt_points(px.ravel(), py.ravel()).split()
+        cells = np.empty((n2 - 1, 7), dtype=object)
         for j in range(t.shape[0]):
-            nxt = _fmt_points(px[j + 1], py[j + 1]).split()
+            here, nxt = pts[j * n2:(j + 1) * n2], pts[(j + 1) * n2:(j + 2) * n2]
             cells[:, 0], cells[:, 1], cells[:, 2], cells[:, 3] = here[:-1], nxt[:-1], nxt[1:], here[1:]
             cells[:, 4:] = rgb[j]
             yield format_rows('<polygon points="%s %s %s %s" fill="rgb(%d,%d,%d)" stroke="none"/>\n', cells)[:-1]
-            here = nxt
 
     if t.size:
         cv.body.append(rows)

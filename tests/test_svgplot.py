@@ -1,5 +1,6 @@
 """The array-based SVG writers against the per-cell and per-point oracles:
-whole-file bytes must be identical."""
+whole-file bytes must be identical; the kernel's %.6g points against the
+per-point % at ties, decade carries and form switches."""
 
 import os
 import tempfile
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _oracles import SvgCanvasOracle, heatmap_svg, line_plot_svg
-from sonicflow.svgplot import SvgCanvas, _color, heatmap, line_plot
+from sonicflow.svgplot import SvgCanvas, _color, _fmt_points, heatmap, line_plot
 
 prop = settings(derandomize=True, max_examples=80, deadline=None)
 
@@ -129,3 +130,22 @@ def test_polyline_bytes_match_the_per_point_oracle_off_the_axes(points):
     got.polyline(xs, ys)
     want.polyline(xs, ys)
     assert got.render() == want.render()
+
+
+def _g6_cases():
+    """Values where '%.6g' is easiest to get wrong, each with its neighbours."""
+    ties = [123456.5, 123457.5, 12345.25, 12345.75, 123.4375, 0.5, 2.5]  # exact: to even
+    carries = [999999.5, 999999.4, 9.9999951e-05, 9.99999e-05, 99999.95, 0.99999951]
+    switches = [1e-4, 1e-5, 1e6, 999999.0, 1e5, 1e-6]
+    x = np.array(ties + carries + switches)
+    x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
+    screen = np.random.default_rng(3).uniform(0.0, 640.0, 20_000)
+    return np.concatenate([x, -x, [0.0, -0.0], screen, np.round(screen, 4)])
+
+
+def test_points_match_the_per_point_format():
+    v = _g6_cases()
+    xs, ys = v, v[::-1]
+    assert _fmt_points(xs, ys) == "".join("%.6g,%.6g " % p for p in zip(xs.tolist(), ys.tolist()))
+    assert "123456,123458 " in _fmt_points([123456.5], [123457.5])
+    assert _fmt_points([999999.5, 9.9999951e-05], [-0.0, 0.0]) == "1e+06,-0 0.0001,0 "
