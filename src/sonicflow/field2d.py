@@ -63,7 +63,8 @@ _MARGIN = 1e-6  # in units of the scaled value's last integer digit
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for Dekker's product
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 _PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype=np.uint16)
-_EXP3 = np.frombuffer("".join(f"{i:03d}\0" for i in range(400)).encode(), dtype=np.uint32)
+_EXP_MAX = 400  # above the largest |decimal exponent| of |x| in [_TINY, _HUGE)
+_EXP3 = np.frombuffer("".join(f"{i:03d}\0" for i in range(_EXP_MAX)).encode(), dtype=np.uint32)
 
 
 def _scale_table():
@@ -164,11 +165,11 @@ _MINUS, _DOT, _ZERO, _E, _PLUS, _MARK, _NUL = range(_CONST_COL, _CONST_COL + 7)
 
 
 def _layouts(ndigits: int, positional_max: int, point_zero: bool):
-    """Source columns of each output character, one row per key (sign, k
-    significant digits, code) and a last row for a fallback mark, NUL-padded.
-    Codes 0 .. positional_max + 3 are the positional exponents -4 ..
-    positional_max - 1; the next four the exponent forms (negative, three
-    exponent digits)."""
+    """Source columns of each output character, NUL-padded, one row per key
+    (sign, k significant digits, code); k = 0 marks a fallback.  Codes 0 ..
+    positional_max + 3 are the positional exponents -4 .. positional_max - 1,
+    the next four the exponent forms (negative, three exponent digits).
+    Also the code of each exponent in -_EXP_MAX .. _EXP_MAX - 1."""
     npos = positional_max + 4
     rows = []
     for sign in (0, 1):
@@ -177,7 +178,9 @@ def _layouts(ndigits: int, positional_max: int, point_zero: bool):
             for code in range(npos + 4):
                 cols = [_MINUS] if sign else []
                 E = code - 4
-                if code >= npos:
+                if k == 0:
+                    cols = [_MARK]
+                elif code >= npos:
                     neg, wide = divmod(code - npos, 2)
                     cols += digits[:1] + ([_DOT] + digits[1:] if k > 1 else [])
                     cols += [_E, _MINUS if neg else _PLUS] + list(range(_EXP_COL + 1 - wide, _EXP_COL + 3))
@@ -188,9 +191,10 @@ def _layouts(ndigits: int, positional_max: int, point_zero: bool):
                 else:
                     cols += digits + [_ZERO] * (E - k + 1) + ([_DOT, _ZERO] if point_zero else [])
                 rows.append(cols + [_SEP_COL])
-    rows.append([_MARK, _SEP_COL])
     width = max(map(len, rows))
-    return np.array([r + [_NUL] * (width - len(r)) for r in rows], dtype=np.intp), npos + 4
+    E = np.arange(-_EXP_MAX, _EXP_MAX)
+    codes = np.where((E >= -4) & (E < positional_max), E + 4, npos + 2 * (E < 0) + (abs(E) >= 100))
+    return np.array([r + [_NUL] * (width - len(r)) for r in rows], dtype=np.intp), npos + 4, codes
 
 
 @dataclass(frozen=True)
@@ -200,19 +204,16 @@ class FloatStyle:
 
     digits: object
     ndigits: int
-    positional_max: int
     layouts: np.ndarray
-    codes: int
+    ncodes: int
+    codes: np.ndarray
     fallback: object
 
 
-def _style(digits, ndigits, positional_max, point_zero, fallback):
-    return FloatStyle(digits, ndigits, positional_max,
-                      *_layouts(ndigits, positional_max, point_zero), fallback)
-
-
-REPR = _style(_shortest, 17, 16, True, repr)
-G6 = _style(_six_digits, 6, 6, False, "%.6g".__mod__)
+# repr: 17 digits, positional for exponents -4..15, a ".0" on integers;
+# '%.6g': 6 digits, positional for -4..5
+REPR = FloatStyle(_shortest, 17, *_layouts(17, 16, True), repr)
+G6 = FloatStyle(_six_digits, 6, *_layouts(6, 6, False), "%.6g".__mod__)
 
 
 def _scaled(a):
@@ -241,7 +242,7 @@ def _text(x, sep, style: FloatStyle) -> str:
     c, k, E, unsure = style.digits(*_scaled(np.where(ok, a, 1.0)))
     good = ok & ~unsure
     fallback = ~good & (a != 0.0)
-    c, k, E = np.where(good, c, 0), np.where(good, k, 1), np.where(good, E, 0)
+    c, k, E = np.where(good, c, 0), np.where(good, k, ~fallback), np.where(good, E, 0)
 
     src = np.empty((n, _SRC_WIDTH), dtype=np.uint8)
     npairs = (style.ndigits + 1) // 2
@@ -255,15 +256,11 @@ def _text(x, sep, style: FloatStyle) -> str:
     src[:, _SEP_COL].reshape(-1, len(sep))[:] = sep
     src[:, _CONST_COL:] = _CONSTS
 
-    npos = style.positional_max + 4
-    code = np.where((E >= -4) & (E < style.positional_max), E + 4,
-                    npos + 2 * (E < 0) + (np.abs(E) >= 100))
-    key = np.where(fallback, len(style.layouts) - 1,
-                   (np.signbit(x) * (style.ndigits + 1) + k) * style.codes + code)
+    key = (np.signbit(x) * (style.ndigits + 1) + k) * style.ncodes + style.codes[E + _EXP_MAX]
     idx = style.layouts.take(key, axis=0)
     idx += np.arange(0, n * _SRC_WIDTH, _SRC_WIDTH)[:, None]
     chars = src.ravel()[idx]
-    del idx
+    del idx  # the largest temporary, 8 bytes per character
     text = chars[chars != 0].tobytes().decode("ascii")
     if not fallback.any():
         return text
