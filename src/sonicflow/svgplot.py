@@ -175,7 +175,7 @@ def heatmap(path, x, y, values, title="", xlabel="", ylabel=""):
     def rows():  # one block of polygons per grid row of cells
         n2 = t.shape[1] + 1
         pts = _fmt_points(px.ravel(), py.ravel()).split()
-        cells = np.empty((n2 - 1, 7), dtype=object)
+        cells = np.empty((t.shape[1], 7), dtype=object)
         for j in range(t.shape[0]):
             here, nxt = pts[j * n2:(j + 1) * n2], pts[(j + 1) * n2:(j + 2) * n2]
             cells[:, 0], cells[:, 1], cells[:, 2], cells[:, 3] = here[:-1], nxt[:-1], nxt[1:], here[1:]
