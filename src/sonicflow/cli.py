@@ -316,7 +316,8 @@ def run_keldysh(cfg, aw: ArtifactWriter) -> None:
     aw.write_json("diagnostics.json", {
         **{key: fld.metadata[key] for key in (
             "iterations", "factorizations", "lu_nnz", "update_history", "step_factors",
-            "clamped_per_step", "residual", "clamp_active", "clamp_count", "clamp_columns")},
+            "chord_steps", "final_update", "clamped_per_step", "residual", "clamp_active",
+            "clamp_count", "clamp_columns")},
         "scan_limits": scan.limits,
         "scan_target": 1.0 / coeffs.a,
         "corner": {"tangential": probe.limit_tangential,

@@ -189,6 +189,10 @@ _CLAMP = 1e-3
 # one step passes the test only at t ~ 8e-6, after which full steps converge
 _MIN_STEP = 1e-8
 
+# the quarter in the monotonicity test's 1 - t/4, and the contraction each
+# chord step's correction must show against the one before it to be taken
+_QUARTER = 0.25
+
 
 class _Grid:
     """Mapped-grid metric arrays shared by assembly and evaluation."""
@@ -487,14 +491,31 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
     the first Newton LU is made.  Steps are damped by Deuflhard's natural
     monotonicity test: the first of
     t = 1, 1/2, 1/4, ... (down to 1e-8) with |J^-1 F(w + t dw)| <= (1 - t/4) |dw|
-    (max norms, reusing the step's LU) is taken.  Iteration stops when the
-    relative step max|dw| / max(1, max|w|) is at most tol.
+    (max norms, reusing the step's LU) is taken.
+
+    The test's simplified correction d = -J^-1 F(w + t dw) also decides
+    when to stop and whether to keep the LU (Deuflhard, Newton Methods for
+    Nonlinear Problems, 2004, error-oriented Newton; Kelley, Iterative
+    Methods for Linear and Nonlinear Equations, 1995, ch. 5, chord steps).
+    Iteration stops when a correction made with the current LU, the Newton
+    step dw or d, has relative size max|.| / max(1, max|w|) at most tol;
+    that correction is applied, and no LU is made to confirm it.
+    Otherwise, while d is at most a quarter of the correction it follows
+    (dw, then each kept chord step), d is tried as a chord step with the
+    same LU: it is kept when its own correction is at most a quarter of
+    it, and that correction becomes the next d.  The first chord step that
+    fails is dropped, and the next Newton LU is made at the last kept
+    iterate.  Each kept chord step shrinks the correction fourfold, so at
+    most about log4(1/tol) follow one LU; `max_iter` counts Newton steps
+    only.
 
     Raises KeldyshDivergenceError when the test fails at the smallest step
     factor, KeldyshConvergenceError when the step budget runs out.  The
-    returned metadata records the relative step history `update_history`
-    and the step factor t taken at each step, `step_factors` (one entry
-    each per Newton step; the last, converged step is a full one), the
+    returned metadata records, one entry each per Newton step, the relative
+    step history `update_history`, the step factor t taken, `step_factors`
+    (the last, converged step is a full one), and the chord steps kept with
+    its LU, `chord_steps`; `final_update` is the relative size of the
+    correction that ended the run.  It also records the
     `factorizations` count (the start's LU and one per Newton step, so
     `iterations` + 1), the largest LU fill `lu_nnz` (SuperLU's nnz), the
     final residual, `clamped_per_step` (the clamped nodes beyond the first
@@ -514,7 +535,8 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
     w = solve(st.rhs).reshape(grid.X.shape)
     del lu, solve  # free the start's factorization before the first Newton one
     F, c1, free, pw = st.evaluate(w)
-    history, factors, clamped_per_step = [], [], []
+    history, factors, chords, clamped_per_step = [], [], [], []
+    final = None
     for _ in range(opts.max_iter):
         clamped_per_step.append(int(np.count_nonzero(_clamped(free))))
         lu, solve = st.factor(c1, -coeffs.a * free.ravel() * pw)
@@ -522,25 +544,50 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
         dw = -solve(F).reshape(w.shape)
         norm = float(np.max(np.abs(dw)))
         history.append(norm / max(1.0, float(np.max(np.abs(w)))))
+        chords.append(0)
+        t, update = 1.0, dw
         if history[-1] <= opts.tol:
-            factors.append(1.0)
-            w = w + dw
+            final = history[-1]
+        else:
+            while True:
+                trial = w + t * dw
+                state = st.evaluate(trial)
+                update = -solve(state[0]).reshape(w.shape)
+                size = float(np.max(np.abs(update)))
+                if size <= (1.0 - _QUARTER * t) * norm:
+                    break
+                if t <= _MIN_STEP:
+                    raise KeldyshDivergenceError(
+                        f"Newton step {len(history)} fails the monotonicity test down to "
+                        f"t = {t:.3g} (relative step {history[-1]:.3e})")
+                t *= 0.5
+            w = trial
+            F, c1, free, pw = state
+            # the simplified correction made with this LU ends the run once
+            # it is at most tol; while it is at most a quarter of the step
+            # before it, it is tried as a chord step, kept when its own
+            # correction is at most a quarter of it
+            while True:
+                rel = size / max(1.0, float(np.max(np.abs(w))))
+                if rel <= opts.tol:
+                    final = rel
+                    break
+                if size > _QUARTER * norm:
+                    break
+                state = st.evaluate(w + update)
+                chord = -solve(state[0]).reshape(w.shape)
+                norm, size = size, float(np.max(np.abs(chord)))
+                if size > _QUARTER * norm:
+                    break
+                w = w + update
+                F, c1, free, pw = state
+                update = chord
+                chords[-1] += 1
+        factors.append(t)
+        if final is not None:
+            w = w + update
             F, c1, free, _ = st.evaluate(w)
             break
-        t = 1.0
-        while True:
-            trial = w + t * dw
-            state = st.evaluate(trial)
-            if float(np.max(np.abs(solve(state[0])))) <= (1.0 - t / 4.0) * norm:
-                break
-            if t <= _MIN_STEP:
-                raise KeldyshDivergenceError(
-                    f"Newton step {len(history)} fails the monotonicity test down to "
-                    f"t = {t:.3g} (relative step {history[-1]:.3e})")
-            t *= 0.5
-        factors.append(t)
-        w = trial
-        F, c1, free, pw = state
         del lu, solve  # free this factorization before the next one is made
     else:
         raise KeldyshConvergenceError(
@@ -557,6 +604,8 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
         "lu_nnz": int(lu_nnz),
         "update_history": history,
         "step_factors": factors,
+        "chord_steps": chords,
+        "final_update": final,
         "clamped_per_step": clamped_per_step,
         "residual": resid,
         "clamp_active": clamp_final,

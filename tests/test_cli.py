@@ -148,7 +148,9 @@ def test_keldysh_subcommand(tmp_path):
     assert len(diag["step_factors"]) == diag["iterations"] > 0
     assert len(diag["clamped_per_step"]) == diag["factorizations"]
     assert diag["clamped_per_step"][-1] == 0
-    assert diag["update_history"][-1] <= 1e-11 and diag["lu_nnz"] > 0
+    assert diag["final_update"] <= 1e-11 and diag["lu_nnz"] > 0
+    # the last LU is kept through four chord steps
+    assert diag["chord_steps"] == [0, 0, 4]
     assert diag["clamp_active"] is False
     assert diag["clamp_count"] == 0 and diag["clamp_columns"] is None
 

@@ -259,8 +259,8 @@ def test_one_factorization_per_step_and_fixed_point(monkeypatch):
     dom, coeffs, bc = reference_scenario()
     opts = KeldyshOptions(nx=65, ny=65, tol=1e-11, max_iter=200)
     fld = solve_model(dom, coeffs, opts, bc)
-    # one LU for the start, then one per Newton step
-    assert len(calls) == fld.metadata["iterations"] + 1 == fld.metadata["factorizations"] == 9
+    # one LU for the start, then one per Newton step; chord steps reuse it
+    assert len(calls) == fld.metadata["iterations"] + 1 == fld.metadata["factorizations"] == 5
     # the solution is the fixed point of the frozen-coefficient (Picard) map,
     # solved here on the whole system, Dirichlet rows included
     st = keldysh._assemble(dom, coeffs, opts, bc)
@@ -337,10 +337,10 @@ def test_reliable_flag_at_65(scenario, reliable):
 
 def test_newton_counts_and_divergence_pinned(scenario_field):
     fld, _ = scenario_field
-    assert fld.metadata["iterations"] == 13  # 97^2
+    assert fld.metadata["iterations"] == 9  # 97^2
     dom, coeffs, bc = reference_scenario()
     fld = solve_model(dom, coeffs, KeldyshOptions(nx=81, ny=81, tol=1e-11, max_iter=200), bc)
-    assert fld.metadata["iterations"] == 13
+    assert fld.metadata["iterations"] == 10
     dom, coeffs, bc = reference_scenario(a=4.1251, o_scale=0.0659, eps0=0.5055)
     with pytest.raises(KeldyshDivergenceError, match="Newton step 15 "):
         solve_model(dom, coeffs, KeldyshOptions(nx=129, ny=129, tol=1e-11, max_iter=200), bc)
@@ -352,7 +352,7 @@ def test_hard_draw_takes_tiny_damped_steps():
     dom, coeffs, bc = reference_scenario(o_scale=0.046, eps0=0.496)
     fld = solve_model(dom, coeffs, KeldyshOptions(nx=97, ny=97, tol=1e-11, max_iter=160), bc)
     meta = fld.metadata
-    assert meta["iterations"] == 13
+    assert meta["iterations"] == 11
     assert len(meta["step_factors"]) == meta["iterations"]
     assert min(meta["step_factors"]) < 1e-4
     assert meta["step_factors"][-1] == 1.0
@@ -361,18 +361,20 @@ def test_hard_draw_takes_tiny_damped_steps():
 def test_solver_telemetry(scenario_field, manufactured_fields):
     meta = scenario_field[0].metadata
     assert meta["factorizations"] == meta["iterations"] + 1 == len(meta["update_history"]) + 1
-    assert meta["update_history"][-1] <= 1e-11
+    assert meta["final_update"] <= 1e-11
     # fill of the reduced block in nested-dissection order with 16-node
     # leaves and a 0.01 diagonal pivot threshold: 580,909.  64-node leaves
     # give 697,301, SuperLU's default threshold of 1 gives 661,935, both
     # together 805,470, and SuperLU's COLAMD on the whole matrix about 1.0M
     assert 0 < meta["lu_nnz"] < 650_000
-    assert meta["step_factors"] == [1.0] * 5 + [0.125, 0.015625, 0.0625] + [1.0] * 5
+    assert meta["step_factors"] == [1.0] * 5 + [0.125, 0.015625, 0.0625, 1.0]
+    # the last LU is kept through ten chord steps
+    assert meta["chord_steps"] == [0] * 8 + [10]
     # the reference scenario clamps next to the top-right corner only; the
     # count is recorded at the start and after each Newton step
     assert meta["clamp_active"] and meta["clamp_count"] > 0
     assert meta["clamp_columns"] == [96, 96]
-    assert meta["clamped_per_step"] == [75, 18, 8] + [10] * 5 + [11] * 6
+    assert meta["clamped_per_step"] == [75, 18, 8] + [10] * 5 + [11] * 2
     meta = manufactured_fields[65].metadata
     assert not meta["clamp_active"]
     assert meta["clamp_count"] == 0 and meta["clamp_columns"] is None
@@ -383,12 +385,44 @@ def test_start_from_the_degenerate_boundary_asymptotic():
     psi_x ~ x/a at x = 0.  On the manufactured field, where that holds
     everywhere, only columns 2 and 3 clamp at the start (next to column 1,
     which is not counted) and none after one step; from w = 0 the first
-    step would clamp 1,351 nodes and the solve take 11 Newton steps."""
+    step would clamp 1,351 nodes and the solve take 9 Newton steps."""
     dom, coeffs, bc = manufactured_scenario()
     meta = solve_model(dom, coeffs, KeldyshOptions(nx=65, ny=65), bc).metadata
-    assert meta["factorizations"] == meta["iterations"] + 1 == 6
-    assert meta["clamped_per_step"] == [118, 0, 0, 0, 0, 0]
-    assert meta["step_factors"] == [1.0] * 5
+    assert meta["factorizations"] == meta["iterations"] + 1 == 4
+    assert meta["clamped_per_step"] == [118, 0, 0, 0]
+    assert meta["step_factors"] == [1.0] * 3
+
+
+@pytest.fixture(scope="module")
+def reference_65():
+    dom, coeffs, bc = reference_scenario()
+    return solve_model(dom, coeffs, KeldyshOptions(nx=65, ny=65, tol=1e-11), bc)
+
+
+def test_chord_steps_run_on_the_reference(reference_65):
+    """On the reference at 65^2 the contracting tail keeps LUs through
+    chord steps, one entry per Newton step."""
+    meta = reference_65.metadata
+    assert len(meta["chord_steps"]) == meta["iterations"]
+    assert sum(meta["chord_steps"]) > 0
+
+
+def test_a_fresh_newton_step_from_the_result_is_below_tol(reference_65, scenario_field,
+                                                           manufactured_fields):
+    """The run stops on a correction made with the last Newton LU and makes
+    no LU to confirm it: a fresh Newton step (a new LU at the returned
+    field) is still at most tol in relative size."""
+    cases = [(reference_65, reference_scenario(), 1e-11),
+             (scenario_field[0], reference_scenario(), 1e-11),
+             (manufactured_fields[65], manufactured_scenario(), 1e-12)]
+    for fld, (dom, coeffs, bc), tol in cases:
+        assert fld.metadata["final_update"] <= tol
+        n = fld.shape[0] - 1
+        st = keldysh._assemble(dom, coeffs, KeldyshOptions(nx=n, ny=n), bc)
+        F, c1, free, pw = st.evaluate(fld.values)
+        _, solve = st.factor(c1, -coeffs.a * free.ravel() * pw)
+        step = float(np.max(np.abs(solve(F)))) / max(1.0, float(np.max(np.abs(fld.values))))
+        assert step <= tol
 
 
 @pytest.mark.parametrize("eps0", [0.4, 0.6])
