@@ -195,7 +195,8 @@ class ArtifactWriter:
             fh.write(text)
 
     def write_json(self, name: str, obj) -> None:
-        self.write_text(name, json.dumps(obj, indent=2, sort_keys=True,
+        # JSON has no NaN or Infinity: a non-finite number raises here
+        self.write_text(name, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
                                          default=_json_default) + "\n")
 
 
@@ -249,7 +250,9 @@ def _lemma_json(report):
         "branch": report.branch,
         "gamma": report.gamma,
         "passed": report.passed,
-        "claims": [{"name": c.name, "passed": bool(c.passed), "margin": c.margin,
+        # a margin verify_lemma could not measure is inf, null here; the detail says why
+        "claims": [{"name": c.name, "passed": bool(c.passed),
+                    "margin": c.margin if math.isfinite(c.margin) else None,
                     "detail": c.detail} for c in report.claims],
         "lmax": None if report.lmax is None else {
             "finite": report.lmax.finite,
@@ -476,9 +479,7 @@ def _write_manifest(aw: ArtifactWriter, sub: str, cfg: dict, t0: float) -> None:
         "outputs": [{"name": name, **_digest(os.path.join(aw.outdir, name))}
                     for name in aw.files],
     }
-    with open(os.path.join(aw.outdir, "manifest.json"), "w", newline="") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    aw.write_json("manifest.json", manifest)
 
 
 def run_config(config_path: str) -> int:

@@ -497,9 +497,10 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
     when to stop and whether to keep the LU (Deuflhard, Newton Methods for
     Nonlinear Problems, 2004, error-oriented Newton; Kelley, Iterative
     Methods for Linear and Nonlinear Equations, 1995, ch. 5, chord steps).
-    Iteration stops when a correction made with the current LU, the Newton
-    step dw or d, has relative size max|.| / max(1, max|w|) at most tol;
-    that correction is applied, and no LU is made to confirm it.
+    Iteration has one stop rule: it stops when a simplified correction d
+    made with the current LU has relative size max|d| / max(1, max|w|) at
+    most tol; d is applied, and no LU is made to confirm it.  Every Newton
+    step, even one whose dw is that small, takes the damped trial first.
     Otherwise, while d is at most a quarter of the correction it follows
     (dw, then each kept chord step), d is tried as a chord step with the
     same LU: it is kept when its own correction is at most a quarter of
@@ -515,7 +516,7 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
     step history `update_history`, the step factor t taken, `step_factors`
     (the last, converged step is a full one), and the chord steps kept with
     its LU, `chord_steps`; `final_update` is the relative size of the
-    correction that ended the run.  It also records the
+    simplified correction that ended the run.  It also records the
     `factorizations` count (the start's LU and one per Newton step, so
     `iterations` + 1), the largest LU fill `lu_nnz` (SuperLU's nnz), the
     final residual, `clamped_per_step` (the clamped nodes beyond the first
@@ -536,62 +537,58 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
     del lu, solve  # free the start's factorization before the first Newton one
     F, c1, free, pw = st.evaluate(w)
     history, factors, chords, clamped_per_step = [], [], [], []
-    final = None
+
+    def correct(v):
+        """st.evaluate(v), the correction d = -J^-1 F(v) made with the
+        current LU, and max|d|."""
+        state = st.evaluate(v)
+        d = -solve(state[0]).reshape(grid.X.shape)
+        return state, d, float(np.max(np.abs(d)))
+
+    def relative(size, v):
+        return size / max(1.0, float(np.max(np.abs(v))))
+
     for _ in range(opts.max_iter):
         clamped_per_step.append(int(np.count_nonzero(_clamped(free))))
         lu, solve = st.factor(c1, -coeffs.a * free.ravel() * pw)
         lu_nnz = max(lu_nnz, lu.nnz)
         dw = -solve(F).reshape(w.shape)
         norm = float(np.max(np.abs(dw)))
-        history.append(norm / max(1.0, float(np.max(np.abs(w)))))
-        chords.append(0)
-        t, update = 1.0, dw
-        if history[-1] <= opts.tol:
-            final = history[-1]
-        else:
-            while True:
-                trial = w + t * dw
-                state = st.evaluate(trial)
-                update = -solve(state[0]).reshape(w.shape)
-                size = float(np.max(np.abs(update)))
-                if size <= (1.0 - _QUARTER * t) * norm:
-                    break
-                if t <= _MIN_STEP:
-                    raise KeldyshDivergenceError(
-                        f"Newton step {len(history)} fails the monotonicity test down to "
-                        f"t = {t:.3g} (relative step {history[-1]:.3e})")
-                t *= 0.5
-            w = trial
-            F, c1, free, pw = state
-            # the simplified correction made with this LU ends the run once
-            # it is at most tol; while it is at most a quarter of the step
-            # before it, it is tried as a chord step, kept when its own
-            # correction is at most a quarter of it
-            while True:
-                rel = size / max(1.0, float(np.max(np.abs(w))))
-                if rel <= opts.tol:
-                    final = rel
-                    break
-                if size > _QUARTER * norm:
-                    break
-                state = st.evaluate(w + update)
-                chord = -solve(state[0]).reshape(w.shape)
-                norm, size = size, float(np.max(np.abs(chord)))
-                if size > _QUARTER * norm:
-                    break
-                w = w + update
-                F, c1, free, pw = state
-                update = chord
-                chords[-1] += 1
+        history.append(relative(norm, w))
+        t = 1.0
+        while True:
+            trial = w + t * dw
+            state, d, size = correct(trial)
+            if size <= (1.0 - _QUARTER * t) * norm:
+                break
+            if t <= _MIN_STEP:
+                raise KeldyshDivergenceError(
+                    f"Newton step {len(history)} fails the monotonicity test down to "
+                    f"t = {t:.3g} (relative step {history[-1]:.3e})")
+            t *= 0.5
+        w, (F, c1, free, pw) = trial, state
         factors.append(t)
-        if final is not None:
-            w = w + update
-            F, c1, free, _ = st.evaluate(w)
+        chords.append(0)
+        # the simplified correction d made with this LU ends the run once it
+        # is at most tol; while it is at most a quarter of the step before
+        # it, it is tried as a chord step, kept when its own correction is
+        # at most a quarter of it
+        while (rel := relative(size, w)) > opts.tol and size <= _QUARTER * norm:
+            trial = w + d
+            state, chord, chord_size = correct(trial)
+            if chord_size > _QUARTER * size:
+                break
+            w, (F, c1, free, pw) = trial, state
+            d, norm, size = chord, size, chord_size
+            chords[-1] += 1
+        if rel <= opts.tol:
             break
         del lu, solve  # free this factorization before the next one is made
     else:
         raise KeldyshConvergenceError(
             f"no convergence in {opts.max_iter} Newton steps (last step {history[-1]:.3e})")
+    w = w + d
+    F, c1, free, _ = st.evaluate(w)
 
     resid = float(np.max(np.abs(F))) / max(1.0, float(np.max(np.abs(st.rhs))))
     clamped = _clamped(free)
@@ -605,7 +602,7 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
         "update_history": history,
         "step_factors": factors,
         "chord_steps": chords,
-        "final_update": final,
+        "final_update": rel,
         "clamped_per_step": clamped_per_step,
         "residual": resid,
         "clamp_active": clamp_final,

@@ -169,6 +169,19 @@ def test_zero_data_gives_zero(domain, plain_coeffs):
     assert np.max(np.abs(fld.values)) == 0.0
 
 
+def test_zero_data_stops_on_the_first_simplified_correction(domain, plain_coeffs):
+    """On zero data the Newton step dw is 0, so the full trial passes the
+    monotonicity test and its simplified correction, also 0, ends the run:
+    one Newton step, one LU besides the start's, no chord step."""
+    fld = solve_model(domain, plain_coeffs, KeldyshOptions(nx=33, ny=33), KeldyshBC())
+    meta = fld.metadata
+    assert meta["iterations"] == 1 and meta["factorizations"] == 2
+    assert meta["update_history"] == [0.0]
+    assert meta["step_factors"] == [1.0] and meta["chord_steps"] == [0]
+    assert meta["final_update"] == 0.0
+    assert not np.any(fld.values)
+
+
 def test_determinism(domain, plain_coeffs):
     opts = KeldyshOptions(nx=21, ny=21)
     f1 = solve_model(domain, plain_coeffs, opts, manufactured_bc())
