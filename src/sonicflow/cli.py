@@ -6,6 +6,10 @@ reproducible; SVG plots are derived artifacts regenerated deterministically
 from the same data.  Every run writes a manifest listing the emitted files
 with content digests.
 
+Loading this module imports numpy, scipy's top level, field2d and svgplot
+only.  Each handler imports the solver modules it uses, so a keldysh-solve
+run loads scipy.sparse and not the profiles' ODE, optimize and spatial stack.
+
 Exit codes: 0 success, 1 config/validation error, 2 solver failure.
 """
 
@@ -21,23 +25,13 @@ import os
 import sys
 import time
 import traceback
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .field2d import csv_text, field_csv_text
-from .gas import GasParams, critical_field, find_u_star
-from .keldysh import (KeldyshOptions, corner_probe, manufactured_scenario, solve_model,
-                      sonic_derivative_scan, reference_scenario, verify_bounds, _Grid,
-                      _scan_abscissas)
-from .mixed2d import BoundaryData2D, ChannelDomain, build_operator, solve_linear, \
-    sonic_smoothness_diag, _sonic_side_columns
-from .profile1d import (InletData, critical_inlet, integrate_profile, kz_check,
-                        profile_csv_text, reconstruct_fields, verify_lemma)
-from .shockpolar import (CHARTS, CONFIGURATIONS, SelfSimilarState, UpstreamState,
-                         compute_polar, pseudo_sonic_geometry, weak_state)
+from .field2d import csv_text, field_csv_text, profile_csv_text
 from .svgplot import SvgCanvas, heatmap, line_plot
 
 SCHEMA_VERSION = 1
@@ -58,14 +52,20 @@ REQUIRED, LIBRARY = object(), object()
 class Key(NamedTuple):
     """A config key's type; its default: REQUIRED, the CLI's own or LIBRARY
     (absent unless set: the library's default applies, or one the handler
-    works out); and the allowed strings or (predicate, description) the CLI checks."""
+    works out); and what the CLI allows: strings, a function returning them
+    (called when a config is checked) or (predicate, description)."""
 
     type: type
     default: object = LIBRARY
-    allowed: tuple = ()
+    allowed: tuple | Callable[[], tuple] = ()
 
 
-_SCENARIOS = {"reference": reference_scenario, "manufactured": manufactured_scenario}
+def _configurations():
+    from .shockpolar import CONFIGURATIONS
+    return CONFIGURATIONS
+
+
+_SCENARIOS = ("reference", "manufactured")  # keldysh.<name>_scenario
 _GAS = {key: Key(float, REQUIRED) for key in ("gamma", "S0", "J", "rho_ion")}
 _INLET = {"u0": Key(float, REQUIRED), "E0": Key(float), "branch": Key(str)}
 _INTEG = {"rtol": Key(float), "atol": Key(float), "n_samples": Key(int)}
@@ -80,7 +80,7 @@ CONFIG_KEYS = {
     "profile": _PROFILE,
     "kz-check": _PROFILE,
     "keldysh-solve": {
-        "scenario": Key(str, "reference", tuple(_SCENARIOS)),
+        "scenario": Key(str, "reference", _SCENARIOS),
         "a": Key(float), "b": Key(float), "eps0": Key(float), "o_scale": Key(float),
         "grid": {"nx": Key(int), "ny": Key(int), "grading": Key(float)},
         "solver": {"max_iter": Key(int), "tol": Key(float)},
@@ -101,7 +101,8 @@ CONFIG_KEYS = {
     },
     "shock-polar": {"upstream": _UPSTREAM, "n_samples": Key(int)},
     "geometry": {"upstream": _UPSTREAM, "theta_w": Key(float, 0.15),
-                 "configuration": Key(str, "wedge-flow", CONFIGURATIONS), "k": Key(float)},
+                 "configuration": Key(str, "wedge-flow", _configurations),
+                 "k": Key(float)},
 }
 _COMMON = {"schema_version": Key(int, REQUIRED), "subcommand": Key(str, REQUIRED),
            "output_dir": Key(str), "emit": {"svg": Key(bool, True)}}
@@ -119,8 +120,9 @@ def _typed(val, key: Key, path: str):
             raise ConfigError(f"{path} must be a finite number, got {val}")
         val = float(val)
     if key.allowed:
-        test, what = key.allowed if callable(key.allowed[0]) else \
-            (key.allowed.__contains__, " or ".join(map(repr, key.allowed)))
+        allowed = key.allowed() if callable(key.allowed) else key.allowed
+        test, what = allowed if callable(allowed[0]) else \
+            (allowed.__contains__, " or ".join(map(repr, allowed)))
         if not test(val):
             raise ConfigError(f"{path} must be {what}, got {val!r}")
     return val
@@ -167,7 +169,8 @@ def _pick(blk: dict, *names) -> dict:
     return {name: blk[name] for name in names if name in blk}
 
 
-def _inlet_from(blk: dict, params: GasParams) -> InletData:
+def _inlet_from(blk: dict, params):
+    from .profile1d import InletData, critical_inlet
     if "E0" in blk:
         return InletData(u0=blk["u0"], E0=blk["E0"])
     return critical_inlet(params, blk["u0"], **_pick(blk, "branch"))
@@ -223,6 +226,7 @@ def _digest(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def run_phase_portrait(cfg, aw: ArtifactWriter) -> None:
+    from .gas import GasParams, critical_field, find_u_star
     params = GasParams(**cfg["gas"])
     ustar = find_u_star(params)
     u_min = cfg.get("u_min", 0.3 * params.u_sonic)
@@ -241,6 +245,7 @@ def run_phase_portrait(cfg, aw: ArtifactWriter) -> None:
 
 
 def _profile_from(cfg, params):
+    from .profile1d import integrate_profile
     inlet = _inlet_from(cfg["inlet"], params)
     return integrate_profile(params, inlet, **cfg["stop"], **cfg["integrator"]), inlet
 
@@ -265,6 +270,8 @@ def _lemma_json(report):
 
 
 def run_profile(cfg, aw: ArtifactWriter) -> None:
+    from .gas import GasParams
+    from .profile1d import reconstruct_fields, verify_lemma
     params = GasParams(**cfg["gas"])
     profile, inlet = _profile_from(cfg, params)
     profile = reconstruct_fields(profile)
@@ -279,6 +286,8 @@ def run_profile(cfg, aw: ArtifactWriter) -> None:
 
 
 def run_kz_check(cfg, aw: ArtifactWriter) -> None:
+    from .gas import GasParams
+    from .profile1d import kz_check
     params = GasParams(**cfg["gas"])
     profile, _ = _profile_from(cfg, params)
     report = kz_check(profile)
@@ -298,11 +307,15 @@ def run_kz_check(cfg, aw: ArtifactWriter) -> None:
 
 
 def run_keldysh(cfg, aw: ArtifactWriter) -> None:
+    from . import keldysh
+    from .keldysh import (KeldyshOptions, corner_probe, solve_model, sonic_derivative_scan,
+                          verify_bounds, _Grid, _scan_abscissas)
     opts = KeldyshOptions(**cfg["grid"], **cfg["solver"])
     scenario = cfg["scenario"]
     if scenario != "reference" and "o_scale" in cfg:
         raise ConfigError(f"o_scale applies to the reference scenario only, not {scenario!r}")
-    dom, coeffs, bc = _SCENARIOS[scenario](**_pick(cfg, "eps0", "a", "b", "o_scale"))
+    dom, coeffs, bc = getattr(keldysh, f"{scenario}_scenario")(
+        **_pick(cfg, "eps0", "a", "b", "o_scale"))
     coeffs.validate_bounds(dom)
     # the scan abscissas depend on the grid alone: reject a coarse grid unsolved
     _scan_abscissas(_Grid(dom, opts.nx, opts.ny, opts.grading).x)
@@ -339,6 +352,10 @@ def run_keldysh(cfg, aw: ArtifactWriter) -> None:
 
 
 def run_mixed(cfg, aw: ArtifactWriter) -> None:
+    from .gas import GasParams
+    from .mixed2d import (BoundaryData2D, ChannelDomain, build_operator, solve_linear,
+                          sonic_smoothness_diag, _sonic_side_columns)
+    from .profile1d import integrate_profile
     params = GasParams(**cfg["gas"])
     inlet = _inlet_from(cfg["inlet"], params)
     L = cfg["channel"]["L"]
@@ -377,6 +394,7 @@ def run_mixed(cfg, aw: ArtifactWriter) -> None:
 
 
 def run_shock_polar(cfg, aw: ArtifactWriter) -> None:
+    from .shockpolar import UpstreamState, compute_polar, weak_state
     state = UpstreamState(**cfg["upstream"])
     curve = compute_polar(state, **_pick(cfg, "n_samples"))
     aw.write_text("polar.csv", csv_text("sigma,u1,u2,rho,deflection",
@@ -400,6 +418,8 @@ def run_shock_polar(cfg, aw: ArtifactWriter) -> None:
 
 
 def run_geometry(cfg, aw: ArtifactWriter) -> None:
+    from .shockpolar import (CHARTS, SelfSimilarState, UpstreamState, compute_polar,
+                             pseudo_sonic_geometry, weak_state)
     state = UpstreamState(**cfg["upstream"])
     theta_w, configuration = cfg["theta_w"], cfg["configuration"]
     curve = compute_polar(state)
@@ -467,12 +487,13 @@ def _resolve_outdir(cfg, config_path: str) -> str | None:
     return outdir
 
 
-def _write_manifest(aw: ArtifactWriter, sub: str, cfg: dict, t0: float) -> None:
+def _write_manifest(aw: ArtifactWriter, cfg: dict, resolved: dict, t0: float) -> None:
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "subcommand": sub,
+        "subcommand": resolved["subcommand"],
         "tool_version": __version__,
         "config": cfg,
+        "resolved_config": resolved,
         "wall_time_s": time.perf_counter() - t0,
         "env": {"python": sys.version.split()[0], "numpy": np.__version__,
                 "scipy": scipy.__version__, "cpu_count": os.cpu_count()},
@@ -496,7 +517,7 @@ def run_config(config_path: str) -> int:
         resolved = validate_config(cfg)
         aw = ArtifactWriter(outdir)
         HANDLERS[resolved["subcommand"]](resolved, aw)
-        _write_manifest(aw, resolved["subcommand"], cfg, t0)
+        _write_manifest(aw, cfg, resolved, t0)
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         code = 1

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 CSV_HEADER = "x,y,psi"
+PROFILE_CSV_HEADER = "x1,u,E,rho,p,Phi,phi_bar"
 FORMAT_BLOCK_ROWS = 2048  # rows per block of format_floats and format_rows; bounds their memory
 
 
@@ -298,6 +299,14 @@ def csv_text(header: str, columns) -> str:
 
 def field_csv_text(fld: Field2D) -> str:
     return csv_text(CSV_HEADER, (fld.x.ravel(), fld.y.ravel(), fld.values.ravel()))
+
+
+def profile_csv_text(profile) -> str:
+    """A profile1d.Profile1D's reconstructed fields, one row per node."""
+    if not profile.fields_filled:
+        raise ValueError("reconstruct_fields must run before CSV export")
+    return csv_text(PROFILE_CSV_HEADER, (profile.x1, profile.u, profile.E, profile.rho,
+                                         profile.p, profile.Phi, profile.phi_bar))
 
 
 def aitken_limit(seq, max_ratio: float, fallback):

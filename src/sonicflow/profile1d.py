@@ -29,7 +29,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
-from .field2d import aitken_limit, csv_text
+from .field2d import aitken_limit
 from .gas import (
     ACCELERATING,
     DECELERATING,
@@ -999,18 +999,3 @@ def verify_lemma(params: GasParams, inlet: InletData, *,
         claims.append(ClaimResult("sonic_crossing", False, math.inf, str(exc)))
 
     return LemmaReport(branch=branch, gamma=params.gamma, claims=tuple(claims), lmax=lmax_report)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-CSV_HEADER = "x1,u,E,rho,p,Phi,phi_bar"
-
-
-def profile_csv_text(profile: Profile1D) -> str:
-    if not profile.fields_filled:
-        raise ValueError("reconstruct_fields must run before CSV export")
-    return csv_text(CSV_HEADER, (profile.x1, profile.u, profile.E, profile.rho, profile.p,
-                                 profile.Phi, profile.phi_bar))
-

@@ -15,7 +15,7 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sonicflow import cli, keldysh, mixed2d
+from sonicflow import cli, keldysh, mixed2d, shockpolar
 from sonicflow.cli import main
 from sonicflow.gas import GasParams
 from sonicflow.profile1d import critical_inlet, integrate_profile, kz_check
@@ -85,6 +85,23 @@ def test_manifest_records_the_environment(tmp_path):
     assert check_manifest(out)["env"] == {
         "python": platform.python_version(), "numpy": numpy.__version__,
         "scipy": scipy.__version__, "cpu_count": os.cpu_count()}
+
+
+def test_manifest_records_the_resolved_config(tmp_path):
+    # next to the config as written: the config the run used, with the CLI's
+    # defaults filled in; keys with a library default stay absent
+    out = tmp_path / "out"
+    cfg = base_cfg("mixed-solve", out, gas=GAS, inlet={"u0": 0.95, "branch": "accelerating"},
+                   channel={"n1": 65, "n2": 33}, bc={"inlet_mode": "dirichlet"},
+                   emit={"svg": False})
+    assert main(["run", write_cfg(tmp_path, "c.json", cfg)]) == 0
+    manifest = check_manifest(out)
+    assert manifest["config"] == cfg
+    resolved = manifest["resolved_config"]
+    assert resolved["channel"] == {"L": 2.0, "n1": 65, "n2": 33}
+    assert resolved["bc"] == {"inlet_mode": "dirichlet", "kind": "cos", "amplitude": 0.01,
+                              "mode_k": 1, "outlet_zero": False}
+    assert resolved["inlet"] == cfg["inlet"] and resolved["integrator"] == {}
 
 
 def test_profile_off_critical_reports_failing_claims(tmp_path):
@@ -193,7 +210,7 @@ def test_failed_run_leaves_no_artifacts(tmp_path, capsys, monkeypatch):
     # the short accelerating channel has no sonic location, and the geometry
     # configuration is neither of the two the chart knows
     solves = []
-    for module, name in ((keldysh, "splu"), (mixed2d, "dgbsv"), (cli, "compute_polar")):
+    for module, name in ((keldysh, "splu"), (mixed2d, "dgbsv"), (shockpolar, "compute_polar")):
         def counting(*args, real=getattr(module, name), **kwargs):
             solves.append(args)
             return real(*args, **kwargs)
@@ -263,8 +280,7 @@ def test_readme_lists_the_config_table():
     assert tuple(bc.group(2).split("|")) == mixed_keys["bc"]["kind"].allowed
     assert tuple(source.group(1).split("|")) == mixed_keys["source"]["kind"].allowed
     configuration = re.search(r"`configuration` \(geometry\):\s+`([\w|-]+)`", readme)
-    assert tuple(configuration.group(1).split("|")) == \
-        cli.CONFIG_KEYS["geometry"]["configuration"].allowed
+    assert tuple(configuration.group(1).split("|")) == shockpolar.CONFIGURATIONS
     modes = bc.group(1).split("|")
     for mode in modes:
         mixed2d.BoundaryData2D(inlet_mode=mode)

@@ -13,13 +13,14 @@ from scipy.integrate import quad
 from _oracles import aitken_step, directed_polyline_distance, h_quadrature
 from conftest import gamma_family
 from sonicflow import profile1d
+from sonicflow.field2d import profile_csv_text
 from sonicflow.gas import critical_field, enthalpy, find_u_star
 from sonicflow.profile1d import (InletData, NoSonicCrossingError, SonicBlowupError,
                                  bernoulli_defect, conservation_defect,
                                  critical_inlet, dx_du_critical, integrate_profile,
                                  kz_check, kz_coefficients, locate_lmax,
                                  locate_sonic, potential_ode_residual,
-                                 profile_csv_text, reconstruct_fields, verify_lemma)
+                                 reconstruct_fields, verify_lemma)
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
