@@ -221,20 +221,6 @@ class _Grid:
         self.B_eta = -(self.fpx / self.fx)
 
 
-def _psi_x_nodes(grid: _Grid, w: np.ndarray) -> np.ndarray:
-    """psi_x on all nodes (centered; mirror at eta=0, one-sided at edges)."""
-    nx, ny = grid.nx, grid.ny
-    w_s = np.empty_like(w)
-    w_s[1:-1, :] = (w[2:, :] - w[:-2, :]) / (2 * grid.hs)
-    w_s[0, :] = (w[1, :] - w[0, :]) / grid.hs
-    w_s[-1, :] = (w[-1, :] - w[-2, :]) / grid.hs
-    w_e = np.empty_like(w)
-    w_e[:, 1:-1] = (w[:, 2:] - w[:, :-2]) / (2 * grid.he)
-    w_e[:, 0] = 0.0  # mirror symmetry
-    w_e[:, -1] = (w[:, -1] - w[:, -2]) / grid.he
-    return grid.A[:, None] * w_s + grid.B * w_e
-
-
 def _nine_point(hs, he, Css, Cse, Cee, Cs_up, Cs_c, Ce):
     """Weights by node offset (dj, di) of the difference operator
 
@@ -255,9 +241,12 @@ class _Stencil:
     """The discrete equations F(w) = M(c1(w)) w - rhs on a fixed CSC pattern.
 
     Interior and eta = 0 rows are affine in the principal coefficient c1 at
-    their own node, so M(c1) = M0 + diag(c1) P; on those rows psi_x = D w.
-    Entry k of the pattern holds m0[k], p[k] and d[k], so any combination of
-    the three is a refill of values on the one pattern.
+    their own node, so M(c1) = M0 + diag(c1) P; on those rows psi_x = D w,
+    and `evaluate` takes c1 from that D w.  No other row holds c1 (D and P
+    are zero on the top and Dirichlet rows), so only those rows' nodes, in
+    columns 2..nx-1, count in the clamp (_clamped).  Entry k of the pattern
+    holds m0[k], p[k] and d[k], so any combination of the three is a refill
+    of values on the one pattern.
 
     The pattern numbers the nodes by position in `order`: first the m
     unknown nodes in nested-dissection order, then the Dirichlet nodes.  A
@@ -283,8 +272,7 @@ class _Stencil:
         self.indptr = self.indptr.astype(np.int32)
         self.m0, self.p, self.d = m0[srt], p[srt], d[srt]
         self.rhs = rhs
-        self.M0 = self._csc(self.m0)
-        self.P = self._csc(self.p)
+        self.M0, self.P, self.D = self._csc(self.m0), self._csc(self.p), self._csc(self.d)
 
     def _csc(self, vals):
         n = self.rhs.size
@@ -326,10 +314,12 @@ class _Stencil:
     def evaluate(self, w):
         """F(w), the clamped c1(w), the mask of unclamped nodes, and P w.
 
-        c1 = max(2x - a psi_x + O1, _CLAMP * 2x).
+        c1 = max(2x - a psi_x + O1, _CLAMP * 2x) with psi_x = D w, the psi_x
+        the Jacobian differentiates.
         """
-        c1, free = self.clamp(2.0 * self.grid.X - self.a * _psi_x_nodes(self.grid, w) + self.O1)
         wp = w.ravel()[self.order]
+        psi_x = (self.D @ wp)[self.position].reshape(w.shape)
+        c1, free = self.clamp(2.0 * self.grid.X - self.a * psi_x + self.O1)
         pw = (self.P @ wp)[self.position]
         F = (self.M0 @ wp)[self.position] + c1.ravel() * pw - self.rhs
         return F, c1, free, pw
@@ -454,14 +444,17 @@ def _assemble(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
 
 
 def _clamped(free: np.ndarray) -> np.ndarray:
-    """The clamped nodes beyond the first interior column, up to column nx-1.
+    """The clamped nodes whose c1 enters an equation, beyond the first
+    interior column: the interior and eta = 0 rows of columns 2..nx-1.  The
+    top row is left out: its Dirichlet or oblique condition holds no c1,
+    and D w, from which `_Stencil.evaluate` takes c1, is zero there.
 
     Column 1 clamps wherever psi ~ x**2/(2a), the degenerate-boundary
     behaviour: on x = eps0 s**2 the centered s-difference there doubles
     psi_x of a field quadratic in x, so c1 = 2x - a psi_x is about 0.  Only
     deeper activations mark a solution unreliable.
     """
-    return ~free[2:-1, :]
+    return ~free[2:-1, :-1]
 
 
 def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
@@ -471,7 +464,8 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
 
     The unknowns solve F(w) = M(c1(w)) w - rhs = 0, where the principal
     coefficient c1 = max(2x - a psi_x + O1, 1e-3*2x) is clamped below to
-    keep the problem elliptic for x > 0.  The Jacobian
+    keep the problem elliptic for x > 0, with psi_x = D w, the stencil's
+    centered difference.  The Jacobian
 
         J = M0 + diag(c1) P - a diag((P w) * unclamped) D
 
@@ -519,12 +513,13 @@ def solve_model(domain: KeldyshDomain, coeffs: KeldyshCoefficients,
     simplified correction that ended the run.  It also records the
     `factorizations` count (the start's LU and one per Newton step, so
     `iterations` + 1), the largest LU fill `lu_nnz` (SuperLU's nnz), the
-    final residual, `clamped_per_step` (the clamped nodes beyond the first
-    interior column at the start and after each Newton step, so that a run
-    shows its active set settling), and the clamp at the final iterate
-    beyond the first interior column: `clamp_count` nodes in the columns
-    `clamp_columns` (first and last, or None).  An active clamp there flags
-    the solution unreliable.
+    final residual, `clamped_per_step` (the clamped nodes at the start and
+    after each Newton step, so that a run shows its active set settling),
+    and the clamp at the final iterate: `clamp_count` nodes in the columns
+    `clamp_columns` (first and last, or None).  Both count only nodes whose
+    c1 enters an equation, the interior and eta = 0 rows, in columns
+    2..nx-1 (see _clamped).  An active clamp there flags the solution
+    unreliable.
     """
     opts = opts or KeldyshOptions()
     bc = bc or KeldyshBC()

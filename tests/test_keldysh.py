@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -261,6 +262,22 @@ def test_newton_matrix_is_the_jacobian():
     assert np.max(np.abs(jac @ v.ravel()[st.order] - fd[st.order])) <= 1e-8 * np.max(np.abs(fd))
 
 
+def test_top_row_clamps_no_node():
+    """c1 is 2x - a D w + O1, and D is zero on the top row, whose oblique
+    condition holds no c1: a w steep only along the top row clamps no
+    top-row node and adds none to the count that clamp_count reads."""
+    dom, coeffs, bc = reference_scenario()
+    st = keldysh._assemble(dom, coeffs, KeldyshOptions(nx=17, ny=17), bc)
+    w = st.grid.X ** 2 / (4 * A) * (1.0 + 0.3 * np.sin(np.pi * st.grid.eta))[None, :]
+    # a square wave of period 4 columns along the top row: a one-sided
+    # eta difference there would clamp 6 of its nodes, 5 past column 1
+    w[np.arange(st.grid.nx + 1) % 4 >= 2, -1] += 1.0
+    _, c1, free, _ = st.evaluate(w)
+    assert free[:, -1].all()
+    assert np.array_equal(c1[:, -1], 2.0 * st.grid.X[:, -1] + st.O1[:, -1])
+    assert np.count_nonzero(keldysh._clamped(free)) == 0
+
+
 def test_one_factorization_per_step_and_fixed_point(monkeypatch):
     calls = []
 
@@ -348,6 +365,22 @@ def test_reliable_flag_at_65(scenario, reliable):
     assert fld.metadata["clamp_active"] is not reliable
 
 
+def test_reliable_on_a_compliant_oblique_scenario_at_65():
+    """The reference scenario with right data eps0**2/(2a) (1 - (y/f)**2)
+    clamps only at the start and converges in three full Newton steps with
+    delta = 0.653 in the slope bound, so it is flagged reliable."""
+    dom, coeffs, bc = reference_scenario()
+    eps0, f_eps = dom.eps0, 1.0 + dom.eps0
+    bc = dataclasses.replace(
+        bc, right_data=lambda y: eps0 ** 2 / (2.0 * A) * (1.0 - (y / f_eps) ** 2))
+    fld = solve_model(dom, coeffs, KeldyshOptions(nx=65, ny=65), bc)
+    meta = fld.metadata
+    assert meta["reliable"] is True and meta["clamp_count"] == 0
+    assert meta["clamped_per_step"] == [37, 0, 0, 0]
+    assert meta["iterations"] == 3
+    assert verify_bounds(fld, coeffs).delta == pytest.approx(0.653, abs=5e-4)
+
+
 def test_newton_counts_and_divergence_pinned(scenario_field):
     fld, _ = scenario_field
     assert fld.metadata["iterations"] == 9  # 97^2
@@ -387,7 +420,9 @@ def test_solver_telemetry(scenario_field, manufactured_fields):
     # count is recorded at the start and after each Newton step
     assert meta["clamp_active"] and meta["clamp_count"] > 0
     assert meta["clamp_columns"] == [96, 96]
-    assert meta["clamped_per_step"] == [75, 18, 8] + [10] * 5 + [11] * 2
+    # only nodes whose c1 enters an equation count, so not the top row, whose
+    # Dirichlet or oblique condition holds no c1: one node fewer per entry
+    assert meta["clamped_per_step"] == [73, 17, 7] + [9] * 5 + [10] * 2
     meta = manufactured_fields[65].metadata
     assert not meta["clamp_active"]
     assert meta["clamp_count"] == 0 and meta["clamp_columns"] is None

@@ -384,6 +384,28 @@ def test_incompatible_inlet_rejected(background):
         solve_linear(spec, None, BoundaryData2D(inlet_data=lambda x2: 0.01 * x2))
 
 
+_EVEN = {f"0.01 cos({k} pi x2)": (lambda x2, k=k: 0.01 * np.cos(k * np.pi * x2), n_min)
+         for k, n_min in ((1, 9), (2, 17), (3, 33))}
+_ODD = {"0.01 x2": lambda x2: 0.01 * x2,
+        "0.01 (x2 + cos(pi x2))": lambda x2: 0.01 * (x2 + np.cos(np.pi * x2)),
+        "x2**3": lambda x2: x2 ** 3}
+
+
+@pytest.mark.parametrize("name, n2", [(name, n2) for name, (_, n_min) in _EVEN.items()
+                                      for n2 in (9, 17, 33, 65, 129) if n2 >= n_min]
+                         + [(name, n2) for name in _ODD for n2 in (5, 9, 17, 33, 65, 129)])
+def test_wall_compatibility_on_coarse_grids(name, n2):
+    """Data even about both walls pass once the grid resolves them, even
+    where the one-sided wall slope is all truncation error (cos(pi x2) at
+    n2 = 9); data with an odd part at a wall are rejected on every grid."""
+    x2 = ChannelDomain(L=1.0, n1=5, n2=n2).x2
+    if name in _EVEN:
+        BoundaryData2D().validate_compatibility(x2, _EVEN[name][0](x2))
+    else:
+        with pytest.raises(ValueError, match="odd derivative"):
+            BoundaryData2D().validate_compatibility(x2, _ODD[name](x2))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_nonfinite_source_rejected(background, bad):
     dom, spec, F, _, bc = manufactured_setup(background, 33, 17)
